@@ -342,6 +342,21 @@ def _training_columns(columns: dict[str, np.ndarray], tasks: list[TaskConfig], p
             )
 
 
+def _fit_with_config(
+    table, columns: dict[str, np.ndarray], tasks: list[TaskConfig], config: PipelineConfig
+):
+    """learner.fit with the architecture, optimizer and bins of config."""
+    arch = ModelArch(d_embed=config.d_embed, n_experts=config.n_experts, hidden=config.hidden)
+    opt = OptimizerConfig(
+        lr_embed=config.lr_embed,
+        lr_dense=config.lr_dense,
+        batch_size=config.batch_size,
+        epochs=config.epochs,
+        seed=config.train_seed,
+    )
+    return fit(table, columns, tasks, arch, opt, config.bins_b, config.bins_min_size)
+
+
 def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
     table, columns = read_labeled(args.input)
     tasks = parse_tasks(config.tasks)
@@ -351,25 +366,7 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
     train_columns = {k: v[mask] for k, v in columns.items()}
     if train_table.n == 0:
         raise ConfigInvalid("training split is empty; raise split_frac")
-    arch = ModelArch(
-        d_embed=config.d_embed, n_experts=config.n_experts, hidden=config.hidden
-    )
-    opt = OptimizerConfig(
-        lr_embed=config.lr_embed,
-        lr_dense=config.lr_dense,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        seed=config.train_seed,
-    )
-    model, trace = fit(
-        train_table,
-        train_columns,
-        tasks,
-        arch=arch,
-        opt=opt,
-        bins_b=config.bins_b,
-        bins_min_size=config.bins_min_size,
-    )
+    model, trace = _fit_with_config(train_table, train_columns, tasks, config)
     save_model(model, args.model)
     if args.trace:
         write_trace(args.trace, trace)
@@ -523,27 +520,9 @@ def run_ablation(
     eval_table = table.subset(~mask)
     eval_columns = {k: v[~mask] for k, v in columns.items()}
     eval_truth = truth_m[eval_table.row_index]
-    arch = ModelArch(
-        d_embed=config.d_embed, n_experts=config.n_experts, hidden=config.hidden
-    )
-    opt = OptimizerConfig(
-        lr_embed=config.lr_embed,
-        lr_dense=config.lr_dense,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        seed=config.train_seed,
-    )
     rows = []
     for name, tasks in ABLATE_VARIANTS:
-        model, _ = fit(
-            train_table,
-            train_columns,
-            tasks,
-            arch=arch,
-            opt=opt,
-            bins_b=config.bins_b,
-            bins_min_size=config.bins_min_size,
-        )
+        model, _ = _fit_with_config(train_table, train_columns, tasks, config)
         report = evaluate_model(model, eval_table, eval_columns, eval_truth)
         rows.append(
             (name, report.gauc_truth, report.auc, report.gauc,

@@ -185,6 +185,34 @@ def as_table(dataset) -> InteractionTable:
     return InteractionTable.from_rows(dataset)
 
 
+def segments(keys, n_keys: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group record positions by key: (keys, order, bounds).
+
+    The records of keys[i] are order[bounds[i]:bounds[i + 1]], in their
+    original order. Without n_keys the keys are the sorted distinct
+    values; with it they are the integers 0..n_keys-1 and a key that no
+    record carries gets an empty segment.
+    """
+    keys = np.asarray(keys)
+    if n_keys is None:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+    else:
+        uniq, inverse = np.arange(n_keys), keys
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
+    return uniq, order, bounds
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow on either side."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionScheme:
     """N ordered group ratios over (0, 1] plus their prefix sums.

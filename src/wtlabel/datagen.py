@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import InteractionTable
+from .core import InteractionTable, segments, sigmoid
 from .errors import ConfigInvalid, NoEligibleUsers
 
 
@@ -86,15 +86,6 @@ def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     return ndtri(u)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def generate(config: SyntheticConfig) -> tuple[InteractionTable, SyntheticTruth]:
     """Generate the synthetic dataset for config, deterministically."""
     config.validate()
@@ -129,8 +120,8 @@ def generate(config: SyntheticConfig) -> tuple[InteractionTable, SyntheticTruth]
 
     eps = _standard_normal(rng, config.n_records)
     m = (users[user_rows] * videos[vid_rows]).sum(axis=1) * scale
-    f_mean = _sigmoid(config.alpha * m + config.beta)
-    f = np.clip(_sigmoid(config.alpha * m + config.beta + config.sigma_y * eps), 0.0, 1.0)
+    f_mean = sigmoid(config.alpha * m + config.beta)
+    f = np.clip(sigmoid(config.alpha * m + config.beta + config.sigma_y * eps), 0.0, 1.0)
     watch = np.round(durations[vid_rows] * f, 3)
 
     width_u = len(str(config.n_users - 1))
@@ -153,13 +144,11 @@ def oracle_rank_quality(scores, truth_m, user_ids) -> float:
     ids = np.asarray(user_ids)
     if not (len(scores) == len(m) == len(ids)):
         raise ConfigInvalid("scores, truth, and user ids must align")
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
+    _, order, bounds = segments(ids)
     total_weight = 0.0
     total = 0.0
-    for i in range(len(uniq)):
-        idx = order[bounds[i] : bounds[i + 1]]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
         if len(idx) < 2:
             continue
         mu = m[idx]

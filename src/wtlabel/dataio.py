@@ -58,11 +58,12 @@ def _format_real(x: float, decimals: int) -> str:
     return f"{x:.{decimals}f}"
 
 
-def read_interactions(path: str) -> InteractionTable:
-    """Parse and validate an interaction CSV.
+def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str, np.ndarray]]:
+    """Parse a CSV whose first four columns are the interaction fields.
 
-    The original numeric field text is kept on the table so later
-    writers can echo input columns byte for byte."""
+    A labeled file carries label columns after them; empty label cells
+    become NaN. The original numeric field text is kept on the table so
+    later writers can echo input columns byte for byte."""
     users: list[str] = []
     videos: list[str] = []
     durations: list[float] = []
@@ -74,14 +75,18 @@ def read_interactions(path: str) -> InteractionTable:
         header = next(reader, None)
         if header is None:
             raise EmptyInput(f"{path}: empty file")
-        if tuple(header) != INTERACTION_HEADER:
+        if tuple(header[:4]) != INTERACTION_HEADER or not (labeled or len(header) == 4):
             raise MissingField(
-                f"{path}: header must be {','.join(INTERACTION_HEADER)}, "
-                f"got {','.join(header)}"
+                f"{path}: header must {'start with' if labeled else 'be'} "
+                f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
             )
+        label_names = header[4:]
+        raw_labels: list[list[float]] = [[] for _ in label_names]
         for i, row in enumerate(reader):
-            if len(row) != 4:
-                raise MissingField(f"{path} row {i}: expected 4 fields, got {len(row)}")
+            if len(row) != len(header):
+                raise MissingField(
+                    f"{path} row {i}: expected {len(header)} fields, got {len(row)}"
+                )
             rec = validate_interaction(row[0], row[1], row[2], row[3], i)
             users.append(rec.user_id)
             videos.append(rec.video_id)
@@ -89,9 +94,18 @@ def read_interactions(path: str) -> InteractionTable:
             watches.append(rec.watch_time_s)
             dur_text.append(row[2])
             watch_text.append(row[3])
+            if not label_names:
+                continue
+            for j, cell in enumerate(row[4:]):
+                try:
+                    raw_labels[j].append(float(cell) if cell != "" else np.nan)
+                except ValueError:
+                    raise MissingField(
+                        f"{path} row {i}: column {label_names[j]} is not a number: {cell!r}"
+                    ) from None
     if not users:
         raise EmptyInput(f"{path}: no data rows")
-    return InteractionTable(
+    table = InteractionTable(
         users,
         videos,
         np.asarray(durations),
@@ -99,6 +113,17 @@ def read_interactions(path: str) -> InteractionTable:
         duration_text=dur_text,
         watch_text=watch_text,
     )
+    columns: dict[str, np.ndarray] = {}
+    for name, values in zip(label_names, raw_labels):
+        arr = np.asarray(values, dtype=np.float64)
+        if not np.all(np.isnan(arr)):
+            columns[name] = arr
+    return table, columns
+
+
+def read_interactions(path: str) -> InteractionTable:
+    """Parse and validate an interaction CSV."""
+    return _read_records(path, labeled=False)[0]
 
 
 def _interaction_fields(table: InteractionTable, i: int) -> list[str]:
@@ -186,55 +211,9 @@ def write_labeled(
 def read_labeled(path: str) -> tuple[InteractionTable, dict[str, np.ndarray]]:
     """Labeled CSV back into a table plus float columns.
 
-    Empty label cells become NaN. Columns that are entirely empty are
-    dropped rather than returned as all-NaN."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput(f"{path}: empty file")
-        if tuple(header[:4]) != INTERACTION_HEADER:
-            raise MissingField(
-                f"{path}: first four columns must be {','.join(INTERACTION_HEADER)}"
-            )
-        label_names = header[4:]
-        users: list[str] = []
-        videos: list[str] = []
-        durations: list[float] = []
-        watches: list[float] = []
-        dur_text: list[str] = []
-        watch_text: list[str] = []
-        raw_labels: list[list[float]] = [[] for _ in label_names]
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise MissingField(
-                    f"{path} row {i}: expected {len(header)} fields, got {len(row)}"
-                )
-            rec = validate_interaction(row[0], row[1], row[2], row[3], i)
-            users.append(rec.user_id)
-            videos.append(rec.video_id)
-            durations.append(rec.duration_s)
-            watches.append(rec.watch_time_s)
-            dur_text.append(row[2])
-            watch_text.append(row[3])
-            for j, cell in enumerate(row[4:]):
-                raw_labels[j].append(float(cell) if cell != "" else np.nan)
-    if not users:
-        raise EmptyInput(f"{path}: no data rows")
-    table = InteractionTable(
-        users,
-        videos,
-        np.asarray(durations),
-        np.asarray(watches),
-        duration_text=dur_text,
-        watch_text=watch_text,
-    )
-    columns: dict[str, np.ndarray] = {}
-    for name, values in zip(label_names, raw_labels):
-        arr = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isnan(arr)):
-            columns[name] = arr
-    return table, columns
+    Columns that are entirely empty are dropped rather than returned as
+    all-NaN. A label cell that is not a number raises MissingField."""
+    return _read_records(path, labeled=True)
 
 
 def write_trace(path: str, rows: Iterable[tuple[int, str, float]]) -> None:

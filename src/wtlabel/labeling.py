@@ -42,6 +42,7 @@ from .core import (
     as_table,
     make_duration_bins,
     make_partition,
+    segments,
 )
 from .errors import (
     ConfigInvalid,
@@ -107,15 +108,6 @@ class GroupedSummaries:
         return s
 
 
-def _group_slices(keys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unique keys plus the record indices belonging to each."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    slices = [order[bounds[i] : bounds[i + 1]] for i in range(len(uniq))]
-    return uniq, slices
-
-
 def build_grouped_summaries(
     dataset,
     *,
@@ -142,19 +134,17 @@ def build_grouped_summaries(
 
     wt = table.watch_time_s
     jobs: list[tuple[GroupKey, np.ndarray]] = [(GroupKey("global"), wt)]
+    groupings = []
     if bins is not None and kinds:
-        bin_idx = bins.bin_of_many(table.duration_s)
-        if "duration_bin" in kinds or "video" in kinds or "user" in kinds:
-            for b in range(bins.n_bins):
-                jobs.append((GroupKey("duration_bin", b), wt[bin_idx == b]))
-    if "video" in kinds:
-        uniq, slices = _group_slices(np.asarray(table.video_id))
-        for key, idx in zip(uniq, slices):
-            jobs.append((GroupKey("video", str(key)), wt[idx]))
-    if "user" in kinds:
-        uniq, slices = _group_slices(np.asarray(table.user_id))
-        for key, idx in zip(uniq, slices):
-            jobs.append((GroupKey("user", str(key)), wt[idx]))
+        # every bin gets a summary, an empty one included
+        groupings.append(("duration_bin", bins.bin_of_many(table.duration_s), bins.n_bins))
+    for kind, ids in (("video", table.video_id), ("user", table.user_id)):
+        if kind in kinds:
+            groupings.append((kind, ids, None))
+    for kind, keys, n_keys in groupings:
+        uniq, order, bounds = segments(keys, n_keys)
+        for key, lo, hi in zip(uniq.tolist(), bounds[:-1], bounds[1:]):
+            jobs.append((GroupKey(kind, key), wt[order[lo:hi]]))
 
     def _build(values: np.ndarray) -> QuantileSummary:
         s = make_summary(mode, eps)
@@ -268,13 +258,10 @@ def label_wpr_debiased(
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
-    bin_idx = bins.bin_of_many(table.duration_s)
+    _, order, bounds = segments(bins.bin_of_many(table.duration_s))
     out = np.empty(table.n, dtype=np.float64)
-    for b in range(bins.n_bins):
-        mask = bin_idx == b
-        if not mask.any():
-            continue
-        idx = np.flatnonzero(mask)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
         r = _rank_fractions(
             table.watch_time_s[idx], table.row_index[idx], tie_mode, mode, eps
         )

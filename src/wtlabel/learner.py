@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import DurationBins, InteractionTable, as_table, make_duration_bins
+from .core import DurationBins, InteractionTable, as_table, make_duration_bins, sigmoid
 from .errors import (
     ConfigInvalid,
     DegenerateLabels,
@@ -220,15 +220,6 @@ def init_model(
     return params
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
@@ -307,14 +298,14 @@ def _task_loss(
         t = targets
         w = weights if weights is not None else np.ones_like(sv)
         loss = float(np.mean(w * t * _softplus(-sv) + (1.0 - t) * _softplus(sv)))
-        sig = _sigmoid(sv)
+        sig = sigmoid(sv)
         ds = ((t * w * (sig - 1.0) + (1.0 - t) * sig) / b)[:, None]
         return loss, ds
     # ordinal_cumulative: targets holds the 0-based group index
     k = task.n_out
     z = (targets[:, None] > np.arange(k)[None, :]).astype(np.float64)
     loss = float(np.mean(np.sum(z * _softplus(-s) + (1.0 - z) * _softplus(s), axis=1)))
-    ds = (_sigmoid(s) - z) / b
+    ds = (sigmoid(s) - z) / b
     return loss, ds
 
 
@@ -398,6 +389,12 @@ def _prepare_targets(
     return targets, weights, prefixes
 
 
+def _embedding_rows(index: Mapping[str, int], ids: Sequence[str]) -> np.ndarray:
+    """Embedding row of each id; ids outside the index share the last row."""
+    n = len(index)
+    return np.asarray([index.get(i, n) for i in ids], dtype=np.int64)
+
+
 def build_train_data(
     table: InteractionTable,
     columns: Mapping[str, np.ndarray],
@@ -406,16 +403,11 @@ def build_train_data(
     video_index: Mapping[str, int],
     bins: DurationBins,
 ) -> TrainData:
-    n_u = len(user_index)
-    n_v = len(video_index)
-    user_rows = np.asarray([user_index.get(u, n_u) for u in table.user_id], dtype=np.int64)
-    video_rows = np.asarray([video_index.get(v, n_v) for v in table.video_id], dtype=np.int64)
-    bin_rows = bins.bin_of_many(table.duration_s)
     targets, weights, _ = _prepare_targets(tasks, columns, table.watch_time_s)
     return TrainData(
-        user_rows,
-        video_rows,
-        bin_rows,
+        _embedding_rows(user_index, table.user_id),
+        _embedding_rows(video_index, table.video_id),
+        bins.bin_of_many(table.duration_s),
         table.duration_s,
         table.watch_time_s,
         targets,
@@ -550,16 +542,20 @@ def gradient_check(
     return worst
 
 
-def _group_medians(values: np.ndarray, group_idx: np.ndarray, n_groups: int) -> np.ndarray:
-    """Median of values per group; NaN for empty groups."""
-    out = np.full(n_groups, np.nan)
-    order = np.argsort(group_idx, kind="stable")
-    sorted_groups = group_idx[order]
-    bounds = np.searchsorted(sorted_groups, np.arange(n_groups + 1))
-    for g in range(n_groups):
-        lo, hi = bounds[g], bounds[g + 1]
-        if hi > lo:
-            out[g] = np.median(values[order[lo:hi]])
+def _cell_medians(values: np.ndarray, cell: np.ndarray, n_cells: int) -> np.ndarray:
+    """Median of values in each cell 0..n_cells-1; NaN for empty cells.
+
+    One lexsort by (cell, value); a cell's median is the mean of its two
+    middle values (one value twice for odd counts), as np.median gives."""
+    order = np.lexsort((values, cell))
+    v = values[order]
+    bounds = np.searchsorted(cell[order], np.arange(n_cells + 1))
+    lo, count = bounds[:-1], np.diff(bounds)
+    out = np.full(n_cells, np.nan)
+    full = count > 0
+    lo_mid = lo[full] + (count[full] - 1) // 2
+    hi_mid = lo[full] + count[full] // 2
+    out[full] = (v[lo_mid] + v[hi_mid]) / 2
     return out
 
 
@@ -578,19 +574,13 @@ def build_wpr_inverse(
     prefix = np.unique(np.asarray(label_col, dtype=np.float64))
     gidx = np.searchsorted(prefix, label_col)
     g = len(prefix)
-    global_reps = _group_medians(watch, gidx, g)
+    global_reps = _cell_medians(watch, gidx, g)
     # every observed label value has at least one record
     if per_bin:
         if bin_rows is None:
             raise MissingInverseMap("bin-scoped inverse needs duration bins")
-        reps = np.empty((n_bins, g))
-        for b in range(n_bins):
-            mask = bin_rows == b
-            if mask.any():
-                row = _group_medians(watch[mask], gidx[mask], g)
-            else:
-                row = np.full(g, np.nan)
-            reps[b] = np.where(np.isnan(row), global_reps, row)
+        reps = _cell_medians(watch, bin_rows * g + gidx, n_bins * g).reshape(n_bins, g)
+        reps = np.where(np.isnan(reps), global_reps, reps)
     else:
         reps = global_reps[None, :]
     return WprInverse(prefix=prefix, reps=reps, per_bin=per_bin)
@@ -644,16 +634,11 @@ def fit(
 
 
 def _feature_rows(model: Model, table: InteractionTable):
-    n_u = len(model.user_index)
-    n_v = len(model.video_index)
-    user_rows = np.asarray(
-        [model.user_index.get(u, n_u) for u in table.user_id], dtype=np.int64
+    return (
+        _embedding_rows(model.user_index, table.user_id),
+        _embedding_rows(model.video_index, table.video_id),
+        model.bins.bin_of_many(table.duration_s),
     )
-    video_rows = np.asarray(
-        [model.video_index.get(v, n_v) for v in table.video_id], dtype=np.int64
-    )
-    bin_rows = model.bins.bin_of_many(table.duration_s)
-    return user_rows, video_rows, bin_rows
 
 
 def score_records(model: Model, table: InteractionTable) -> dict[str, np.ndarray]:
@@ -670,12 +655,12 @@ def score_records(model: Model, table: InteractionTable) -> dict[str, np.ndarray
     for t in model.tasks:
         s = scores[t.name]
         if t.kind == "ordinal":
-            out[t.name] = _sigmoid(s).sum(axis=1)
+            out[t.name] = sigmoid(s).sum(axis=1)
             ranking.append(out[t.name] / t.n_out)
         else:
             out[t.name] = s[:, 0]
             if t.kind == "binary":
-                ranking.append(_sigmoid(s[:, 0]))
+                ranking.append(sigmoid(s[:, 0]))
             else:
                 ranking.append(s[:, 0])
     out["fused"] = np.mean(np.stack(ranking, axis=0), axis=0)
@@ -715,7 +700,7 @@ def predict_watch_time(
     if inverse is None:
         raise MissingInverseMap(f"task {task.name} has no inverse map")
     if task.kind == "ordinal":
-        expected = _sigmoid(s).sum(axis=1)
+        expected = sigmoid(s).sum(axis=1)
         g = np.clip(np.round(expected), 0, len(inverse.prefix) - 1).astype(np.int64)
         return inverse.reps[0, g]
     return inverse.lookup(s[:, 0], bin_rows)

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import segments
 from .errors import DegenerateLabels, EmptyGroup, EmptyInput, NoEligibleUsers
 
 
@@ -62,16 +63,14 @@ def gauc_detail(scores, labels, user_ids) -> GaucDetail:
     ids = np.asarray(user_ids)
     if not (len(scores) == len(labels) == len(ids)):
         raise EmptyInput("scores, labels, and user ids must align")
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
+    _, order, bounds = segments(ids)
     total = 0.0
     weight = 0.0
     used = 0
     skipped = 0
     records = 0
-    for i in range(len(uniq)):
-        idx = order[bounds[i] : bounds[i + 1]]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
         lab = labels[idx]
         p = int((lab == 1).sum())
         if p == 0 or p == len(idx):

@@ -386,10 +386,12 @@ def summary_from_bytes(blob: bytes) -> QuantileSummary:
     if mode == _MODE_EXACT:
         (size,) = _unpack("<Q", blob, off)
         off += 8
-        vals = _read_floats(blob, off, size)
+        if size != n:
+            raise SerializationError(
+                f"exact summary header counts {n} values, payload holds {size}"
+            )
         s = ExactSummary()
-        s.extend(vals)
-        s._n = n
+        s.extend(_read_floats(blob, off, size))
         return s
     if mode != _MODE_SKETCH:
         raise SerializationError(f"unknown summary mode byte {mode}")
@@ -408,6 +410,13 @@ def summary_from_bytes(blob: bytes) -> QuantileSummary:
     if not s._levels:
         s._levels = [np.empty(0, dtype=np.float64)]
         s._parity = [0]
+    # compaction keeps the total weight, so the levels must account for
+    # every counted value
+    weight = sum(level.size << h for h, level in enumerate(s._levels))
+    if weight != n:
+        raise SerializationError(
+            f"sketch summary header counts {n} values, levels hold weight {weight}"
+        )
     s._n = n
     return s
 

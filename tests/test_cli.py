@@ -363,6 +363,20 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_numeric_label_cell_exits_2(small_run, tmp_path, capsys):
+    lines = read_bytes(small_run["labeled"]).decode().splitlines()
+    col = lines[0].split(",").index("ev")
+    cells = lines[3].split(",")
+    cells[col] = "x"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = run(["train", "--input", bad, "--model", tmp_path / "m.bin"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad} row 2: column ev is not a number: 'x'" in err
+
+
 def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
     import wtlabel.cli as cli_mod
 

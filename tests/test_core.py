@@ -15,6 +15,7 @@ from wtlabel.core import (
     PartitionScheme,
     make_duration_bins,
     make_partition,
+    segments,
     validate_interaction,
 )
 from wtlabel.errors import (
@@ -304,3 +305,42 @@ def test_bin_of_many_handles_out_of_range():
     bins = make_duration_bins(np.array([10.0, 20.0, 30.0] * 10), 3, min_bin_size=1)
     assert bins.bin_of(0.001) == 0
     assert bins.bin_of(1e9) == bins.n_bins - 1
+
+
+# --------------------------------------------------------------- segments
+
+
+def _brute_groups(keys) -> dict:
+    groups: dict = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    return groups
+
+
+def _segment_lists(keys, n_keys=None) -> dict:
+    uniq, order, bounds = segments(keys, n_keys)
+    assert len(bounds) == len(uniq) + 1 and bounds[0] == 0 and bounds[-1] == len(keys)
+    return {k: order[lo:hi].tolist() for k, lo, hi in zip(uniq.tolist(), bounds[:-1], bounds[1:])}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.sampled_from(["u0", "u1", "u10", "u2", "v", "β"]), max_size=60))
+def test_segments_match_dict_grouping_on_strings(keys):
+    got = _segment_lists(np.asarray(keys, dtype=str))
+    # keys come out sorted, positions in their original order
+    assert list(got) == sorted(set(keys))
+    assert got == _brute_groups(keys)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=60))
+))
+def test_segments_with_n_keys_cover_every_key(args):
+    n_keys, keys = args
+    got = _segment_lists(np.asarray(keys, dtype=np.int64), n_keys)
+    assert list(got) == list(range(n_keys))
+    brute = _brute_groups(keys)
+    for k in range(n_keys):
+        # a key no record carries still gets its (empty) segment
+        assert got[k] == brute.get(k, [])

@@ -520,23 +520,30 @@ def test_predict_ordinal_rounds_expected_group():
 
 
 def test_wpr_inverse_matches_filter_and_median():
-    rng = np.random.Generator(np.random.PCG64(13))
-    labels = rng.choice([0.25, 0.5, 0.75, 1.0], size=400)
-    watch = np.round(rng.uniform(0.0, 120.0, size=400), 3)
-    bin_rows = rng.integers(0, 3, size=400)
-    inv = build_wpr_inverse(labels, watch, bin_rows, per_bin=True, n_bins=3)
-    prefix = np.unique(labels)
-    assert np.array_equal(inv.prefix, prefix)
-    for g, lab in enumerate(prefix):
-        global_med = np.median(watch[labels == lab])
-        for b in range(3):
-            mask = (labels == lab) & (bin_rows == b)
-            want = np.median(watch[mask]) if mask.any() else global_med
-            assert inv.reps[b, g] == want
-    flat = build_wpr_inverse(labels, watch, None, per_bin=False, n_bins=3)
-    assert flat.reps.shape == (1, len(prefix))
-    for g, lab in enumerate(prefix):
-        assert flat.reps[0, g] == np.median(watch[labels == lab])
+    for n, n_bins, used_bins in [(400, 3, 3), (40, 5, 4), (60, 6, 3)]:
+        rng = np.random.Generator(np.random.PCG64(13))
+        labels = rng.choice([0.25, 0.5, 0.75, 1.0], size=n)
+        watch = np.round(rng.uniform(0.0, 120.0, size=n), 3)
+        # bins from used_bins on see no record, so their cells are empty
+        bin_rows = rng.integers(0, used_bins, size=n)
+        inv = build_wpr_inverse(labels, watch, bin_rows, per_bin=True, n_bins=n_bins)
+        prefix = np.unique(labels)
+        assert np.array_equal(inv.prefix, prefix)
+        cell_sizes = set()
+        for g, lab in enumerate(prefix):
+            global_med = np.median(watch[labels == lab])
+            for b in range(n_bins):
+                mask = (labels == lab) & (bin_rows == b)
+                cell_sizes.add(int(mask.sum()))
+                want = np.median(watch[mask]) if mask.any() else global_med
+                assert inv.reps[b, g] == want
+        # the inputs reach even-sized cells, and empty ones where bins go unused
+        assert any(c > 0 and c % 2 == 0 for c in cell_sizes)
+        assert (0 in cell_sizes) == (used_bins < n_bins)
+        flat = build_wpr_inverse(labels, watch, None, per_bin=False, n_bins=n_bins)
+        assert flat.reps.shape == (1, len(prefix))
+        for g, lab in enumerate(prefix):
+            assert flat.reps[0, g] == np.median(watch[labels == lab])
 
 
 def test_wpr_inverse_missing_bin_borrows_global():

@@ -256,6 +256,30 @@ def test_truncated_payload_rejected():
         summary_from_bytes(blob[: len(blob) - 4])
 
 
+def test_exact_count_must_match_payload():
+    blob = bytearray(exact_of([1.0, 2.0, 3.0]).to_bytes())
+    blob[7:15] = (10).to_bytes(8, "little")  # header count, payload of 3
+    with pytest.raises(SerializationError, match="counts 10 values"):
+        summary_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("n", [37, 51_201, 333_370])
+def test_sketch_count_must_match_level_weight(n):
+    rng = np.random.default_rng(n)
+    a = SketchSummary(0.005)
+    a.extend(rng.uniform(0, 100, n // 2))
+    b = SketchSummary(0.005)
+    for v in rng.uniform(0, 100, n - n // 2):
+        b.insert(v)
+    merged = a.merge(b)
+    for s in (a, b, merged):
+        assert summary_from_bytes(s.to_bytes()).count == s.count
+    blob = bytearray(merged.to_bytes())
+    blob[7:15] = (n + 1).to_bytes(8, "little")
+    with pytest.raises(SerializationError, match="levels hold weight"):
+        summary_from_bytes(bytes(blob))
+
+
 def test_make_summary_modes():
     assert isinstance(make_summary("exact"), ExactSummary)
     assert isinstance(make_summary("sketch", eps=0.01), SketchSummary)
