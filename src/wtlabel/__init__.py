@@ -32,6 +32,7 @@ from .errors import (
     EmptyInput,
     EmptySummary,
     InvalidRatios,
+    LabelOutOfRange,
     MissingField,
     MissingGroupSummary,
     MissingInverseMap,

@@ -144,23 +144,13 @@ class InteractionTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Interaction]) -> "InteractionTable":
-        users: list[str] = []
-        videos: list[str] = []
-        durs: list[float] = []
-        wts: list[float] = []
-        idx: list[int] = []
-        for r in rows:
-            users.append(r.user_id)
-            videos.append(r.video_id)
-            durs.append(r.duration_s)
-            wts.append(r.watch_time_s)
-            idx.append(r.row_index)
+        rows = list(rows)
         return cls(
-            users,
-            videos,
-            np.asarray(durs, dtype=np.float64),
-            np.asarray(wts, dtype=np.float64),
-            np.asarray(idx, dtype=np.int64),
+            [r.user_id for r in rows],
+            [r.video_id for r in rows],
+            np.asarray([r.duration_s for r in rows], dtype=np.float64),
+            np.asarray([r.watch_time_s for r in rows], dtype=np.float64),
+            np.asarray([r.row_index for r in rows], dtype=np.int64),
         )
 
     def subset(self, index: np.ndarray) -> "InteractionTable":
@@ -225,9 +215,6 @@ class PartitionScheme:
     n_groups: int
     ratios: np.ndarray
     prefix: np.ndarray
-
-    def label_of_group(self, g: int) -> float:
-        return float(self.prefix[g])
 
     def group_of_rank(self, r: float) -> int:
         g = int(np.searchsorted(self.prefix, r, side="left"))
@@ -357,6 +344,10 @@ class DurationBins:
     boundaries: np.ndarray
     counts: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.boundaries.setflags(write=False)
+        self.counts.setflags(write=False)
+
     @property
     def n_bins(self) -> int:
         return len(self.boundaries)
@@ -405,8 +396,6 @@ def make_duration_bins(dataset, b: int, min_bin_size: int = 20) -> DurationBins:
             boundaries = np.delete(boundaries, j - 1)
             counts[j - 1] += counts[j]
             counts = np.delete(counts, j)
-    boundaries.setflags(write=False)
-    counts.setflags(write=False)
     return DurationBins(boundaries, counts)
 
 

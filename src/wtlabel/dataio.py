@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import os
+import struct
 import tempfile
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,7 +32,14 @@ from .core import (
     validate_interaction,
 )
 from .datagen import SyntheticTruth
-from .errors import EmptyInput, MissingField, SerializationError
+from .errors import (
+    ConfigInvalid,
+    EmptyInput,
+    LabelOutOfRange,
+    MissingField,
+    PipelineError,
+    SerializationError,
+)
 
 INTERACTION_HEADER = ("user_id", "video_id", "duration_s", "watch_time_s")
 TRUTH_HEADER = ("row_index", "m", "f_mean")
@@ -48,6 +56,51 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class Reader:
+    """Bounds-checked cursor over one binary artifact (WLQS, WLGS, WLMD).
+
+    Each read starts where the last one ended. A read past the end, text
+    that is not UTF-8 and bytes left over at end() raise SerializationError
+    naming the artifact and the byte offset; fail() builds the same error
+    for a value that was read but is out of its domain."""
+
+    def __init__(self, blob: bytes, name: str):
+        self.blob, self.name, self.pos, self.start = blob, name, 0, 0
+
+    def fail(self, what: str) -> SerializationError:
+        return SerializationError(f"{self.name}: {what} at byte {self.start}")
+
+    def _span(self, n: int) -> int:
+        """Offset of the next n bytes, which the cursor then passes."""
+        start = self.start = self.pos
+        if n > len(self.blob) - start:
+            raise self.fail(f"truncated: {n} bytes wanted, {len(self.blob) - start} left")
+        self.pos = start + n
+        return start
+
+    def raw(self, n: int) -> bytes:
+        return self.blob[self._span(n) : self.pos]
+
+    def take(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._span(struct.calcsize(fmt)))
+
+    def floats(self, n: int, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.blob, dtype, n, self._span(n * dtype.itemsize)).copy()
+
+    def utf8(self, n: int) -> str:
+        try:
+            return self.raw(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self.start += exc.start
+            raise self.fail("text is not UTF-8") from None
+
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            self.start = self.pos
+            raise self.fail(f"{len(self.blob) - self.pos} trailing bytes")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -70,6 +123,7 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
     watches: list[float] = []
     dur_text: list[str] = []
     watch_text: list[str] = []
+    label_text: list[str] = []  # every label cell, row by row
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -80,29 +134,22 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
                 f"{path}: header must {'start with' if labeled else 'be'} "
                 f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
             )
-        label_names = header[4:]
-        raw_labels: list[list[float]] = [[] for _ in label_names]
         for i, row in enumerate(reader):
             if len(row) != len(header):
                 raise MissingField(
                     f"{path} row {i}: expected {len(header)} fields, got {len(row)}"
                 )
-            rec = validate_interaction(row[0], row[1], row[2], row[3], i)
+            try:
+                rec = validate_interaction(row[0], row[1], row[2], row[3], i)
+            except PipelineError as exc:
+                raise type(exc)(f"{path} {exc}") from None
             users.append(rec.user_id)
             videos.append(rec.video_id)
             durations.append(rec.duration_s)
             watches.append(rec.watch_time_s)
             dur_text.append(row[2])
             watch_text.append(row[3])
-            if not label_names:
-                continue
-            for j, cell in enumerate(row[4:]):
-                try:
-                    raw_labels[j].append(float(cell) if cell != "" else np.nan)
-                except ValueError:
-                    raise MissingField(
-                        f"{path} row {i}: column {label_names[j]} is not a number: {cell!r}"
-                    ) from None
+            label_text.extend(row[4:])
     if not users:
         raise EmptyInput(f"{path}: no data rows")
     table = InteractionTable(
@@ -114,11 +161,37 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
         watch_text=watch_text,
     )
     columns: dict[str, np.ndarray] = {}
-    for name, values in zip(label_names, raw_labels):
-        arr = np.asarray(values, dtype=np.float64)
+    for j, name in enumerate(header[4:]):
+        arr = _label_column(path, name, label_text[j :: len(header) - 4])
         if not np.all(np.isnan(arr)):
             columns[name] = arr
     return table, columns
+
+
+def _label_column(path: str, name: str, cells: Sequence[str]) -> np.ndarray:
+    """A label column of floats. Empty cells, and only they, become NaN;
+    every other cell lies in [0, 1], and is 0 or 1 in a binary column."""
+    try:
+        arr = np.array([float(c) if c else np.nan for c in cells])
+    except ValueError:
+        for i, cell in enumerate(cells):
+            try:
+                float(cell or 0)
+            except ValueError:
+                raise MissingField(
+                    f"{path} row {i}: column {name} is not a number: {cell!r}"
+                ) from None
+        raise
+    empty = np.isnan(arr)
+    empty[empty] = np.asarray(cells, dtype=object)[empty] == ""  # "nan" is not empty
+    binary = name in BINARY_LABELS
+    bad = np.flatnonzero(~(empty | (np.isin(arr, (0, 1)) if binary else (arr >= 0) & (arr <= 1))))
+    if bad.size:
+        raise LabelOutOfRange(
+            f"{path} row {bad[0]}: column {name} must lie in "
+            f"{'{0, 1}' if binary else '[0, 1]'}, got {cells[bad[0]]!r}"
+        )
+    return arr
 
 
 def read_interactions(path: str) -> InteractionTable:
@@ -165,10 +238,13 @@ def read_truth(path: str) -> SyntheticTruth:
         for i, row in enumerate(reader):
             if len(row) != 3:
                 raise SerializationError(f"{path} row {i}: expected 3 fields")
-            if int(row[0]) != i:
-                raise SerializationError(f"{path} row {i}: row_index out of order")
-            ms.append(float(row[1]))
-            fs.append(float(row[2]))
+            try:
+                if int(row[0]) != i:
+                    raise SerializationError(f"{path} row {i}: row_index out of order")
+                ms.append(float(row[1]))
+                fs.append(float(row[2]))
+            except ValueError:
+                raise SerializationError(f"{path} row {i}: not a number in {row!r}") from None
     if not ms:
         raise EmptyInput(f"{path}: no data rows")
     return SyntheticTruth(m=np.asarray(ms), f_mean=np.asarray(fs))
@@ -212,7 +288,8 @@ def read_labeled(path: str) -> tuple[InteractionTable, dict[str, np.ndarray]]:
     """Labeled CSV back into a table plus float columns.
 
     Columns that are entirely empty are dropped rather than returned as
-    all-NaN. A label cell that is not a number raises MissingField."""
+    all-NaN. A label cell that is not a number raises MissingField, one
+    outside its column's domain LabelOutOfRange."""
     return _read_records(path, labeled=True)
 
 
@@ -270,8 +347,6 @@ def split_mask(row_index: np.ndarray, train_frac: float, split_seed: int = 1) ->
     training fraction. Membership depends only on row_index and the
     split seed, never on dataset size or ordering."""
     if not 0.0 <= train_frac <= 1.0:
-        from .errors import ConfigInvalid
-
         raise ConfigInvalid(f"train fraction {train_frac} outside [0, 1]")
     with np.errstate(over="ignore"):
         z = np.asarray(row_index).astype(np.uint64) ^ np.uint64(split_seed)

@@ -31,6 +31,10 @@ class NegativeWatchTime(PipelineError):
     pass
 
 
+class LabelOutOfRange(PipelineError):
+    """A label cell lies outside its column's domain."""
+
+
 class EmptyInput(PipelineError):
     """An input file contains no data rows."""
 

@@ -44,6 +44,7 @@ from .core import (
     make_partition,
     segments,
 )
+from .dataio import Reader, atomic_write_bytes
 from .errors import (
     ConfigInvalid,
     EmptyDataset,
@@ -58,7 +59,7 @@ from .quantile import (
     QuantileSummary,
     SketchSummary,
     make_summary,
-    summary_from_bytes,
+    read_summary,
 )
 
 EV_PERCENTILE = 50.0
@@ -184,8 +185,8 @@ def assign_wpr(
     n = summary.count
     if tie_ordinal is not None and isinstance(summary, ExactSummary):
         probe = np.asarray([watch_time])
-        lt = int(summary.count_lt_many(probe)[0])
-        le = int(summary.count_le_many(probe)[0])
+        lt = int(summary.count_many(probe, "left")[0])
+        le = int(summary.count_many(probe, "right")[0])
         r = min(lt + int(tie_ordinal) + 1, le) / n
     else:
         r = summary.rank(watch_time)
@@ -508,8 +509,7 @@ def label_all_detailed(
 
 _GROUPED_MAGIC = b"WLGS"
 _GROUPED_VERSION = 1
-_KIND_CODE = {"global": 0, "duration_bin": 1, "video": 2, "user": 3}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
+_KIND_CODE = {kind: code for code, kind in enumerate(GROUP_KINDS)}
 
 
 def save_grouped_summaries(gs: GroupedSummaries, path: str) -> None:
@@ -540,61 +540,46 @@ def save_grouped_summaries(gs: GroupedSummaries, path: str) -> None:
             enc = str(key.key).encode("utf-8")
             parts.append(struct.pack("<I", len(enc)) + enc)
         parts.append(struct.pack("<Q", len(blob)) + blob)
-    data = b"".join(parts)
-    from .dataio import atomic_write_bytes
-
-    atomic_write_bytes(path, data)
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_grouped_summaries(path: str) -> GroupedSummaries:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 15 or blob[:4] != _GROUPED_MAGIC:
+        r = Reader(fh.read(), path)
+    if r.raw(4) != _GROUPED_MAGIC:
         raise SerializationError(f"{path}: not a grouped-summary file")
-    _, version, mode_byte, eps = struct.unpack_from("<4sHBd", blob, 0)
+    version, mode_byte, eps = r.take("<HBd")
     if version != _GROUPED_VERSION:
         raise SerializationError(f"{path}: unsupported version {version}")
-    off = 15
-    has_bins, n_bins = struct.unpack_from("<BI", blob, off)
-    off += 5
-    bins = None
-    if has_bins:
-        boundaries = np.frombuffer(blob, np.float64, n_bins, off).copy()
-        off += 8 * n_bins
-        counts = np.frombuffer(blob, np.int64, n_bins, off).copy()
-        off += 8 * n_bins
-        boundaries.setflags(write=False)
-        counts.setflags(write=False)
-        bins = DurationBins(boundaries, counts)
-    (n_kinds,) = struct.unpack_from("<B", blob, off)
-    off += 1
-    kinds = set()
-    for _ in range(n_kinds):
-        (code,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        kinds.add(_CODE_KIND[code])
-    (n_entries,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    has_bins, n_bins = r.take("<BI")
+    if mode_byte not in (0, 1) or has_bins != (n_bins > 0):
+        raise r.fail(f"bad header: mode byte {mode_byte}, bins flag {has_bins}, {n_bins} bins")
+    mode = ("exact", "sketch")[mode_byte]
+    bins = DurationBins(r.floats(n_bins), r.floats(n_bins, np.int64)) if has_bins else None
+    kinds = {_read_kind(r) for _ in range(r.take("<B")[0])}
     summaries: dict[GroupKey, QuantileSummary] = {}
-    for _ in range(n_entries):
-        (code,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        kind = _CODE_KIND[code]
+    for _ in range(r.take("<I")[0]):
+        kind = _read_kind(r)
         if kind == "duration_bin":
-            (key_val,) = struct.unpack_from("<q", blob, off)
-            off += 8
-            key = GroupKey(kind, int(key_val))
+            key = GroupKey(kind, r.take("<q")[0])
         elif kind == "global":
             key = GroupKey(kind)
         else:
-            (klen,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            key = GroupKey(kind, blob[off : off + klen].decode("utf-8"))
-            off += klen
-        (blen,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        summaries[key] = summary_from_bytes(blob[off : off + blen])
-        off += blen
-    return GroupedSummaries(
-        summaries, bins, frozenset(kinds), "exact" if mode_byte == 0 else "sketch", eps
-    )
+            key = GroupKey(kind, r.utf8(r.take("<I")[0]))
+        (size,) = r.take("<Q")
+        start = r.pos
+        s = summaries[key] = read_summary(r)
+        if (r.pos - start, s.mode) != (size, mode):
+            raise SerializationError(
+                f"{path}: the {r.pos - start}-byte {s.mode} summary at byte {start} "
+                f"is stated as {size}-byte {mode}"
+            )
+    r.end()
+    return GroupedSummaries(summaries, bins, frozenset(kinds), mode, eps)
+
+
+def _read_kind(r: Reader) -> str:
+    (code,) = r.take("<B")
+    if code >= len(GROUP_KINDS):
+        raise r.fail(f"unknown group kind code {code}")
+    return GROUP_KINDS[code]

@@ -24,6 +24,7 @@ median training watch time (per duration bin for bin-scoped labels).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -32,6 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import DurationBins, InteractionTable, as_table, make_duration_bins, sigmoid
+from .dataio import Reader, atomic_write_bytes
 from .errors import (
     ConfigInvalid,
     DegenerateLabels,
@@ -179,6 +181,27 @@ def resolve_tasks(
     return tuple(out)
 
 
+def _param_shapes(
+    arch: ModelArch,
+    tasks: Sequence[ResolvedTask],
+    n_users: int,
+    n_videos: int,
+    n_bins: int,
+) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in initialization order. One
+    fallback row per embedding table catches unseen ids."""
+    d, h, k, in_dim = arch.d_embed, arch.hidden, arch.n_experts, 3 * arch.d_embed
+    rows = {"emb_user": n_users, "emb_video": n_videos, "emb_bin": n_bins}
+    shapes = {name: (n + 1, d) for name, n in rows.items()}
+    for e in range(k):
+        shapes.update({f"expert{e}_w1": (h, in_dim), f"expert{e}_b1": (h,)})
+        shapes.update({f"expert{e}_w2": (h, h), f"expert{e}_b2": (h,)})
+    for t in tasks:
+        shapes.update({f"gate_{t.name}_w": (k, in_dim), f"gate_{t.name}_b": (k,)})
+        shapes.update({f"head_{t.name}_w": (t.n_out, h), f"head_{t.name}_b": (t.n_out,)})
+    return shapes
+
+
 def init_model(
     arch: ModelArch,
     tasks: Sequence[ResolvedTask],
@@ -189,34 +212,15 @@ def init_model(
 ) -> dict[str, np.ndarray]:
     """Fresh parameter dict. Dense weights are uniform in
     +-sqrt(6/fan_in), embeddings in +-sqrt(3/d) (unit-variance rows),
-    biases zero. One fallback row per table catches unseen ids."""
+    biases zero."""
     arch.validate()
-    d = arch.d_embed
-    in_dim = 3 * d
-
-    def uni(shape, fan_in):
-        s = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-s, s, size=shape)
-
-    def emb(rows):
-        s = np.sqrt(3.0 / d)
-        return rng.uniform(-s, s, size=(rows, d))
-
-    params: dict[str, np.ndarray] = {
-        "emb_user": emb(n_users + 1),
-        "emb_video": emb(n_videos + 1),
-        "emb_bin": emb(n_bins + 1),
-    }
-    for e in range(arch.n_experts):
-        params[f"expert{e}_w1"] = uni((arch.hidden, in_dim), in_dim)
-        params[f"expert{e}_b1"] = np.zeros(arch.hidden)
-        params[f"expert{e}_w2"] = uni((arch.hidden, arch.hidden), arch.hidden)
-        params[f"expert{e}_b2"] = np.zeros(arch.hidden)
-    for t in tasks:
-        params[f"gate_{t.name}_w"] = uni((arch.n_experts, in_dim), in_dim)
-        params[f"gate_{t.name}_b"] = np.zeros(arch.n_experts)
-        params[f"head_{t.name}_w"] = uni((t.n_out, arch.hidden), arch.hidden)
-        params[f"head_{t.name}_b"] = np.zeros(t.n_out)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(arch, tasks, n_users, n_videos, n_bins).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape)
+            continue
+        s = np.sqrt(3.0 / arch.d_embed) if name.startswith("emb_") else np.sqrt(6.0 / shape[1])
+        params[name] = rng.uniform(-s, s, size=shape)
     return params
 
 
@@ -370,23 +374,20 @@ def _prepare_targets(
     tasks: Sequence[ResolvedTask],
     columns: Mapping[str, np.ndarray],
     watch: np.ndarray,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Target vectors per task, positive weights for weighted logistic,
-    and the observed rank prefixes per ordinal task."""
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Target vectors per task (the 0-based group index for ordinal
+    tasks) and positive weights for weighted logistic."""
     targets: dict[str, np.ndarray] = {}
     weights: dict[str, np.ndarray] = {}
-    prefixes: dict[str, np.ndarray] = {}
     for t in tasks:
         col = np.asarray(columns[t.target], dtype=np.float64)
         if t.loss == "ordinal_cumulative":
-            prefix = np.unique(col)
-            prefixes[t.name] = prefix
-            targets[t.name] = np.searchsorted(prefix, col).astype(np.float64)
+            targets[t.name] = np.searchsorted(np.unique(col), col).astype(np.float64)
         else:
             targets[t.name] = col
         if t.loss == "weighted_logistic":
             weights[t.name] = np.where(col == 1.0, watch, 1.0)
-    return targets, weights, prefixes
+    return targets, weights
 
 
 def _embedding_rows(index: Mapping[str, int], ids: Sequence[str]) -> np.ndarray:
@@ -403,7 +404,7 @@ def build_train_data(
     video_index: Mapping[str, int],
     bins: DurationBins,
 ) -> TrainData:
-    targets, weights, _ = _prepare_targets(tasks, columns, table.watch_time_s)
+    targets, weights = _prepare_targets(tasks, columns, table.watch_time_s)
     return TrainData(
         _embedding_rows(user_index, table.user_id),
         _embedding_rows(video_index, table.video_id),
@@ -435,27 +436,11 @@ def train(
         sums = {t.name: 0.0 for t in model.tasks}
         for start in range(0, data.n, opt.batch_size):
             take = perm[start : start + opt.batch_size]
-            scores, cache = forward(
-                model.params,
-                model.arch,
-                model.tasks,
-                data.user_rows[take],
-                data.video_rows[take],
-                data.bin_rows[take],
+            total, losses, dscores, cache = _batch_loss(
+                model.params, model.arch, model.tasks, data, take
             )
-            dscores = {}
-            total = 0.0
             for t in model.tasks:
-                w = data.wlr_weights.get(t.name)
-                loss, ds = _task_loss(
-                    t,
-                    scores[t.name],
-                    data.targets[t.name][take],
-                    None if w is None else w[take],
-                )
-                total += t.weight * loss
-                dscores[t.name] = ds * t.weight
-                sums[t.name] += loss * len(take)
+                sums[t.name] += losses[t.name] * len(take)
             if not np.isfinite(total):
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at {start}: loss became {total}"
@@ -470,24 +455,29 @@ def train(
     return trace
 
 
-def _loss_total(
+def _batch_loss(
     params: Mapping[str, np.ndarray],
     arch: ModelArch,
     tasks: Sequence[ResolvedTask],
     data: TrainData,
     take: np.ndarray,
-) -> float:
-    scores, _ = forward(
+) -> tuple[float, dict[str, float], dict[str, np.ndarray], tuple]:
+    """Forward pass over the records take: the weighted total loss, each
+    task's unweighted loss, the weighted score gradients, and the cache
+    the backward pass needs."""
+    scores, cache = forward(
         params, arch, tasks, data.user_rows[take], data.video_rows[take], data.bin_rows[take]
     )
-    total = 0.0
+    total, losses, dscores = 0.0, {}, {}
     for t in tasks:
         w = data.wlr_weights.get(t.name)
-        loss, _ = _task_loss(
+        loss, ds = _task_loss(
             t, scores[t.name], data.targets[t.name][take], None if w is None else w[take]
         )
         total += t.weight * loss
-    return total
+        losses[t.name] = loss
+        dscores[t.name] = ds * t.weight
+    return total, losses, dscores, cache
 
 
 def gradient_check(
@@ -501,21 +491,7 @@ def gradient_check(
     gradients over randomly probed parameter coordinates."""
     rng = np.random.Generator(np.random.PCG64(seed))
     take = np.arange(min(data.n, 256))
-    scores, cache = forward(
-        model.params,
-        model.arch,
-        model.tasks,
-        data.user_rows[take],
-        data.video_rows[take],
-        data.bin_rows[take],
-    )
-    dscores = {}
-    for t in model.tasks:
-        w = data.wlr_weights.get(t.name)
-        _, ds = _task_loss(
-            t, scores[t.name], data.targets[t.name][take], None if w is None else w[take]
-        )
-        dscores[t.name] = ds * t.weight
+    _, _, dscores, cache = _batch_loss(model.params, model.arch, model.tasks, data, take)
     grads = _backward(model.params, model.arch, model.tasks, cache, dscores)
 
     names = sorted(model.params)
@@ -531,9 +507,9 @@ def gradient_check(
         idx = np.unravel_index(offset, p.shape)
         keep = p[idx]
         p[idx] = keep + step
-        up = _loss_total(model.params, model.arch, model.tasks, data, take)
+        up = _batch_loss(model.params, model.arch, model.tasks, data, take)[0]
         p[idx] = keep - step
-        down = _loss_total(model.params, model.arch, model.tasks, data, take)
+        down = _batch_loss(model.params, model.arch, model.tasks, data, take)[0]
         p[idx] = keep
         numeric = (up - down) / (2.0 * step)
         analytic = grads[name][idx]
@@ -755,67 +731,55 @@ def save_model(model: Model, path: str) -> None:
         for dim in arr.shape:
             blob.append(struct.pack("<Q", dim))
         blob.append(arr.tobytes())
-    from .dataio import atomic_write_bytes
-
     atomic_write_bytes(path, b"".join(blob))
 
 
 def load_model(path: str) -> Model:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
+        r = Reader(fh.read(), path)
+    if r.raw(4) != CHECKPOINT_MAGIC:
         raise SerializationError(f"{path}: not a model checkpoint")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    (version,) = r.take("<I")
     if version != CHECKPOINT_VERSION:
         raise SerializationError(f"{path}: unsupported checkpoint version {version}")
-    (jlen,) = struct.unpack_from("<Q", raw, 8)
-    off = 16
-    meta = json.loads(raw[off : off + jlen].decode("utf-8"))
-    off += jlen
-    (n_arrays,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            (dim,) = struct.unpack_from("<Q", raw, off)
-            off += 8
-            shape.append(dim)
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, np.float64, size, off).copy().reshape(shape)
-        off += 8 * size
-        arrays[name] = arr
-    arch = ModelArch(**meta["arch"])
-    tasks = tuple(ResolvedTask(**t) for t in meta["tasks"])
-    boundaries = arrays["bins_boundaries"]
-    counts = arrays["bins_counts"].astype(np.int64)
-    boundaries.setflags(write=False)
-    counts.setflags(write=False)
-    bins = DurationBins(boundaries, counts)
-    params = {
-        name[len("param:") :]: arr
-        for name, arr in arrays.items()
-        if name.startswith("param:")
-    }
-    inverses = {}
-    for name, info in meta.get("inverses", {}).items():
-        inverses[name] = WprInverse(
-            prefix=arrays[f"inv:{name}:prefix"],
-            reps=arrays[f"inv:{name}:reps"],
-            per_bin=bool(info["per_bin"]),
+    (meta_len,) = r.take("<Q")
+    meta_text = r.utf8(meta_len)
+    try:
+        meta = json.loads(meta_text)
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(r.take("<I")[0]):
+            name = r.utf8(r.take("<H")[0])
+            shape = r.take(f"<{r.take('<B')[0]}Q")
+            arrays[name] = r.floats(math.prod(shape)).reshape(shape)
+        r.end()
+        arch = ModelArch(**meta["arch"])
+        tasks = tuple(ResolvedTask(**t) for t in meta["tasks"])
+        users, videos = meta["users"], meta["videos"]
+        bins = DurationBins(arrays["bins_boundaries"], arrays["bins_counts"].astype(np.int64))
+        params = {k.removeprefix("param:"): v for k, v in arrays.items() if k.startswith("param:")}
+        inverses = {
+            name: WprInverse(
+                arrays[f"inv:{name}:prefix"], arrays[f"inv:{name}:reps"], bool(info["per_bin"])
+            )
+            for name, info in meta["inverses"].items()
+        }
+        want = _param_shapes(arch, tasks, len(users), len(videos), bins.n_bins)
+        want.update(bins_boundaries=(bins.n_bins,), bins_counts=(bins.n_bins,))
+        for name, inv in inverses.items():
+            want[f"inv:{name}:prefix"] = (inv.prefix.size,)
+            want[f"inv:{name}:reps"] = (bins.n_bins if inv.per_bin else 1, inv.prefix.size)
+        if {k.removeprefix("param:"): v.shape for k, v in arrays.items()} != want:
+            raise ValueError("array shapes disagree with the metadata")
+        return Model(
+            arch=arch,
+            tasks=tasks,
+            params=params,
+            user_index={u: i for i, u in enumerate(users)},
+            video_index={v: i for i, v in enumerate(videos)},
+            bins=bins,
+            inverses=inverses,
         )
-    return Model(
-        arch=arch,
-        tasks=tasks,
-        params=params,
-        user_index={u: i for i, u in enumerate(meta["users"])},
-        video_index={v: i for i, v in enumerate(meta["videos"])},
-        bins=bins,
-        inverses=inverses,
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"{path}: metadata and arrays do not form a model: {type(exc).__name__}: {exc}"
+        ) from None

@@ -65,7 +65,6 @@ def gauc_detail(scores, labels, user_ids) -> GaucDetail:
         raise EmptyInput("scores, labels, and user ids must align")
     _, order, bounds = segments(ids)
     total = 0.0
-    weight = 0.0
     used = 0
     skipped = 0
     records = 0
@@ -77,12 +76,11 @@ def gauc_detail(scores, labels, user_ids) -> GaucDetail:
             skipped += 1
             continue
         total += len(idx) * auc(scores[idx], lab)
-        weight += len(idx)
         used += 1
         records += len(idx)
     if used == 0:
         raise NoEligibleUsers("no user carries both label classes")
-    return GaucDetail(total / weight, used, skipped, records)
+    return GaucDetail(total / records, used, skipped, records)
 
 
 def gauc(scores, labels, user_ids) -> float:

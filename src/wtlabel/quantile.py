@@ -35,13 +35,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .dataio import Reader
 from .errors import (
     ConfigInvalid,
     EmptySummary,
     ModeMismatch,
     NegativeValue,
     PercentileOutOfRange,
-    SerializationError,
 )
 
 SERIAL_MAGIC = b"WLQS"
@@ -102,7 +102,7 @@ class QuantileSummary:
         raise NotImplementedError
 
     def rank(self, value: float) -> float:
-        raise NotImplementedError
+        return float(self.rank_many(np.asarray([value]))[0])
 
     def rank_many(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -172,24 +172,15 @@ class ExactSummary(QuantileSummary):
             raise EmptySummary("threshold query on an empty summary")
         return float(self.values()[k - 1])
 
-    def rank(self, value: float) -> float:
-        return float(self.rank_many(np.asarray([value]))[0])
-
     def rank_many(self, values: np.ndarray) -> np.ndarray:
-        if self._n == 0:
-            raise EmptySummary("rank query on an empty summary")
-        le = np.searchsorted(self.values(), np.asarray(values, dtype=np.float64), side="right")
-        return le / self._n
+        return self.count_many(values, "right") / self._n
 
-    def count_lt_many(self, values: np.ndarray) -> np.ndarray:
+    def count_many(self, values: np.ndarray, side: str) -> np.ndarray:
+        """How many values are stored below (side "left") or at or below
+        (side "right") each of values."""
         if self._n == 0:
             raise EmptySummary("rank query on an empty summary")
-        return np.searchsorted(self.values(), np.asarray(values, dtype=np.float64), side="left")
-
-    def count_le_many(self, values: np.ndarray) -> np.ndarray:
-        if self._n == 0:
-            raise EmptySummary("rank query on an empty summary")
-        return np.searchsorted(self.values(), np.asarray(values, dtype=np.float64), side="right")
+        return np.searchsorted(self.values(), np.asarray(values, dtype=np.float64), side=side)
 
     def to_bytes(self) -> bytes:
         vals = self.values()
@@ -330,9 +321,6 @@ class SketchSummary(QuantileSummary):
         idx = int(np.searchsorted(cw, k, side="left"))
         return float(v[min(idx, v.size - 1)])
 
-    def rank(self, value: float) -> float:
-        return float(self.rank_many(np.asarray([value]))[0])
-
     def rank_many(self, values: np.ndarray) -> np.ndarray:
         if self._n == 0:
             raise EmptySummary("rank query on an empty summary")
@@ -361,52 +349,44 @@ def make_summary(mode: str = "exact", eps: float = DEFAULT_EPS) -> QuantileSumma
     raise ConfigInvalid(f"unknown summary mode {mode!r}")
 
 
-def _read_floats(blob: bytes, off: int, size: int) -> np.ndarray:
-    end = off + 8 * size
-    if end > len(blob):
-        raise SerializationError("summary payload truncated")
-    return np.frombuffer(blob, dtype=np.float64, count=size, offset=off).copy()
-
-
-def _unpack(fmt: str, blob: bytes, off: int) -> tuple:
-    if off + struct.calcsize(fmt) > len(blob):
-        raise SerializationError("summary payload truncated")
-    return struct.unpack_from(fmt, blob, off)
-
-
 def summary_from_bytes(blob: bytes) -> QuantileSummary:
-    if len(blob) < 15:
-        raise SerializationError("summary payload too short")
-    magic, version, mode, n = struct.unpack_from("<4sHBQ", blob, 0)
+    r = Reader(blob, "WLQS summary")
+    s = read_summary(r)
+    r.end()
+    return s
+
+
+def read_summary(r: Reader) -> QuantileSummary:
+    """Decode one WLQS summary at the reader's cursor."""
+    magic, version, mode, n = r.take("<4sHBQ")
     if magic != SERIAL_MAGIC:
-        raise SerializationError(f"bad summary magic {magic!r}")
+        raise r.fail(f"bad summary magic {magic!r}")
     if version != SERIAL_VERSION:
-        raise SerializationError(f"unsupported summary version {version}")
-    off = 15
+        raise r.fail(f"unsupported summary version {version}")
     if mode == _MODE_EXACT:
-        (size,) = _unpack("<Q", blob, off)
-        off += 8
+        (size,) = r.take("<Q")
         if size != n:
-            raise SerializationError(
-                f"exact summary header counts {n} values, payload holds {size}"
-            )
+            raise r.fail(f"exact summary header counts {n} values, payload holds {size}")
+        values = r.floats(size)
+        if size and not 0 <= values.min() <= values.max() < np.inf:
+            raise r.fail("summary values must be finite and >= 0")
         s = ExactSummary()
-        s.extend(_read_floats(blob, off, size))
+        s._chunks, s._n = [values], size
         return s
     if mode != _MODE_SKETCH:
-        raise SerializationError(f"unknown summary mode byte {mode}")
-    eps, capacity, n_levels = _unpack("<dII", blob, off)
-    off += 16
+        raise r.fail(f"unknown summary mode byte {mode}")
+    eps, capacity, n_levels = r.take("<dII")
+    if not 0 < eps < 0.5:
+        raise r.fail(f"sketch eps {eps} outside (0, 0.5)")
     s = SketchSummary(eps, capacity - (capacity % 2))
     s._levels = []
     s._parity = []
     for _ in range(n_levels):
-        parity, size = _unpack("<BQ", blob, off)
-        off += 9
-        level = _read_floats(blob, off, size)
-        off += 8 * size
-        s._levels.append(level)
-        s._parity.append(int(parity))
+        parity, size = r.take("<BQ")
+        if parity not in (0, 1):
+            raise r.fail(f"sketch level parity {parity} is not 0 or 1")
+        s._levels.append(r.floats(size))
+        s._parity.append(parity)
     if not s._levels:
         s._levels = [np.empty(0, dtype=np.float64)]
         s._parity = [0]
@@ -414,9 +394,7 @@ def summary_from_bytes(blob: bytes) -> QuantileSummary:
     # every counted value
     weight = sum(level.size << h for h, level in enumerate(s._levels))
     if weight != n:
-        raise SerializationError(
-            f"sketch summary header counts {n} values, levels hold weight {weight}"
-        )
+        raise r.fail(f"sketch summary header counts {n} values, levels hold weight {weight}")
     s._n = n
     return s
 

@@ -363,18 +363,80 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _with_cell(src, dest, row, column, text):
+    """Copy a CSV with one cell of data row `row` replaced."""
+    lines = read_bytes(src).decode().splitlines()
+    col = lines[0].split(",").index(column)
+    cells = lines[row + 1].split(",")
+    cells[col] = text
+    lines[row + 1] = ",".join(cells)
+    dest.write_text("\n".join(lines) + "\n")
+    return dest
+
+
 def test_non_numeric_label_cell_exits_2(small_run, tmp_path, capsys):
-    lines = read_bytes(small_run["labeled"]).decode().splitlines()
-    col = lines[0].split(",").index("ev")
-    cells = lines[3].split(",")
-    cells[col] = "x"
-    lines[3] = ",".join(cells)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad = _with_cell(small_run["labeled"], tmp_path / "bad.csv", 2, "ev", "x")
     rc = run(["train", "--input", bad, "--model", tmp_path / "m.bin"])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{bad} row 2: column ev is not a number: 'x'" in err
+
+
+@pytest.mark.parametrize("column,text,domain", [
+    ("wpr_d", "7.5", "[0, 1]"),
+    ("wpr", "-0.25", "[0, 1]"),
+    ("playing_rate", "inf", "[0, 1]"),
+    ("ev", "nan", "{0, 1}"),
+    ("ev", "3", "{0, 1}"),
+    ("lv_u", "0.5", "{0, 1}"),
+])
+def test_label_cell_outside_its_domain_exits_2(small_run, tmp_path, capsys, column, text, domain):
+    bad = _with_cell(small_run["labeled"], tmp_path / "bad.csv", 4, column, text)
+    rc = run(["train", "--input", bad, "--model", tmp_path / "m.bin"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad} row 4: column {column} must lie in {domain}, got {text!r}" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_label_cells_at_the_ends_of_their_domain_are_read(small_run, tmp_path):
+    path = _with_cell(small_run["labeled"], tmp_path / "edge.csv", 2, "wpr_d", "0.000000")
+    path = _with_cell(path, tmp_path / "edge.csv", 3, "wpr_d", "1.000000")
+    path = _with_cell(path, tmp_path / "edge.csv", 5, "wpr_d", "")
+    _, columns = read_labeled(str(path))
+    assert columns["wpr_d"][2] == 0.0 and columns["wpr_d"][3] == 1.0
+    assert np.isnan(columns["wpr_d"][5])
+
+
+def test_non_numeric_truth_cell_exits_2(small_run, trained, tmp_path, capsys):
+    bad = _with_cell(small_run["truth"], tmp_path / "truth.csv", 7, "m", "x")
+    rc = run(["eval", "--input", small_run["labeled"], "--model", trained["model"],
+              "--report", tmp_path / "r.csv", "--truth", bad])
+    assert rc == 2
+    assert f"error: {bad} row 7: not a number" in capsys.readouterr().err
+
+
+def test_truncated_summaries_file_exits_2(small_run, tmp_path, capsys):
+    store = tmp_path / "sums.bin"
+    assert run(["label", "--input", small_run["data"], "--output", tmp_path / "a.csv",
+                "--summaries-out", store]) == 0
+    blob = read_bytes(store)
+    store.write_bytes(blob[: len(blob) // 2])
+    capsys.readouterr()
+    rc = run(["label", "--input", small_run["data"], "--output", tmp_path / "b.csv",
+              "--summaries-in", store])
+    assert rc == 2
+    assert f"error: {store}: truncated" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_2(small_run, trained, tmp_path, capsys):
+    model = tmp_path / "cut.bin"
+    blob = read_bytes(trained["model"])
+    model.write_bytes(blob[: len(blob) - 5])
+    rc = run(["eval", "--input", small_run["labeled"], "--model", model,
+              "--report", tmp_path / "r.csv"])
+    assert rc == 2
+    assert f"error: {model}: truncated" in capsys.readouterr().err
 
 
 def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from wtlabel.core import (
     make_partition,
 )
 from wtlabel.datagen import SyntheticConfig, generate
-from wtlabel.errors import ConfigInvalid, EmptyDataset, MissingGroupSummary
+from wtlabel.errors import ConfigInvalid, EmptyDataset, MissingGroupSummary, SerializationError
 from wtlabel.labeling import (
     GroupKey,
     GroupedSummaries,
@@ -421,3 +421,44 @@ def test_loaded_summaries_mode_must_match(tmp_path):
     loaded = load_grouped_summaries(str(path))
     with pytest.raises(ConfigInvalid):
         label_all(t, default_config(summary_mode="sketch", tie_mode="shared"), summaries=loaded)
+
+
+def _saved_summaries(tmp_path, **kw) -> bytes:
+    t, _ = small_synthetic(40, 20)
+    _, gs, _ = label_all_detailed(t, default_config(**kw))
+    path = tmp_path / "good.bin"
+    save_grouped_summaries(gs, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("mode,offset,value,message", [
+    ("exact", 6, 7, "bad header: mode byte 7, bins flag 1, 5 bins"),  # mode byte
+    ("exact", 15, 2, "bad header: mode byte 0, bins flag 2, 5 bins"),  # has-bins flag
+    ("exact", 15, 0, "bad header: mode byte 0, bins flag 0, 5 bins"),  # bins, flag cleared
+    # entries whose mode disagrees with the file's mode byte
+    ("exact", 6, 1, r"exact summary at byte \d+ is stated as \d+-byte sketch"),
+    ("sketch", 6, 0, r"sketch summary at byte \d+ is stated as \d+-byte exact"),
+])
+def test_grouped_summaries_reject_header_bytes_outside_their_domain(
+    tmp_path, mode, offset, value, message
+):
+    tie_mode = "shared" if mode == "sketch" else "distinct"
+    blob = bytearray(_saved_summaries(tmp_path, summary_mode=mode, tie_mode=tie_mode))
+    assert blob[offset] in (0, 1) and blob[offset] != value
+    blob[offset] = value
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SerializationError, match=f"{path}: .*{message}"):
+        load_grouped_summaries(str(path))
+
+
+def test_grouped_summaries_reject_truncation_and_trailing_bytes(tmp_path):
+    blob = _saved_summaries(tmp_path)
+    path = tmp_path / "bad.bin"
+    for n in list(range(0, 64)) + list(range(64, len(blob), 97)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(SerializationError, match=str(path)):
+            load_grouped_summaries(str(path))
+    path.write_bytes(blob + b"\x00\x00")
+    with pytest.raises(SerializationError, match=f"2 trailing bytes at byte {len(blob)}"):
+        load_grouped_summaries(str(path))

@@ -598,6 +598,16 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(p1, p2)
 
 
+def _saved_checkpoint(tmp_path) -> bytes:
+    table, cols = small_labeled(seed=21, users=15, videos=50, per_user=10)
+    tasks = [TaskConfig("wpr_d", "squared_error"), TaskConfig("ev_d", "logistic")]
+    opt = OptimizerConfig(epochs=1, batch_size=64, seed=0)
+    model, _ = fit(table, cols, tasks, ModelArch(2, 2, 3), opt, bins_b=3, bins_min_size=5)
+    path = tmp_path / "good.bin"
+    save_model(model, str(path))
+    return path.read_bytes()
+
+
 def test_checkpoint_rejects_foreign_bytes(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
@@ -605,6 +615,52 @@ def test_checkpoint_rejects_foreign_bytes(tmp_path):
         load_model(str(path))
     path.write_bytes(b"\x00\x01")
     with pytest.raises(SerializationError):
+        load_model(str(path))
+    blob = _saved_checkpoint(tmp_path)
+    for n in list(range(0, 400)) + list(range(400, len(blob), 53)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(SerializationError, match=str(path)):
+            load_model(str(path))
+    path.write_bytes(blob + b"\x07")
+    with pytest.raises(SerializationError, match=f"1 trailing bytes at byte {len(blob)}"):
+        load_model(str(path))
+
+
+def _with_meta(blob: bytes, edit) -> bytes:
+    """The checkpoint with its JSON metadata passed through edit(text)."""
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    meta = edit(blob[16 : 16 + n].decode("utf-8")).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(meta)) + meta + blob[16 + n :]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: m.replace('"kind"', '"kinb"', 1), "TypeError"),
+    (lambda m: m.replace('"loss"', '"loqs"', 1), "TypeError"),
+    (lambda m: m.replace('"per_bin": true}', '"per_bim": true}', 1), "KeyError"),
+    (lambda m: m.replace('"users"', '"usars"'), "KeyError"),
+    (lambda m: m.replace('"videos"', '"vodeos"'), "KeyError"),
+    (lambda m: m.replace('"users": ["', '"users": ["u-extra", "', 1), "shapes disagree"),
+    (lambda m: m.replace('"n_experts": 2', '"n_experts": 3'), "shapes disagree"),
+    (lambda m: m.replace('"name": "ev_d"', '"name": "ev_e"'), "shapes disagree"),
+    (lambda m: m.replace('"per_bin": true}', '"per_bin": false}', 1), "shapes disagree"),
+    (lambda m: "[" + m + "]", "TypeError"),
+], ids=["task-field", "loss-field", "inverse-scope-field", "users", "videos", "extra-user",
+        "expert-count", "task-name", "inverse-scope", "not-an-object"])
+def test_checkpoint_rejects_inconsistent_metadata(tmp_path, edit, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_with_meta(_saved_checkpoint(tmp_path), edit))
+    with pytest.raises(SerializationError, match=f"{path}: metadata and arrays .*{message}"):
+        load_model(str(path))
+
+
+def test_checkpoint_rejects_metadata_that_is_not_json(tmp_path):
+    blob = _saved_checkpoint(tmp_path)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob[:20] + b"\xff" + blob[21:])
+    with pytest.raises(SerializationError, match=f"{path}: text is not UTF-8 at byte 20"):
+        load_model(str(path))
+    path.write_bytes(_with_meta(blob, lambda m: m.replace(":", ";", 1)))
+    with pytest.raises(SerializationError, match=f"{path}: metadata .*: JSONDecodeError"):
         load_model(str(path))
 
 

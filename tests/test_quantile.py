@@ -254,6 +254,25 @@ def test_truncated_payload_rejected():
     blob = exact_of([1.0, 2.0, 3.0]).to_bytes()
     with pytest.raises(SerializationError):
         summary_from_bytes(blob[: len(blob) - 4])
+    sketch = SketchSummary(0.005, capacity=16)
+    sketch.extend(np.arange(100.0))
+    for blob in (blob, sketch.to_bytes()):
+        for n in range(len(blob)):
+            with pytest.raises(SerializationError, match="WLQS summary: truncated"):
+                summary_from_bytes(blob[:n])
+        with pytest.raises(SerializationError, match=f"1 trailing bytes at byte {len(blob)}"):
+            summary_from_bytes(blob + b"\x00")
+
+
+def test_sketch_parity_must_be_0_or_1():
+    s = SketchSummary(0.005, capacity=16)
+    s.extend(np.arange(100.0))
+    blob = bytearray(s.to_bytes())
+    level0 = 15 + 16  # header, then eps, capacity and level count
+    assert blob[level0] in (0, 1)
+    blob[level0] = 9
+    with pytest.raises(SerializationError, match=f"parity 9 is not 0 or 1 at byte {level0}"):
+        summary_from_bytes(bytes(blob))
 
 
 def test_exact_count_must_match_payload():
