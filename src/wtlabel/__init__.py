@@ -79,6 +79,7 @@ from .learner import (
     load_model,
     predict_watch_time,
     save_model,
+    score_and_predict,
     score_records,
     train,
 )

@@ -54,9 +54,8 @@ from .learner import (
     TaskConfig,
     fit,
     load_model,
-    predict_watch_time,
     save_model,
-    score_records,
+    score_and_predict,
 )
 from .metrics import EvalReport, auc, gauc_detail, regression_metrics
 
@@ -379,13 +378,6 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def _regression_task(model: Model) -> Optional[str]:
-    for task in model.tasks:
-        if task.kind != "binary":
-            return task.name
-    return None
-
-
 def evaluate_model(
     model: Model,
     table,
@@ -397,14 +389,14 @@ def evaluate_model(
     for name in ("ev", "lv"):
         if name not in columns or np.isnan(columns[name]).any():
             raise MissingLabelColumn(f"evaluation needs the {name!r} label column")
-    scores = score_records(model, table)["fused"]
+    reg_task = next((t.name for t in model.tasks if t.kind != "binary"), None)
+    scored, predicted = score_and_predict(model, table, reg_task)
+    scores = scored["fused"]
     ev = columns["ev"]
     lv = columns["lv"]
     g_ev = gauc_detail(scores, ev, table.user_id)
     g_lv = gauc_detail(scores, lv, table.user_id)
-    reg_task = _regression_task(model)
-    if reg_task is not None:
-        predicted = predict_watch_time(model, table, reg_task)
+    if predicted is not None:
         reg = regression_metrics(predicted, table.watch_time_s)
         mae, rmse, mape = reg.mae, reg.rmse, reg.mape
         n_mape_skipped = reg.n_mape_skipped

@@ -194,13 +194,11 @@ def segments(keys, n_keys: Optional[int] = None) -> tuple[np.ndarray, np.ndarray
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated without overflow on either side."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, evaluated without overflow on either side:
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1,
+    so the numerator is max(e, x >= 0)."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,6 +343,12 @@ class DurationBins:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
+        b, c = self.boundaries, self.counts
+        if not (b.size and np.isfinite(b).all() and (np.diff(b) > 0).all()):
+            raise ValueError("duration-bin boundaries must be finite and strictly ascending")
+        if not ((c >= 0) & (c < 2.0**63) & (np.floor(c) == c)).all():
+            raise ValueError("duration-bin counts must be non-negative whole numbers")
+        object.__setattr__(self, "counts", c.astype(np.int64, copy=False))
         self.boundaries.setflags(write=False)
         self.counts.setflags(write=False)
 

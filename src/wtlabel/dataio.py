@@ -64,13 +64,14 @@ class Reader:
     Each read starts where the last one ended. A read past the end, text
     that is not UTF-8 and bytes left over at end() raise SerializationError
     naming the artifact and the byte offset; fail() builds the same error
-    for a value that was read but is out of its domain."""
+    for a value that was read but is out of its domain, at the last read's
+    offset unless told another."""
 
     def __init__(self, blob: bytes, name: str):
         self.blob, self.name, self.pos, self.start = blob, name, 0, 0
 
-    def fail(self, what: str) -> SerializationError:
-        return SerializationError(f"{self.name}: {what} at byte {self.start}")
+    def fail(self, what: str, at: Optional[int] = None) -> SerializationError:
+        return SerializationError(f"{self.name}: {what} at byte {self.start if at is None else at}")
 
     def _span(self, n: int) -> int:
         """Offset of the next n bytes, which the cursor then passes."""

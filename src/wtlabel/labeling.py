@@ -555,7 +555,13 @@ def load_grouped_summaries(path: str) -> GroupedSummaries:
     if mode_byte not in (0, 1) or has_bins != (n_bins > 0):
         raise r.fail(f"bad header: mode byte {mode_byte}, bins flag {has_bins}, {n_bins} bins")
     mode = ("exact", "sketch")[mode_byte]
-    bins = DurationBins(r.floats(n_bins), r.floats(n_bins, np.int64)) if has_bins else None
+    bins = None
+    if has_bins:
+        at = r.pos
+        try:
+            bins = DurationBins(r.floats(n_bins), r.floats(n_bins, np.int64))
+        except ValueError as exc:
+            raise r.fail(str(exc), at) from None
     kinds = {_read_kind(r) for _ in range(r.take("<B")[0])}
     summaries: dict[GroupKey, QuantileSummary] = {}
     for _ in range(r.take("<I")[0]):

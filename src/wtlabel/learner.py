@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -48,6 +48,9 @@ CHECKPOINT_MAGIC = b"WLMD"
 CHECKPOINT_VERSION = 1
 
 LOSSES = ("squared_error", "logistic", "weighted_logistic", "ordinal_cumulative")
+
+# embedding tables, in the order their vectors are concatenated
+EMBEDDINGS = ("emb_user", "emb_video", "emb_bin")
 
 # rank-space label columns and whether their groups are duration-bin scoped
 QUANTILE_SCOPE = {"wpr": False, "ew_wpr": False, "wpr_d": True, "ef_wpr": True}
@@ -148,6 +151,8 @@ def resolve_tasks(
         if t.target not in columns:
             raise MissingLabelColumn(f"task {name}: no label column {t.target!r}")
         col = np.asarray(columns[t.target], dtype=np.float64)
+        if t.loss in ("logistic", "weighted_logistic") and not np.isin(col, (0.0, 1.0)).all():
+            raise ConfigInvalid(f"task {name}: {t.loss} needs 0/1 targets in {t.target!r}")
         n_out = 1
         if t.loss == "ordinal_cumulative":
             kind = "ordinal"
@@ -191,8 +196,7 @@ def _param_shapes(
     """Name and shape of every parameter, in initialization order. One
     fallback row per embedding table catches unseen ids."""
     d, h, k, in_dim = arch.d_embed, arch.hidden, arch.n_experts, 3 * arch.d_embed
-    rows = {"emb_user": n_users, "emb_video": n_videos, "emb_bin": n_bins}
-    shapes = {name: (n + 1, d) for name, n in rows.items()}
+    shapes = {name: (n + 1, d) for name, n in zip(EMBEDDINGS, (n_users, n_videos, n_bins))}
     for e in range(k):
         shapes.update({f"expert{e}_w1": (h, in_dim), f"expert{e}_b1": (h,)})
         shapes.update({f"expert{e}_w2": (h, h), f"expert{e}_b2": (h,)})
@@ -224,10 +228,6 @@ def init_model(
     return params
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -247,14 +247,8 @@ def forward(
     bin_rows: np.ndarray,
 ):
     """Scores per task plus the cache the backward pass needs."""
-    x = np.concatenate(
-        [
-            params["emb_user"][user_rows],
-            params["emb_video"][video_rows],
-            params["emb_bin"][bin_rows],
-        ],
-        axis=1,
-    )
+    rows = (user_rows, video_rows, bin_rows)
+    x = np.concatenate([params[k][r] for k, r in zip(EMBEDDINGS, rows)], axis=1)
     hs = []
     dacts = []
     outs = []
@@ -297,20 +291,23 @@ def _task_loss(
         loss = float(np.mean(diff * diff))
         ds = (2.0 / b) * diff[:, None]
         return loss, ds
-    if task.loss in ("logistic", "weighted_logistic"):
-        sv = s[:, 0]
-        t = targets
-        w = weights if weights is not None else np.ones_like(sv)
-        loss = float(np.mean(w * t * _softplus(-sv) + (1.0 - t) * _softplus(sv)))
-        sig = sigmoid(sv)
-        ds = ((t * w * (sig - 1.0) + (1.0 - t) * sig) / b)[:, None]
-        return loss, ds
-    # ordinal_cumulative: targets holds the 0-based group index
-    k = task.n_out
-    z = (targets[:, None] > np.arange(k)[None, :]).astype(np.float64)
-    loss = float(np.mean(np.sum(z * _softplus(-s) + (1.0 - z) * _softplus(s), axis=1)))
-    ds = (sigmoid(s) - z) / b
-    return loss, ds
+    # binary cross-entropy on every output; pos marks the positive
+    # targets, for ordinal tasks 1{group > k} on the 0-based group index
+    if task.loss == "ordinal_cumulative":
+        pos = targets[:, None] > np.arange(task.n_out)
+    else:
+        pos = (targets == 1.0)[:, None]
+    z = pos.astype(np.float64)
+    # with e = exp(-|s|) <= 1 nothing overflows: max(+-s, 0) + log1p(e) is
+    # softplus(+-s), the loss of a negative (+) or positive (-) target, and
+    # max(e, s >= 0) / (1 + e) is core.sigmoid(s), reusing e
+    e = np.exp(-np.abs(s))
+    terms = np.maximum(s * (1.0 - 2.0 * z), 0.0) + np.log1p(e)
+    sig = np.maximum(e, s >= 0) / (1.0 + e)
+    # positives weigh w, negatives 1
+    w = 1.0 if weights is None else np.where(pos, weights[:, None], 1.0)
+    loss = float(np.mean(np.sum(w * terms, axis=1)))
+    return loss, w * (sig - z) / b
 
 
 def _backward(
@@ -321,35 +318,39 @@ def _backward(
     dscores: Mapping[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     x, hs, dacts, expert_out, gates, mixed, user_rows, video_rows, bin_rows = cache
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads: dict[str, np.ndarray] = {}
     d_expert_out = np.zeros_like(expert_out)
     dx = np.zeros_like(x)
     for t in tasks:
         ds = dscores[t.name]
-        grads[f"head_{t.name}_w"] += ds.T @ mixed[t.name]
-        grads[f"head_{t.name}_b"] += ds.sum(axis=0)
+        grads[f"head_{t.name}_w"] = ds.T @ mixed[t.name]
+        grads[f"head_{t.name}_b"] = ds.sum(axis=0)
         dmix = ds @ params[f"head_{t.name}_w"]
         p = gates[t.name]
         dp = np.einsum("bh,ebh->be", dmix, expert_out)
-        d_expert_out += p.T[:, :, None] * dmix[None, :, :]
+        for e in range(arch.n_experts):
+            # one expert at a time: broadcasting p.T over the whole
+            # (E, B, H) block reads p with a stride, several times slower
+            d_expert_out[e] += p[:, e, None] * dmix
         dlogits = p * (dp - (dp * p).sum(axis=1, keepdims=True))
-        grads[f"gate_{t.name}_w"] += dlogits.T @ x
-        grads[f"gate_{t.name}_b"] += dlogits.sum(axis=0)
+        grads[f"gate_{t.name}_w"] = dlogits.T @ x
+        grads[f"gate_{t.name}_b"] = dlogits.sum(axis=0)
         dx += dlogits @ params[f"gate_{t.name}_w"]
     for e in range(arch.n_experts):
         doe = d_expert_out[e]
-        h = hs[e]
-        grads[f"expert{e}_w2"] += doe.T @ h
-        grads[f"expert{e}_b2"] += doe.sum(axis=0)
-        dh = doe @ params[f"expert{e}_w2"]
-        da = dh * dacts[e]
-        grads[f"expert{e}_w1"] += da.T @ x
-        grads[f"expert{e}_b1"] += da.sum(axis=0)
+        grads[f"expert{e}_w2"] = doe.T @ hs[e]
+        grads[f"expert{e}_b2"] = doe.sum(axis=0)
+        da = (doe @ params[f"expert{e}_w2"]) * dacts[e]
+        grads[f"expert{e}_w1"] = da.T @ x
+        grads[f"expert{e}_b1"] = da.sum(axis=0)
         dx += da @ params[f"expert{e}_w1"]
+    # an embedding row sums its records' gradients in record order, as
+    # np.add.at does, here by one bincount over flat (row, column) cells
     d = arch.d_embed
-    np.add.at(grads["emb_user"], user_rows, dx[:, :d])
-    np.add.at(grads["emb_video"], video_rows, dx[:, d : 2 * d])
-    np.add.at(grads["emb_bin"], bin_rows, dx[:, 2 * d :])
+    for j, (name, rows) in enumerate(zip(EMBEDDINGS, (user_rows, video_rows, bin_rows))):
+        cells = (rows[:, None] * d + np.arange(d)).ravel()
+        flat = np.bincount(cells, dx[:, j * d : (j + 1) * d].ravel(), params[name].size)
+        grads[name] = flat.reshape(params[name].shape)
     return grads
 
 
@@ -428,8 +429,6 @@ def train(
         raise EmptyDataset("no training records")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(opt.seed))
-    dense_keys = [k for k in model.params if not k.startswith("emb_")]
-    embed_keys = ["emb_user", "emb_video", "emb_bin"]
     trace: list[tuple[int, str, float]] = []
     for epoch in range(1, opt.epochs + 1):
         perm = rng.permutation(data.n)
@@ -442,14 +441,14 @@ def train(
             for t in model.tasks:
                 sums[t.name] += losses[t.name] * len(take)
             if not np.isfinite(total):
+                bad = ", ".join(f"{n}={v}" for n, v in losses.items() if not np.isfinite(v))
                 raise NonFiniteLoss(
-                    f"epoch {epoch}, batch at {start}: loss became {total}"
+                    f"epoch {epoch}, batch at {start}: loss became {total} "
+                    f"(non-finite task losses: {bad or 'none, their weighted sum overflowed'})"
                 )
             grads = _backward(model.params, model.arch, model.tasks, cache, dscores)
-            for k in dense_keys:
-                model.params[k] -= opt.lr_dense * grads[k]
-            for k in embed_keys:
-                model.params[k] -= opt.lr_embed * grads[k]
+            for k, g in grads.items():
+                model.params[k] -= (opt.lr_embed if k.startswith("emb_") else opt.lr_dense) * g
         for t in model.tasks:
             trace.append((epoch, t.name, sums[t.name] / data.n))
     return trace
@@ -609,22 +608,39 @@ def fit(
     return model, trace
 
 
-def _feature_rows(model: Model, table: InteractionTable):
-    return (
-        _embedding_rows(model.user_index, table.user_id),
-        _embedding_rows(model.video_index, table.video_id),
-        model.bins.bin_of_many(table.duration_s),
-    )
-
-
 def score_records(model: Model, table: InteractionTable) -> dict[str, np.ndarray]:
     """Raw score per task plus a fused ranking score.
 
     For ranking, logistic tasks contribute their probability and the
     ordinal task its normalized expected group; other tasks contribute
     the raw score. The fused entry is the equal-weight mean."""
+    return score_and_predict(model, table, None)[0]
+
+
+def predict_watch_time(
+    model: Model,
+    table: InteractionTable,
+    task_name: Optional[str] = None,
+) -> np.ndarray:
+    """Watch-time estimate in seconds from one task's score."""
+    name = model.tasks[0].name if task_name is None else task_name
+    return score_and_predict(model, table, name)[1]
+
+
+def score_and_predict(
+    model: Model,
+    table: InteractionTable,
+    task_name: Optional[str],
+) -> tuple[dict[str, np.ndarray], Optional[np.ndarray]]:
+    """score_records, and predict_watch_time of the task named task_name
+    unless it is None, from one forward pass."""
     table = as_table(table)
-    user_rows, video_rows, bin_rows = _feature_rows(model, table)
+    tasks = {t.name: t for t in model.tasks}
+    if task_name is not None and task_name not in tasks:
+        raise ConfigInvalid(f"no task named {task_name!r}")
+    user_rows = _embedding_rows(model.user_index, table.user_id)
+    video_rows = _embedding_rows(model.video_index, table.video_id)
+    bin_rows = model.bins.bin_of_many(table.duration_s)
     scores, _ = forward(model.params, model.arch, model.tasks, user_rows, video_rows, bin_rows)
     out: dict[str, np.ndarray] = {}
     ranking = []
@@ -640,69 +656,45 @@ def score_records(model: Model, table: InteractionTable) -> dict[str, np.ndarray
             else:
                 ranking.append(s[:, 0])
     out["fused"] = np.mean(np.stack(ranking, axis=0), axis=0)
-    return out
-
-
-def predict_watch_time(
-    model: Model,
-    table: InteractionTable,
-    task_name: Optional[str] = None,
-) -> np.ndarray:
-    """Watch-time estimate in seconds from one task's score."""
-    table = as_table(table)
-    tasks = {t.name: t for t in model.tasks}
     if task_name is None:
-        task = model.tasks[0]
-    elif task_name in tasks:
-        task = tasks[task_name]
-    else:
-        raise ConfigInvalid(f"no task named {task_name!r}")
-    user_rows, video_rows, bin_rows = _feature_rows(model, table)
-    scores, _ = forward(
-        model.params, model.arch, model.tasks, user_rows, video_rows, bin_rows
-    )
-    s = scores[task.name]
+        return out, None
+    return out, _watch_time(model, tasks[task_name], out[task_name], bin_rows, table.duration_s)
+
+
+def _watch_time(
+    model: Model,
+    task: ResolvedTask,
+    score: np.ndarray,
+    bin_rows: np.ndarray,
+    duration_s: np.ndarray,
+) -> np.ndarray:
+    """Seconds from a task's score_records entry: the raw score, or the
+    expected group for an ordinal task."""
     if task.kind == "seconds":
-        return np.maximum(s[:, 0], 0.0)
+        return np.maximum(score, 0.0)
     if task.kind == "odds":
         # scores above ~700 would overflow; the cap is far beyond any
         # meaningful watch time already
-        return np.exp(np.minimum(s[:, 0], 60.0))
+        return np.exp(np.minimum(score, 60.0))
     if task.kind == "playing_rate":
-        return np.clip(s[:, 0], 0.0, 1.0) * table.duration_s
+        return np.clip(score, 0.0, 1.0) * duration_s
     if task.kind == "binary":
         raise ConfigInvalid(f"task {task.name} is binary; it has no watch-time scale")
     inverse = model.inverses.get(task.name)
     if inverse is None:
         raise MissingInverseMap(f"task {task.name} has no inverse map")
     if task.kind == "ordinal":
-        expected = sigmoid(s).sum(axis=1)
-        g = np.clip(np.round(expected), 0, len(inverse.prefix) - 1).astype(np.int64)
+        g = np.clip(np.round(score), 0, len(inverse.prefix) - 1).astype(np.int64)
         return inverse.reps[0, g]
-    return inverse.lookup(s[:, 0], bin_rows)
+    return inverse.lookup(score, bin_rows)
 
 
 # checkpoint io
 
 def save_model(model: Model, path: str) -> None:
     meta = {
-        "arch": {
-            "d_embed": model.arch.d_embed,
-            "n_experts": model.arch.n_experts,
-            "hidden": model.arch.hidden,
-        },
-        "tasks": [
-            {
-                "name": t.name,
-                "target": t.target,
-                "loss": t.loss,
-                "weight": t.weight,
-                "n_out": t.n_out,
-                "kind": t.kind,
-                "per_bin": t.per_bin,
-            }
-            for t in model.tasks
-        ],
+        "arch": asdict(model.arch),
+        "tasks": [asdict(t) for t in model.tasks],
         "users": sorted(model.user_index, key=model.user_index.get),
         "videos": sorted(model.video_index, key=model.video_index.get),
         "inverses": {
@@ -755,7 +747,7 @@ def load_model(path: str) -> Model:
         arch = ModelArch(**meta["arch"])
         tasks = tuple(ResolvedTask(**t) for t in meta["tasks"])
         users, videos = meta["users"], meta["videos"]
-        bins = DurationBins(arrays["bins_boundaries"], arrays["bins_counts"].astype(np.int64))
+        bins = DurationBins(arrays["bins_boundaries"], arrays["bins_counts"])
         params = {k.removeprefix("param:"): v for k, v in arrays.items() if k.startswith("param:")}
         inverses = {
             name: WprInverse(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,21 @@ import numpy as np
 import pytest
 
 import wtlabel
-from wtlabel.cli import main, parse_tasks
+from wtlabel.cli import evaluate_model, main, parse_tasks
+from wtlabel.core import make_partition
+from wtlabel.datagen import SyntheticConfig, generate, oracle_rank_quality
 from wtlabel.dataio import read_interactions, read_labeled, split_mask
 from wtlabel.errors import ConfigInvalid
+from wtlabel.labeling import LabelConfig, label_all
+from wtlabel.learner import (
+    ModelArch,
+    OptimizerConfig,
+    TaskConfig,
+    fit,
+    predict_watch_time,
+    score_records,
+)
+from wtlabel.metrics import EvalReport, auc, gauc_detail, regression_metrics
 
 SMALL_GEN = ["--users", "40", "--videos", "120", "--per-user", "25"]
 SMOKE_TRAIN_CFG = "\n".join(
@@ -437,6 +451,72 @@ def test_truncated_checkpoint_exits_2(small_run, trained, tmp_path, capsys):
               "--report", tmp_path / "r.csv"])
     assert rc == 2
     assert f"error: {model}: truncated" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_nan_bin_count_exits_2(small_run, trained, tmp_path, capsys):
+    blob = read_bytes(trained["model"])
+    # the first count follows the array's name, its rank byte and its length
+    at = blob.index(b"bins_counts") + len("bins_counts") + 1 + 8
+    model = tmp_path / "nan-count.bin"
+    model.write_bytes(blob[:at] + struct.pack("<d", float("nan")) + blob[at + 8 :])
+    rc = run(["eval", "--input", small_run["labeled"], "--model", model,
+              "--report", tmp_path / "r.csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}: " in err
+    assert "duration-bin counts must be non-negative whole numbers" in err
+
+
+def _composed_report(model, table, columns, truth_m) -> EvalReport:
+    """evaluate_model rebuilt from the public calls, one forward each."""
+    scores = score_records(model, table)["fused"]
+    g_ev = gauc_detail(scores, columns["ev"], table.user_id)
+    g_lv = gauc_detail(scores, columns["lv"], table.user_id)
+    reg_task = next((t.name for t in model.tasks if t.kind != "binary"), None)
+    mae = rmse = mape = float("nan")
+    n_mape_skipped = 0
+    if reg_task is not None:
+        reg = regression_metrics(predict_watch_time(model, table, reg_task), table.watch_time_s)
+        mae, rmse, mape, n_mape_skipped = reg.mae, reg.rmse, reg.mape, reg.n_mape_skipped
+    return EvalReport(
+        auc=auc(scores, columns["ev"]), gauc=g_ev.value,
+        auc_lv=auc(scores, columns["lv"]), gauc_lv=g_lv.value,
+        mae=mae, rmse=rmse, mape=mape,
+        gauc_truth=oracle_rank_quality(scores, truth_m, table.user_id),
+        n_records=table.n,
+        n_users_used=g_ev.n_users_used, n_users_skipped=g_ev.n_users_skipped,
+        n_users_used_lv=g_lv.n_users_used, n_users_skipped_lv=g_lv.n_users_skipped,
+        n_mape_skipped=n_mape_skipped,
+    )
+
+
+@pytest.mark.parametrize("decoded,tasks", [
+    ("seconds", [TaskConfig("watch_time_s", "squared_error"), TaskConfig("ev", "logistic")]),
+    ("odds", [TaskConfig("ev", "logistic"), TaskConfig("ev", "weighted_logistic", name="wlr")]),
+    ("playing_rate", [TaskConfig("playing_rate", "squared_error"), TaskConfig("lv_d", "logistic")]),
+    ("quantile", [TaskConfig("wpr_d", "squared_error"), TaskConfig("ev_d", "logistic")]),
+    ("quantile", [TaskConfig("wpr", "squared_error")]),
+    ("ordinal", [TaskConfig("wpr", "ordinal_cumulative"), TaskConfig("lv", "logistic")]),
+    (None, [TaskConfig("ev", "logistic"), TaskConfig("lv", "logistic")]),
+], ids=["seconds", "odds", "playing-rate", "bin-quantile", "quantile", "ordinal", "binary-only"])
+def test_evaluate_model_equals_its_public_composition(decoded, tasks):
+    table, truth = generate(SyntheticConfig(seed=4, n_users=30, n_videos=90,
+                                            interactions_per_user=12))
+    columns = dict(label_all(table, LabelConfig(
+        partition=make_partition("equal_frequency", 6))).columns)
+    opt = OptimizerConfig(epochs=1, batch_size=64, seed=3)
+    model, _ = fit(table, columns, tasks, ModelArch(3, 2, 5), opt, bins_b=4, bins_min_size=5)
+    got = evaluate_model(model, table, columns, truth.m)
+    want = _composed_report(model, table, columns, truth.m)
+    # the first task with a watch-time scale is the one decoded
+    assert next((t.kind for t in model.tasks if t.kind != "binary"), None) == decoded
+    assert np.isnan(got.mae) == (decoded is None)
+    for field in dataclasses.fields(EvalReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, float):
+            assert struct.pack("<d", a) == struct.pack("<d", b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
 
 
 def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):

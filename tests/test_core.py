@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wtlabel.core import (
     make_duration_bins,
     make_partition,
     segments,
+    sigmoid,
     validate_interaction,
 )
 from wtlabel.errors import (
@@ -276,6 +278,30 @@ def test_empty_dataset_rejected():
         make_duration_bins(np.array([]), 5)
 
 
+@pytest.mark.parametrize("boundaries,counts,message", [
+    ([10.0, 20.0], [3.0, np.nan], "counts"),
+    ([10.0, 20.0], [3.0, -1.0], "counts"),
+    ([10.0, 20.0], [3.0, 2.5], "counts"),
+    ([10.0, 20.0], [3.0, np.inf], "counts"),
+    ([10.0, 20.0], [3, -1], "counts"),
+    ([10.0, np.nan], [3.0, 4.0], "boundaries"),
+    ([20.0, 10.0], [3.0, 4.0], "boundaries"),
+    ([10.0, 10.0], [3.0, 4.0], "boundaries"),
+    ([10.0, np.inf], [3.0, 4.0], "boundaries"),
+    ([], [], "boundaries"),
+])
+def test_bins_reject_counts_and_boundaries_outside_their_domain(boundaries, counts, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"duration-bin {message} must be"):
+            DurationBins(np.asarray(boundaries, dtype=np.float64), np.asarray(counts))
+
+
+def test_bins_take_whole_float_counts_as_integers():
+    bins = DurationBins(np.array([10.0, 20.0]), np.array([3.0, 0.0]))
+    assert bins.counts.dtype == np.int64 and bins.counts.tolist() == [3, 0]
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(
@@ -344,3 +370,41 @@ def test_segments_with_n_keys_cover_every_key(args):
     for k in range(n_keys):
         # a key no record carries still gets its (empty) segment
         assert got[k] == brute.get(k, [])
+
+
+# ---------------------------------------------------------------- sigmoid
+
+# magnitudes where exp over- or underflows, or 1 + exp(-x) rounds to 1
+EXTREMES = [0.0, -0.0, 36.7, -36.7, 745.0, -745.0, 1000.0, -1000.0, math.inf, -math.inf]
+
+
+def _sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """The masked two-branch form sigmoid replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(
+    st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False)), min_size=1, max_size=50
+))
+def test_sigmoid_is_bitwise_the_two_branch_form(values):
+    x = np.asarray(values, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+        want = _sigmoid_two_branch(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_sigmoid_keeps_shape_and_nan():
+    x = np.array([[np.nan, -3.0], [0.0, 3.0]])
+    out = sigmoid(x)
+    assert out.shape == (2, 2)
+    assert np.isnan(out[0, 0])
+    assert np.array_equal(out[1:], _sigmoid_two_branch(x[1:]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -449,6 +451,29 @@ def test_grouped_summaries_reject_header_bytes_outside_their_domain(
     path = tmp_path / "bad.bin"
     path.write_bytes(bytes(blob))
     with pytest.raises(SerializationError, match=f"{path}: .*{message}"):
+        load_grouped_summaries(str(path))
+
+
+@pytest.mark.parametrize("which,index,value,message", [
+    ("counts", 1, -1, "counts"),
+    ("boundaries", 1, np.nan, "boundaries"),
+    ("boundaries", 0, np.inf, "boundaries"),
+    ("boundaries", 2, 0.0, "boundaries"),  # below its left neighbour
+])
+def test_grouped_summaries_reject_bins_outside_their_domain(tmp_path, which, index, value, message):
+    # bins follow the 15-byte header and the (flag, count) pair: n float64
+    # boundaries at byte 20, then n int64 counts. Counts are stored as
+    # integers, so a NaN or fractional count cannot occur in this format.
+    blob = _saved_summaries(tmp_path)
+    (n,) = struct.unpack_from("<I", blob, 16)
+    bounds = np.frombuffer(blob, np.float64, n, 20).copy()
+    counts = np.frombuffer(blob, np.int64, n, 20 + 8 * n).copy()
+    (bounds if which == "boundaries" else counts)[index] = value
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob[:20] + bounds.tobytes() + counts.tobytes() + blob[20 + 16 * n :])
+    with pytest.raises(
+        SerializationError, match=f"{path}: duration-bin {message} must be .* at byte 20$"
+    ):
         load_grouped_summaries(str(path))
 
 

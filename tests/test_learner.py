@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtlabel.core import DurationBins, InteractionTable, make_duration_bins, make_partition
 from wtlabel.datagen import SyntheticConfig, generate
@@ -21,6 +24,7 @@ from wtlabel.errors import (
 from wtlabel.labeling import LabelConfig, label_all
 from wtlabel.learner import (
     CHECKPOINT_MAGIC,
+    EMBEDDINGS,
     Model,
     ModelArch,
     OptimizerConfig,
@@ -278,6 +282,16 @@ def test_resolve_tasks_errors():
         resolve_tasks([TaskConfig("flat", "ordinal_cumulative")], cols)
 
 
+def test_logistic_tasks_need_binary_targets():
+    cols = {"ev": np.array([0.0, 1.0, 1.0]), "wpr": np.array([0.25, 0.5, 1.0]),
+            "gap": np.array([0.0, np.nan, 1.0])}
+    for loss in ("logistic", "weighted_logistic"):
+        assert resolve_tasks([TaskConfig("ev", loss)], cols)[0].loss == loss
+        for target in ("wpr", "gap"):
+            with pytest.raises(ConfigInvalid, match=f"{loss} needs 0/1 targets in '{target}'"):
+                resolve_tasks([TaskConfig(target, loss)], cols)
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -350,7 +364,11 @@ def test_runaway_learning_rate_raises():
     t = table_of(np.linspace(1.0, 50.0, 32), durations=np.full(32, 60.0))
     opt = OptimizerConfig(lr_embed=1e12, lr_dense=1e12, batch_size=8, epochs=10, seed=0)
     with np.errstate(all="ignore"):
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(
+            NonFiniteLoss,
+            match=r"^epoch \d+, batch at \d+: loss became (nan|inf) "
+                  r"\(non-finite task losses: watch_time_s=(nan|inf)\)$",
+        ):
             fit(t, {}, [TaskConfig("watch_time_s", "squared_error")], ModelArch(2, 2, 4), opt,
                 bins_b=1, bins_min_size=1)
 
@@ -419,6 +437,132 @@ def test_gradient_check_formula_detects_sign_flip():
 
     assert rel(analytic, numeric) < 1e-6
     assert rel(-analytic, numeric) > 1.5
+
+
+# ---------------------------------------------------------- kernel oracles
+# The references are the formulas the loss and embedding-gradient
+# kernels replaced. Gradients must match them bit for bit, loss values
+# to 1e-12 relative.
+
+# magnitudes where exp over- or underflows, or 1 + exp(-s) rounds to 1
+EXTREME_SCORES = [0.0, -0.0, 36.7, -36.7, 745.0, -745.0, 1000.0, -1000.0]
+
+
+def _softplus_reference(x):
+    return np.logaddexp(0.0, x)
+
+
+def _sigmoid_reference(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _cross_entropy_reference(task, s, targets, weights):
+    b = s.shape[0]
+    if task.loss == "ordinal_cumulative":
+        z = (targets[:, None] > np.arange(task.n_out)[None, :]).astype(np.float64)
+        sp_pos, sp_neg = _softplus_reference(-s), _softplus_reference(s)
+        loss = float(np.mean(np.sum(z * sp_pos + (1.0 - z) * sp_neg, axis=1)))
+        return loss, (_sigmoid_reference(s) - z) / b
+    sv, t = s[:, 0], targets
+    w = weights if weights is not None else np.ones_like(sv)
+    loss = float(np.mean(w * t * _softplus_reference(-sv) + (1.0 - t) * _softplus_reference(sv)))
+    sig = _sigmoid_reference(sv)
+    return loss, ((t * w * (sig - 1.0) + (1.0 - t) * sig) / b)[:, None]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _check_cross_entropy(task, s, targets, weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, ds = _task_loss(task, s, targets, weights)
+        want_loss, want_ds = _cross_entropy_reference(task, s, targets, weights)
+    assert ds.shape == s.shape
+    if weights is not None:
+        # where w * (sig - 1) rounds to zero (w = 0 or subnormal) a positive
+        # gets -0.0 and the old form +0.0 (it added (1 - t) * sig); the two
+        # compare equal and leave every sum and update unchanged
+        ds, want_ds = ds + 0.0, want_ds + 0.0
+    assert np.array_equal(_bits(ds), _bits(want_ds))
+    assert math.isclose(loss, want_loss, rel_tol=1e-12)
+
+
+SCORE_VALUES = st.one_of(
+    st.sampled_from(EXTREME_SCORES), st.floats(min_value=-1000.0, max_value=1000.0)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(SCORE_VALUES, st.booleans()), min_size=1, max_size=40))
+def test_logistic_kernel_matches_reference(rows):
+    s = np.array([[v] for v, _ in rows])
+    t = np.array([float(positive) for _, positive in rows])
+    _check_cross_entropy(scalar_task("ev", kind="binary", loss="logistic"), s, t, None)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(
+    st.tuples(SCORE_VALUES, st.booleans(), st.floats(min_value=0.0, max_value=3600.0)),
+    min_size=1, max_size=40,
+))
+def test_weighted_logistic_kernel_matches_reference(rows):
+    s = np.array([[v] for v, _, _ in rows])
+    t = np.array([float(positive) for _, positive, _ in rows])
+    watch = np.array([w for _, _, w in rows])
+    # positives weigh their watch seconds, as _prepare_targets sets them
+    weights = np.where(t == 1.0, watch, 1.0)
+    _check_cross_entropy(scalar_task("wlr", kind="odds", loss="weighted_logistic"), s, t, weights)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.sampled_from([1, 299]),
+    n=st.integers(min_value=1, max_value=48),
+    scale=st.sampled_from([0.01, 1.0, 30.0, 1000.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ordinal_kernel_matches_reference(k, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(0.0, scale, size=(n, k))
+    hit = rng.integers(0, s.size, size=s.size // 4 + 1)
+    s.flat[hit] = rng.choice(EXTREME_SCORES, size=hit.size)
+    targets = rng.integers(0, k + 1, size=n).astype(np.float64)
+    task = scalar_task("wpr", kind="ordinal", loss="ordinal_cumulative", n_out=k)
+    _check_cross_entropy(task, s, targets, None)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=400))
+def test_embedding_gradients_match_add_at(seed, n):
+    arch = ModelArch(d_embed=3, n_experts=2, hidden=5)
+    tasks = [scalar_task("a"), scalar_task("b", kind="ordinal", loss="ordinal_cumulative", n_out=4)]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_model(arch, tasks, 3, 2, 2, rng)
+    # a handful of rows per table, fallback rows included: heavy repeats
+    rows = [rng.integers(0, params[k].shape[0], size=n) for k in EMBEDDINGS]
+    _, cache = forward(params, arch, tasks, *rows)
+    dscores = {"a": rng.normal(size=(n, 1)), "b": rng.normal(size=(n, 4))}
+    grads = _backward(params, arch, tasks, cache, dscores)
+    # with a table row of its own, each record's gradient stands alone
+    own = np.arange(n)
+    wide = dict(params, **{k: np.zeros((n, arch.d_embed)) for k in EMBEDDINGS})
+    per_record = _backward(wide, arch, tasks, cache[:6] + (own, own, own), dscores)
+    for k, r in zip(EMBEDDINGS, rows):
+        want = np.zeros_like(params[k])
+        np.add.at(want, r, per_record[k])
+        assert np.array_equal(_bits(grads[k]), _bits(want))
+    assert set(grads) == set(params)
+    for k in params:
+        assert grads[k].shape == params[k].shape
+        if k not in EMBEDDINGS:
+            assert np.array_equal(_bits(grads[k]), _bits(per_record[k]))
 
 
 # ------------------------------------------------------- watch-time decode
@@ -662,6 +806,41 @@ def test_checkpoint_rejects_metadata_that_is_not_json(tmp_path):
     path.write_bytes(_with_meta(blob, lambda m: m.replace(":", ";", 1)))
     with pytest.raises(SerializationError, match=f"{path}: metadata .*: JSONDecodeError"):
         load_model(str(path))
+
+
+def _with_array(blob: bytes, name: str, edit) -> bytes:
+    """The checkpoint with its 1-d array name passed through edit(values)."""
+    at = blob.index(struct.pack("<H", len(name)) + name.encode()) + 2 + len(name)
+    assert blob[at] == 1  # one dimension
+    (n,) = struct.unpack_from("<Q", blob, at + 1)
+    start = at + 9
+    values = np.frombuffer(blob, np.float64, n, start).copy()
+    edit(values)
+    return blob[:start] + values.tobytes() + blob[start + 8 * n :]
+
+
+def _set(i, v):
+    def edit(a):
+        a[i] = v
+    return edit
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("bins_counts", _set(0, np.nan), "counts"),
+    ("bins_counts", _set(1, -1.0), "counts"),
+    ("bins_counts", _set(1, 2.5), "counts"),
+    ("bins_counts", _set(0, 1e300), "counts"),
+    ("bins_boundaries", _set(1, np.nan), "boundaries"),
+    ("bins_boundaries", lambda a: a.__setitem__(slice(None), a[::-1].copy()), "boundaries"),
+], ids=["count-nan", "count-negative", "count-fraction", "count-huge", "boundary-nan",
+        "boundaries-descending"])
+def test_checkpoint_rejects_bins_outside_their_domain(tmp_path, name, edit, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_with_array(_saved_checkpoint(tmp_path), name, edit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SerializationError, match=f"{path}: .*duration-bin {message} must be"):
+            load_model(str(path))
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
