@@ -54,7 +54,8 @@ def validate_interaction(
     """Validate raw field values and build an Interaction.
 
     Raises MissingField for absent or unparsable fields,
-    NonPositiveDuration and NegativeWatchTime for out-of-domain values.
+    NonPositiveDuration and NegativeWatchTime for out-of-domain values,
+    infinities and NaN included.
     Diagnostics carry the row index.
     """
     fields = {
@@ -78,11 +79,14 @@ def validate_interaction(
         raise MissingField(
             f"row {row_index}: field watch_time_s is not a number: {watch_time_s!r}"
         ) from None
-    # NaN fails both comparisons below, so it is rejected as well.
-    if not dur > 0:
-        raise NonPositiveDuration(f"row {row_index}: duration_s={dur} must be > 0")
-    if not wt >= 0:
-        raise NegativeWatchTime(f"row {row_index}: watch_time_s={wt} must be >= 0")
+    # NaN fails both comparisons below, so it is rejected as well; only
+    # +inf, which passes the lower bound, is told it must be finite.
+    if not 0 < dur < math.inf:
+        finite = "finite and " if dur > 0 else ""
+        raise NonPositiveDuration(f"row {row_index}: duration_s={dur} must be {finite}> 0")
+    if not 0 <= wt < math.inf:
+        finite = "finite and " if wt >= 0 else ""
+        raise NegativeWatchTime(f"row {row_index}: watch_time_s={wt} must be {finite}>= 0")
     return Interaction(str(user_id), str(video_id), dur, wt, row_index)
 
 

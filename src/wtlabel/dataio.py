@@ -2,11 +2,16 @@
 
 All writers are atomic: content goes to a temp file in the target
 directory and is moved into place with os.replace, so readers never
-observe a half-written file. All text files are UTF-8 with LF line
-endings and a header row.
+observe a half-written file. All text files are UTF-8 with a header row.
+
+CSV goes a column at a time. Readers tokenise once with csv.reader
+(quoted fields, LF or CRLF line ends); the interaction readers check whole
+columns and re-scan rows only to name the first bad one. Writers join
+whole columns once, with LF line ends, quoting as csv.writer's default does.
 
 Formats:
   interactions  user_id,video_id,duration_s,watch_time_s
+                (durations finite and > 0, watch times finite and >= 0)
   truth         row_index,m,f_mean            (reals with 9 decimals)
   labeled       interactions + label columns  (reals with 6 decimals,
                 binary labels as 0/1, absent labels as empty fields)
@@ -108,8 +113,37 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _format_real(x: float, decimals: int) -> str:
-    return f"{x:.{decimals}f}"
+def _read_columns(
+    path: str, decode: str = "strict"
+) -> tuple[Optional[list[str]], list[list[str]], Optional[str]]:
+    """The header (None for an empty file) and the columns of a CSV, as
+    strided slices of one flat cell list. The columns end before the first
+    row that is not as wide as the header, not UTF-8 or not CSV, and what is
+    wrong with it is returned (None if no row is); an unreadable header raises."""
+    header, cells, fault = None, [], None
+    try:
+        with open(path, "r", encoding="utf-8", errors=decode, newline="") as fh:
+            rows = csv.reader(fh)
+            if decode != "strict":  # encoding raises at the lone surrogate read for a bad byte
+                rows = (row for row in rows if ",".join(row).encode("utf-8") is not None)
+            header = next(rows, None)
+            width = len(header or ())
+            for row in rows:
+                if len(row) != width:
+                    fault = f"expected {width} fields, got {len(row)}"
+                    break
+                cells.extend(row)
+    except UnicodeDecodeError:  # raised for a block of text read ahead of its rows
+        return _read_columns(path, "surrogateescape")
+    except (csv.Error, UnicodeEncodeError) as exc:
+        fault = "text is not UTF-8" if isinstance(exc, UnicodeEncodeError) else str(exc)
+        if header is None:
+            raise MissingField(f"{path} header: {fault}") from None
+    return header, [cells[j::width] for j in range(width)], fault
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, cells), np.float64, len(cells))
 
 
 def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str, np.ndarray]]:
@@ -118,70 +152,54 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
     A labeled file carries label columns after them; empty label cells
     become NaN. The original numeric field text is kept on the table so
     later writers can echo input columns byte for byte."""
-    users: list[str] = []
-    videos: list[str] = []
-    durations: list[float] = []
-    watches: list[float] = []
-    dur_text: list[str] = []
-    watch_text: list[str] = []
-    label_text: list[str] = []  # every label cell, row by row
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput(f"{path}: empty file")
-        if tuple(header[:4]) != INTERACTION_HEADER or not (labeled or len(header) == 4):
-            raise MissingField(
-                f"{path}: header must {'start with' if labeled else 'be'} "
-                f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
-            )
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise MissingField(
-                    f"{path} row {i}: expected {len(header)} fields, got {len(row)}"
-                )
+    header, cols, fault = _read_columns(path)
+    if header is None:
+        raise EmptyInput(f"{path}: empty file")
+    if tuple(header[:4]) != INTERACTION_HEADER or not (labeled or len(header) == 4):
+        raise MissingField(
+            f"{path}: header must {'start with' if labeled else 'be'} "
+            f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
+        )
+    users, videos, dur_text, watch_text = cols[:4]
+    valid = all(map(str.strip, users)) and all(map(str.strip, videos))
+    try:
+        durations, watches = _floats(dur_text), _floats(watch_text)
+    except ValueError:
+        valid = False
+    if not valid or not np.all((durations > 0) & (durations < np.inf)
+                               & (watches >= 0) & (watches < np.inf)):
+        for i, fields in enumerate(zip(*cols[:4])):  # name the first bad row
             try:
-                rec = validate_interaction(row[0], row[1], row[2], row[3], i)
+                validate_interaction(*fields, i)
             except PipelineError as exc:
                 raise type(exc)(f"{path} {exc}") from None
-            users.append(rec.user_id)
-            videos.append(rec.video_id)
-            durations.append(rec.duration_s)
-            watches.append(rec.watch_time_s)
-            dur_text.append(row[2])
-            watch_text.append(row[3])
-            label_text.extend(row[4:])
+        raise AssertionError("the column checks rejected rows validate_interaction accepts")
+    if fault is not None:
+        raise MissingField(f"{path} row {len(users)}: {fault}")
     if not users:
         raise EmptyInput(f"{path}: no data rows")
-    table = InteractionTable(
-        users,
-        videos,
-        np.asarray(durations),
-        np.asarray(watches),
-        duration_text=dur_text,
-        watch_text=watch_text,
-    )
+    table = InteractionTable(users, videos, durations, watches,
+                             duration_text=dur_text, watch_text=watch_text)
     columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header[4:]):
-        arr = _label_column(path, name, label_text[j :: len(header) - 4])
+    for name, cells in zip(header[4:], cols[4:]):
+        arr = _label_column(path, name, cells)
         if not np.all(np.isnan(arr)):
             columns[name] = arr
     return table, columns
 
 
-def _label_column(path: str, name: str, cells: Sequence[str]) -> np.ndarray:
+def _label_column(path: str, name: str, cells: list[str]) -> np.ndarray:
     """A label column of floats. Empty cells, and only they, become NaN;
     every other cell lies in [0, 1], and is 0 or 1 in a binary column."""
     try:
-        arr = np.array([float(c) if c else np.nan for c in cells])
+        arr = _floats([c or "nan" for c in cells])
     except ValueError:
         for i, cell in enumerate(cells):
             try:
                 float(cell or 0)
             except ValueError:
-                raise MissingField(
-                    f"{path} row {i}: column {name} is not a number: {cell!r}"
-                ) from None
+                msg = f"{path} row {i}: column {name} is not a number: {cell!r}"
+                raise MissingField(msg) from None
         raise
     empty = np.isnan(arr)
     empty[empty] = np.asarray(cells, dtype=object)[empty] == ""  # "nan" is not empty
@@ -200,52 +218,58 @@ def read_interactions(path: str) -> InteractionTable:
     return _read_records(path, labeled=False)[0]
 
 
-def _interaction_fields(table: InteractionTable, i: int) -> list[str]:
+def _text_cells(cells: list[str]) -> list[str]:
+    """Text as CSV fields: a cell holding a comma, a double quote or a line
+    break is quoted, inner quotes doubled, as csv.writer's default dialect
+    does. A column that needs none, as one scan finds, is returned as is."""
+    special = lambda text: any(ch in text for ch in ',"\r\n')  # noqa: E731
+    if not special("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if special(c) else c for c in cells]
+
+
+def _real_cells(values: np.ndarray, decimals: int) -> list[str]:
+    return list(map(f"{{:.{decimals}f}}".format, np.asarray(values).tolist()))
+
+
+def _write_rows(path: str, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    atomic_write_text(path, "\n".join([",".join(header), *map(",".join, rows), ""]))
+
+
+def _interaction_columns(table: InteractionTable) -> list[list[str]]:
+    """Ids and read-in numeric text echoed, other numbers with 3 decimals."""
     if table.duration_text is not None and table.watch_text is not None:
-        dur = table.duration_text[i]
-        wt = table.watch_text[i]
+        numbers = [_text_cells(table.duration_text), _text_cells(table.watch_text)]
     else:
-        dur = _format_real(table.duration_s[i], 3)
-        wt = _format_real(table.watch_time_s[i], 3)
-    return [table.user_id[i], table.video_id[i], dur, wt]
+        numbers = [_real_cells(table.duration_s, 3), _real_cells(table.watch_time_s, 3)]
+    return [_text_cells(table.user_id), _text_cells(table.video_id), *numbers]
 
 
 def write_interactions(path: str, table: InteractionTable) -> None:
-    lines = [",".join(INTERACTION_HEADER)]
-    for i in range(table.n):
-        lines.append(",".join(_interaction_fields(table, i)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, INTERACTION_HEADER, zip(*_interaction_columns(table)))
 
 
 def write_truth(path: str, truth: SyntheticTruth) -> None:
-    lines = [",".join(TRUTH_HEADER)]
-    for i in range(len(truth.m)):
-        lines.append(
-            f"{i},{_format_real(truth.m[i], 9)},{_format_real(truth.f_mean[i], 9)}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    index = map(str, range(len(truth.m)))
+    m, f_mean = _real_cells(truth.m, 9), _real_cells(truth.f_mean, 9)
+    _write_rows(path, TRUTH_HEADER, zip(index, m, f_mean))
 
 
 def read_truth(path: str) -> SyntheticTruth:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRUTH_HEADER:
-            raise SerializationError(
-                f"{path}: expected header {','.join(TRUTH_HEADER)}"
-            )
-        ms: list[float] = []
-        fs: list[float] = []
-        for i, row in enumerate(reader):
-            if len(row) != 3:
-                raise SerializationError(f"{path} row {i}: expected 3 fields")
-            try:
-                if int(row[0]) != i:
-                    raise SerializationError(f"{path} row {i}: row_index out of order")
-                ms.append(float(row[1]))
-                fs.append(float(row[2]))
-            except ValueError:
-                raise SerializationError(f"{path} row {i}: not a number in {row!r}") from None
+    header, cols, fault = _read_columns(path)
+    if header is None or tuple(header) != TRUTH_HEADER:
+        raise SerializationError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
+    ms, fs = [], []
+    for i, row in enumerate(zip(*cols)):
+        try:
+            if int(row[0]) != i:
+                raise SerializationError(f"{path} row {i}: row_index out of order")
+            ms.append(float(row[1]))
+            fs.append(float(row[2]))
+        except ValueError:
+            raise SerializationError(f"{path} row {i}: not a number in {list(row)!r}") from None
+    if fault is not None:
+        raise SerializationError(f"{path} row {len(ms)}: {fault}")
     if not ms:
         raise EmptyInput(f"{path}: no data rows")
     return SyntheticTruth(m=np.asarray(ms), f_mean=np.asarray(fs))
@@ -259,30 +283,21 @@ def labeled_header(columns: Mapping[str, np.ndarray]) -> list[str]:
     return head
 
 
-def write_labeled(
-    path: str,
-    table: InteractionTable,
-    columns: Mapping[str, np.ndarray],
-) -> None:
+_BINARY_CELLS = np.array(["0", "1"], dtype=object)  # two shared strings for every row
+
+
+def write_labeled(path: str, table: InteractionTable, columns: Mapping[str, np.ndarray]) -> None:
     header = labeled_header(columns)
-    label_names = header[len(INTERACTION_HEADER) :]
-    cells: list[Optional[list[str]]] = []
-    for name in label_names:
+    cells = _interaction_columns(table)
+    for name in header[len(INTERACTION_HEADER) :]:
         col = columns.get(name)
         if col is None:
-            cells.append(None)
-            continue
-        if name in BINARY_LABELS:
-            cells.append([str(int(v)) for v in col])
+            cells.append([""] * table.n)
+        elif name in BINARY_LABELS:
+            cells.append(_BINARY_CELLS[np.asarray(col).astype(np.intp)].tolist())
         else:
-            cells.append([_format_real(v, 6) for v in col])
-    lines = [",".join(header)]
-    for i in range(table.n):
-        row = _interaction_fields(table, i)
-        for col_cells in cells:
-            row.append("" if col_cells is None else col_cells[i])
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            cells.append(_real_cells(col, 6))
+    _write_rows(path, header, zip(*cells))
 
 
 def read_labeled(path: str) -> tuple[InteractionTable, dict[str, np.ndarray]]:
@@ -295,42 +310,27 @@ def read_labeled(path: str) -> tuple[InteractionTable, dict[str, np.ndarray]]:
 
 
 def write_trace(path: str, rows: Iterable[tuple[int, str, float]]) -> None:
-    lines = ["epoch,task,loss"]
-    for epoch, task, loss in rows:
-        lines.append(f"{epoch},{task},{_format_real(loss, 9)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, ("epoch", "task", "loss"),
+                ((str(epoch), task, f"{loss:.9f}") for epoch, task, loss in rows))
 
 
 def write_report(
-    path: str,
-    rows: Iterable[tuple[str, float, Optional[int], Optional[int]]],
+    path: str, rows: Iterable[tuple[str, float, Optional[int], Optional[int]]]
 ) -> None:
-    lines = ["metric,value,n_evaluated,n_skipped"]
-    for metric, value, n_eval, n_skip in rows:
-        val = "" if value is None or np.isnan(value) else _format_real(value, 9)
-        lines.append(
-            f"{metric},{val},"
-            f"{'' if n_eval is None else n_eval},"
-            f"{'' if n_skip is None else n_skip}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, ("metric", "value", "n_evaluated", "n_skipped"), (
+        (metric, "" if value is None or np.isnan(value) else f"{value:.9f}",
+         "" if n_eval is None else str(n_eval), "" if n_skip is None else str(n_skip))
+        for metric, value, n_eval, n_skip in rows
+    ))
 
 
-def write_variant_table(
-    path: str,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append("" if np.isnan(v) else _format_real(v, 6))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_variant_table(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    def cell(v: object) -> str:
+        if isinstance(v, float):
+            return "" if np.isnan(v) else f"{v:.6f}"
+        return str(v)
+
+    _write_rows(path, header, (map(cell, row) for row in rows))
 
 
 # deterministic train/eval split

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import os
 import struct
@@ -16,7 +17,7 @@ import wtlabel
 from wtlabel.cli import evaluate_model, main, parse_tasks
 from wtlabel.core import make_partition
 from wtlabel.datagen import SyntheticConfig, generate, oracle_rank_quality
-from wtlabel.dataio import read_interactions, read_labeled, split_mask
+from wtlabel.dataio import INTERACTION_HEADER, read_interactions, read_labeled, split_mask
 from wtlabel.errors import ConfigInvalid
 from wtlabel.labeling import LabelConfig, label_all
 from wtlabel.learner import (
@@ -465,6 +466,120 @@ def test_checkpoint_with_a_nan_bin_count_exits_2(small_run, trained, tmp_path, c
     err = capsys.readouterr().err
     assert f"error: {model}: " in err
     assert "duration-bin counts must be non-negative whole numbers" in err
+
+
+# ----------------------------------------------------- interaction CSV input
+
+GOOD_ROWS = ["u1,v1,60.0,30.0", "u2,v1,60.0,12.5", "u1,v2,15.5,0",
+             "u3,v2,15.5,15.5", "u2,v3,240,3.25", "u3,v3,240,240"]
+HEADER = ",".join(INTERACTION_HEADER)
+
+
+def _rows_with(*edits):
+    """The header and GOOD_ROWS with each (row, text) edit applied."""
+    rows = list(GOOD_ROWS)
+    for row, text in edits:
+        rows[row] = text
+    return [HEADER, *rows]
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["user,video_id,duration_s,watch_time_s", *GOOD_ROWS],
+     ": header must be user_id,video_id,duration_s,watch_time_s, "
+     "got user,video_id,duration_s,watch_time_s"),
+    ([], ": empty file"),
+    ([HEADER], ": no data rows"),
+    (_rows_with((3, "u3,v2,15.5")), " row 3: expected 4 fields, got 3"),
+    (_rows_with((3, "u3,v2,15.5,1,x")), " row 3: expected 4 fields, got 5"),
+    (_rows_with((2, ",v2,15.5,0")), " row 2: field user_id is missing"),
+    (_rows_with((2, "u1,  ,15.5,0")), " row 2: field video_id is missing"),
+    (_rows_with((2, "u1,v2,abc,0")), " row 2: field duration_s is not a number: 'abc'"),
+    (_rows_with((2, "u1,v2,15.5,x")), " row 2: field watch_time_s is not a number: 'x'"),
+    (_rows_with((2, "u1,v2,0,0")), " row 2: duration_s=0.0 must be > 0"),
+    (_rows_with((2, "u1,v2,nan,0")), " row 2: duration_s=nan must be > 0"),
+    (_rows_with((2, "u1,v2,15.5,-1.5")), " row 2: watch_time_s=-1.5 must be >= 0"),
+    (_rows_with((2, "u1,v2,inf,0")), " row 2: duration_s=inf must be finite and > 0"),
+    (_rows_with((2, "u1,v2,15.5,inf")), " row 2: watch_time_s=inf must be finite and >= 0"),
+    # two faults: the earlier row is named, whichever kind it is
+    (_rows_with((2, "u1,v2,-2,0"), (4, "u2,v3,240")), " row 2: duration_s=-2.0 must be > 0"),
+    (_rows_with((2, "u1,v2,15.5"), (4, "u2,v3,-2,0")), " row 2: expected 4 fields, got 3"),
+], ids=["header", "empty", "header-only", "short-row", "long-row", "blank-user",
+        "blank-video", "duration-text", "watch-text", "zero-duration", "nan-duration",
+        "negative-watch", "inf-duration", "inf-watch", "field-before-width",
+        "width-before-field"])
+def test_bad_interaction_csv_exits_2(tmp_path, capsys, lines, message):
+    path = tmp_path / "in.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out.csv"
+    assert run(["label", "--input", path, "--output", out]) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not out.exists()
+
+
+def _numbered_rows(n: int) -> list[bytes]:
+    return [HEADER.encode()] + [f"u{i % 9},v{i % 7},60.0,{i % 50}".encode() for i in range(n)]
+
+
+@pytest.mark.parametrize("n,edits,message", [
+    # text is decoded a block ahead of the rows: the earlier fault still wins
+    (6000, {3: b"u1,v2,-2,0", 5001: b"u\xff,v1,60.0,1"}, " row 2: duration_s=-2.0 must be > 0"),
+    (6000, {0: b"user,video_id,duration_s,watch_time_s", 5001: b"u\xff,v1,60.0,1"},
+     ": header must be user_id,video_id,duration_s,watch_time_s, "
+     "got user,video_id,duration_s,watch_time_s"),
+    (6000, {5001: b"u\xff,v1,60.0,1"}, " row 5000: text is not UTF-8"),
+    (6, {3: b"u1,v2,15.5", 5: b"u\xff,v1,60.0,1"}, " row 2: expected 4 fields, got 3"),
+    (6, {5: b"u\xff,v1,60.0,1"}, " row 4: text is not UTF-8"),
+    (6, {0: b"user_id,video_id,duration_s,watch_time_\xe9"}, " header: text is not UTF-8"),
+    (6, {4: b"u" * 140_000 + b",v1,60.0,1"},
+     f" row 3: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["field-before-bytes", "header-before-bytes", "bytes-late", "width-before-bytes",
+        "bytes-early", "bytes-in-header", "oversized-field"])
+def test_unreadable_interaction_csv_exits_2(tmp_path, capsys, n, edits, message):
+    lines = _numbered_rows(n)
+    for at, line in edits.items():
+        lines[at] = line
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    out = tmp_path / "out.csv"
+    assert run(["label", "--input", path, "--output", out]) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not out.exists()
+
+
+def test_quoted_ids_and_crlf_line_ends_are_read(small_run, tmp_path):
+    lines = read_bytes(small_run["data"]).decode().splitlines()
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("".join(
+        '"{}","{}",{},{}\n'.format(*line.split(",")) for line in lines))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    for src in (quoted, crlf):
+        out = tmp_path / f"{src.stem}-labeled.csv"
+        assert run(["label", "--input", src, "--output", out]) == 0
+        assert read_bytes(out) == read_bytes(small_run["labeled"])
+
+
+def test_ids_with_a_comma_and_a_quote_survive_label_and_train(small_run, tmp_path):
+    with open(small_run["data"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] += ',"x'
+        row[1] += '"'
+    src = tmp_path / "odd.csv"
+    with open(src, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / "odd-labeled.csv"
+    assert run(["label", "--input", src, "--output", out]) == 0
+    with open(out, newline="") as fh:
+        got = list(csv.reader(fh))
+    with open(small_run["labeled"], newline="") as fh:
+        want = list(csv.reader(fh))
+    assert [r[:2] for r in got] == [r[:2] for r in rows]
+    assert [r[2:] for r in got] == [r[2:] for r in want]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(SMOKE_TRAIN_CFG + "\n")
+    assert run(["train", "--input", out, "--model", tmp_path / "m.bin", "--config", cfg,
+                "--epochs", "1"]) == 0
 
 
 def _composed_report(model, table, columns, truth_m) -> EvalReport:

@@ -57,6 +57,17 @@ def test_negative_watch_time_rejected():
         validate_interaction("u1", "v1", 60.0, -1.0, 0)
 
 
+def test_infinite_duration_and_watch_time_rejected():
+    with pytest.raises(NonPositiveDuration, match=r"^row 3: duration_s=inf must be finite and >"):
+        validate_interaction("u1", "v1", "inf", 5.0, 3)
+    with pytest.raises(NonPositiveDuration, match=r"^row 3: duration_s=-inf must be > 0$"):
+        validate_interaction("u1", "v1", float("-inf"), 5.0, 3)
+    with pytest.raises(NegativeWatchTime, match=r"^row 2: watch_time_s=inf must be finite"):
+        validate_interaction("u1", "v1", 60.0, "1e400", 2)
+    with pytest.raises(NegativeWatchTime, match=r"^row 2: watch_time_s=nan must be >= 0$"):
+        validate_interaction("u1", "v1", 60.0, "nan", 2)
+
+
 def test_blank_id_rejected():
     with pytest.raises(MissingField):
         validate_interaction("", "v1", 60.0, 1.0, 0)

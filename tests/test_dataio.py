@@ -1,0 +1,327 @@
+"""CSV reading and writing against the row-at-a-time reference code."""
+
+from __future__ import annotations
+
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wtlabel.core import (
+    BINARY_LABELS,
+    STANDARD_LABELS,
+    InteractionTable,
+    validate_interaction,
+)
+from wtlabel.datagen import SyntheticTruth
+from wtlabel.dataio import (
+    INTERACTION_HEADER,
+    TRUTH_HEADER,
+    labeled_header,
+    read_interactions,
+    read_labeled,
+    read_truth,
+    write_interactions,
+    write_labeled,
+    write_truth,
+)
+from wtlabel.errors import (
+    EmptyInput,
+    LabelOutOfRange,
+    MissingField,
+    PipelineError,
+    SerializationError,
+)
+
+# ------------------------------------------------------------ references
+
+
+def _reference_records(path: str, labeled: bool):
+    """The reader as one row loop: every row through validate_interaction,
+    every label cell through float."""
+    users, videos, durations, watches, dur_text, watch_text = [], [], [], [], [], []
+    label_text = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput(f"{path}: empty file")
+        if tuple(header[:4]) != INTERACTION_HEADER or not (labeled or len(header) == 4):
+            raise MissingField(
+                f"{path}: header must {'start with' if labeled else 'be'} "
+                f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
+            )
+        for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise MissingField(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rec = validate_interaction(row[0], row[1], row[2], row[3], i)
+            except PipelineError as exc:
+                raise type(exc)(f"{path} {exc}") from None
+            users.append(rec.user_id)
+            videos.append(rec.video_id)
+            durations.append(rec.duration_s)
+            watches.append(rec.watch_time_s)
+            dur_text.append(row[2])
+            watch_text.append(row[3])
+            label_text.extend(row[4:])
+    if not users:
+        raise EmptyInput(f"{path}: no data rows")
+    table = InteractionTable(users, videos, np.asarray(durations), np.asarray(watches),
+                             duration_text=dur_text, watch_text=watch_text)
+    columns = {}
+    for j, name in enumerate(header[4:]):
+        cells = label_text[j :: len(header) - 4]
+        values = []
+        for i, cell in enumerate(cells):  # every cell a number first ...
+            try:
+                values.append(float(cell) if cell else np.nan)
+            except ValueError:
+                msg = f"{path} row {i}: column {name} is not a number: {cell!r}"
+                raise MissingField(msg) from None
+        binary = name in BINARY_LABELS
+        for i, (cell, v) in enumerate(zip(cells, values)):  # ... then in its domain
+            if cell and not (v in (0.0, 1.0) if binary else 0.0 <= v <= 1.0):
+                raise LabelOutOfRange(
+                    f"{path} row {i}: column {name} must lie in "
+                    f"{'{0, 1}' if binary else '[0, 1]'}, got {cell!r}"
+                )
+        if any(cells):
+            columns[name] = np.asarray(values)
+    return table, columns
+
+
+def _reference_truth(path: str) -> SyntheticTruth:
+    """The truth reader as one row loop (a short or long row is named with
+    the width found, as in the interaction reader)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != TRUTH_HEADER:
+            raise SerializationError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
+        ms, fs = [], []
+        for i, row in enumerate(reader):
+            if len(row) != 3:
+                raise SerializationError(f"{path} row {i}: expected 3 fields, got {len(row)}")
+            try:
+                if int(row[0]) != i:
+                    raise SerializationError(f"{path} row {i}: row_index out of order")
+                ms.append(float(row[1]))
+                fs.append(float(row[2]))
+            except ValueError:
+                raise SerializationError(f"{path} row {i}: not a number in {row!r}") from None
+    if not ms:
+        raise EmptyInput(f"{path}: no data rows")
+    return SyntheticTruth(m=np.asarray(ms), f_mean=np.asarray(fs))
+
+
+def _csv_line(cells) -> str:
+    """One row as csv.writer's default dialect writes it, LF-terminated."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except PipelineError as exc:
+        return type(exc), str(exc)
+
+
+def _same_float(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_table(got: InteractionTable, want: InteractionTable):
+    assert got.user_id == want.user_id and got.video_id == want.video_id
+    assert type(got.user_id) is list and type(got.video_id) is list
+    assert _same_float(got.duration_s, want.duration_s)
+    assert _same_float(got.watch_time_s, want.watch_time_s)
+    assert np.array_equal(got.row_index, want.row_index)
+    assert got.duration_text == want.duration_text and got.watch_text == want.watch_text
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    elif isinstance(want, InteractionTable):
+        _assert_same_table(got, want)
+    elif isinstance(want, SyntheticTruth):
+        assert _same_float(got.m, want.m) and _same_float(got.f_mean, want.f_mean)
+    else:
+        _assert_same_table(got[0], want[0])
+        assert list(got[1]) == list(want[1])
+        for name in want[1]:
+            assert _same_float(got[1][name], want[1][name]), name
+
+
+# ------------------------------------------------------------ generators
+
+IDS = st.sampled_from(["u1", "u2", "v10", "a b", " x", "x,y", 'q"', "é", "line\nbreak", "cr\rx"])
+DURATIONS = st.sampled_from(["60.0", "15.5", "1_000", " 7 ", "2e1", "0.001", "240"])
+WATCHES = st.sampled_from(["0", "30.0", "0.0", "12.5", "1e3", " 3 "])
+BINARY_CELLS = st.sampled_from(["0", "1", "1.0", ""])
+REAL_CELLS = st.sampled_from(["0.000000", "0.5", "1", "", "0.25"])
+DAMAGE = st.sampled_from(["", " ", "abc", "0", "-1", "-0.0", "nan", "inf", "-inf",
+                          "1e400", "2", "0.5", "-0.1", "1", "x,y"])
+
+
+@st.composite
+def csv_files(draw, labeled: bool):
+    """(header, rows) of an interaction or labeled CSV, with at most one
+    damaged cell, row or header."""
+    labels = draw(st.lists(st.sampled_from(STANDARD_LABELS), unique=True, max_size=4 * labeled))
+    header = list(INTERACTION_HEADER) + labels
+    rows = [
+        [draw(IDS), draw(IDS), draw(DURATIONS), draw(WATCHES)]
+        + [draw(BINARY_CELLS if name in BINARY_LABELS else REAL_CELLS) for name in labels]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    damage = draw(st.sampled_from(["none", "cell", "short", "long", "blank", "header"]))
+    if damage == "header":
+        header[draw(st.integers(0, len(header) - 1))] = "other"
+    elif damage == "blank":
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    elif rows and damage != "none":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if damage == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(DAMAGE)
+        elif damage == "short":
+            del row[draw(st.integers(0, len(row) - 1))]
+        else:
+            row.append(draw(DAMAGE))
+    return header, rows
+
+
+def _write_csv(path, header, rows, terminator="\n"):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator=terminator).writerows([header, *rows])
+
+
+# ------------------------------------------------------------ readers
+
+
+@settings(deadline=None, max_examples=300)
+@given(csv_files(labeled=False), st.sampled_from(["\n", "\r\n"]))
+def test_read_interactions_matches_row_loop(tmp_path_factory, file, terminator):
+    path = str(tmp_path_factory.mktemp("csv") / "in.csv")
+    _write_csv(path, *file, terminator)
+    want = _outcome(lambda p: _reference_records(p, labeled=False)[0], path)
+    _assert_same_outcome(_outcome(read_interactions, path), want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(csv_files(labeled=True), st.sampled_from(["\n", "\r\n"]))
+def test_read_labeled_matches_row_loop(tmp_path_factory, file, terminator):
+    path = str(tmp_path_factory.mktemp("csv") / "in.csv")
+    _write_csv(path, *file, terminator)
+    want = _outcome(lambda p: _reference_records(p, labeled=True), path)
+    _assert_same_outcome(_outcome(read_labeled, path), want)
+
+
+TRUTH_CELLS = st.sampled_from(["0.5", "-1.25", "1e-3", " 2 ", "nan", "inf", "x", ""])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(TRUTH_CELLS, TRUTH_CELLS), min_size=n, max_size=n),
+    st.sampled_from(["none", "index", "short", "long", "header"]),
+    st.integers(0, max(n - 1, 0)),
+)))
+def test_read_truth_matches_row_loop(tmp_path_factory, case):
+    cells, damage, at = case
+    header = list(TRUTH_HEADER)
+    rows = [[str(i), m, f] for i, (m, f) in enumerate(cells)]
+    if damage == "header":
+        header[0] = "row"
+    elif rows and damage == "index":
+        rows[at][0] = str(at + 1) if at % 2 else "one"
+    elif rows and damage == "short":
+        del rows[at][-1]
+    elif rows and damage == "long":
+        rows[at].append("0")
+    path = str(tmp_path_factory.mktemp("csv") / "truth.csv")
+    _write_csv(path, header, rows)
+    _assert_same_outcome(_outcome(read_truth, path), _outcome(_reference_truth, path))
+
+
+# ------------------------------------------------------------ writers
+
+
+def _table(users, videos, durations, watches, with_text):
+    text = (lambda xs: [f"{x:g}" for x in xs]) if with_text else (lambda xs: None)
+    return InteractionTable(list(users), list(videos), np.asarray(durations, float),
+                            np.asarray(watches, float),
+                            duration_text=text(durations), watch_text=text(watches))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(IDS, min_size=n, max_size=n),
+    st.lists(IDS, min_size=n, max_size=n),
+    st.lists(st.floats(0.001, 1e4), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n),
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+)), st.booleans())
+def test_writers_match_csv_writer(tmp_path_factory, case, with_text):
+    users, videos, durations, watches, binary, real = case
+    table = _table(users, videos, durations, watches, with_text)
+    root = tmp_path_factory.mktemp("out")
+
+    def fields(i):
+        if with_text:
+            return [users[i], videos[i], table.duration_text[i], table.watch_text[i]]
+        return [users[i], videos[i], f"{durations[i]:.3f}", f"{watches[i]:.3f}"]
+
+    write_interactions(str(root / "i.csv"), table)
+    want = _csv_line(INTERACTION_HEADER) + "".join(_csv_line(fields(i)) for i in range(table.n))
+    assert (root / "i.csv").read_bytes() == want.encode()
+
+    columns = {"ev": np.asarray(binary), "wpr": np.asarray(real)}
+    write_labeled(str(root / "l.csv"), table, columns)
+    header = labeled_header(columns)
+    want = _csv_line(header) + "".join(
+        _csv_line(fields(i) + [
+            "" if name not in columns
+            else str(int(columns[name][i])) if name in BINARY_LABELS
+            else f"{columns[name][i]:.6f}"
+            for name in header[4:]
+        ])
+        for i in range(table.n)
+    )
+    assert (root / "l.csv").read_bytes() == want.encode()
+    if table.n:
+        got_table, got_columns = read_labeled(str(root / "l.csv"))
+        assert got_table.user_id == list(users) and got_table.video_id == list(videos)
+        assert np.array_equal(got_columns["ev"], columns["ev"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1.0)), max_size=6))
+def test_write_truth_matches_row_loop(tmp_path_factory, values):
+    truth = SyntheticTruth(m=np.asarray([m for m, _ in values], float),
+                           f_mean=np.asarray([f for _, f in values], float))
+    path = tmp_path_factory.mktemp("out") / "truth.csv"
+    write_truth(str(path), truth)
+    want = ",".join(TRUTH_HEADER) + "\n" + "".join(
+        f"{i},{m:.9f},{f:.9f}\n" for i, (m, f) in enumerate(values))
+    assert path.read_text() == want
+
+
+def test_read_truth_names_the_first_unreadable_row(tmp_path):
+    path = tmp_path / "truth.csv"
+    rows = [b"row_index,m,f_mean"] + [f"{i},0.5,1.5".encode() for i in range(5000)]
+    rows[4001] = b"4000,0.5,\xff"
+    path.write_bytes(b"".join(row + b"\n" for row in rows))
+    with pytest.raises(SerializationError, match=r"truth\.csv row 4000: text is not UTF-8$"):
+        read_truth(str(path))
+    rows[3] = b"2,x,1.5"
+    path.write_bytes(b"".join(row + b"\n" for row in rows))
+    with pytest.raises(SerializationError, match=r"truth\.csv row 2: not a number in \['2', 'x'"):
+        read_truth(str(path))
