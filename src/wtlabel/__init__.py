@@ -99,11 +99,7 @@ from .quantile import (
     QuantileSummary,
     SketchSummary,
     make_summary,
-    percentile_rank,
-    query_threshold,
     summary_from_bytes,
-    summary_insert,
-    summary_merge,
 )
 
 __version__ = "0.1.0"

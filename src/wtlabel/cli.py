@@ -104,7 +104,6 @@ class PipelineConfig:
     eps_sketch: float = 0.005
     ablation_labels: bool = False
     ew_cap_percentile: float = 99.0
-    threads: int = 1
     # learner
     d_embed: int = 16
     n_experts: int = 3
@@ -180,8 +179,6 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
         values.setdefault("train_seed", args.seed)
-    if getattr(args, "threads", None) is not None:
-        values["threads"] = args.threads
     config = PipelineConfig(**values)
     _validate_ranges(config)
     if getattr(args, "print_config", False):
@@ -200,7 +197,6 @@ def _validate_ranges(config: PipelineConfig) -> None:
          "split_frac must lie in [0, 1]"),
         (config.epochs >= 1, "epochs must be >= 1"),
         (config.batch_size >= 1, "batch_size must be >= 1"),
-        (config.threads >= 1, "threads must be >= 1"),
         (config.tie_mode in ("distinct", "shared"), "tie_mode must be distinct or shared"),
         (config.summary_mode in ("exact", "sketch"), "summary_mode must be exact or sketch"),
     ]
@@ -240,7 +236,6 @@ def build_label_config(config: PipelineConfig, no_debias: bool = False) -> Label
         eps_sketch=config.eps_sketch,
         enabled=enabled,
         ew_cap_percentile=config.ew_cap_percentile,
-        threads=config.threads,
     )
 
 
@@ -578,10 +573,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     parser.add_argument(
         "--seed", type=int, default=default,
         help="override data seed (and training seed)",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=default,
-        help="worker threads for summary building",
     )
     if top_level:
         parser.add_argument(

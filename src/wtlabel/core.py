@@ -197,6 +197,13 @@ def segments(keys, n_keys: Optional[int] = None) -> tuple[np.ndarray, np.ndarray
     return uniq, order, bounds
 
 
+def group_index(upper: np.ndarray, x):
+    """Index of the first group whose ascending upper bound (a rank
+    prefix, a duration-bin boundary) is at or above x, scalar or array;
+    x past every bound goes to the last group."""
+    return np.minimum(np.searchsorted(upper, x, side="left"), len(upper) - 1)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated without overflow on either side:
     1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1,
@@ -219,8 +226,7 @@ class PartitionScheme:
     prefix: np.ndarray
 
     def group_of_rank(self, r: float) -> int:
-        g = int(np.searchsorted(self.prefix, r, side="left"))
-        return min(g, self.n_groups - 1)
+        return int(group_index(self.prefix, r))
 
 
 def _finish_partition(kind: str, q: np.ndarray, progressive: bool, strict: bool) -> PartitionScheme:
@@ -364,8 +370,7 @@ class DurationBins:
         return int(self.bin_of_many(np.asarray([duration_s]))[0])
 
     def bin_of_many(self, durations: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.boundaries, durations, side="left")
-        return np.minimum(idx, self.n_bins - 1).astype(np.int64)
+        return group_index(self.boundaries, durations).astype(np.int64)
 
 
 def make_duration_bins(dataset, b: int, min_bin_size: int = 20) -> DurationBins:
@@ -408,10 +413,7 @@ def make_duration_bins(dataset, b: int, min_bin_size: int = 20) -> DurationBins:
 
 
 def _bin_counts(boundaries: np.ndarray, sorted_durations: np.ndarray) -> np.ndarray:
-    idx = np.minimum(
-        np.searchsorted(boundaries, sorted_durations, side="left"),
-        len(boundaries) - 1,
-    )
+    idx = group_index(boundaries, sorted_durations)
     return np.bincount(idx, minlength=len(boundaries)).astype(np.int64)
 
 

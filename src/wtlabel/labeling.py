@@ -40,6 +40,7 @@ from .core import (
     PartitionScheme,
     STANDARD_LABELS,
     as_table,
+    group_index,
     make_duration_bins,
     make_partition,
     segments,
@@ -58,6 +59,7 @@ from .quantile import (
     ExactSummary,
     QuantileSummary,
     SketchSummary,
+    _nearest_rank,
     make_summary,
     read_summary,
 )
@@ -130,13 +132,13 @@ def build_grouped_summaries(
     for k in kinds:
         if k not in GROUP_KINDS:
             raise ConfigInvalid(f"unknown group kind {k!r}")
-    if ("duration_bin" in kinds or "video" in kinds or "user" in kinds) and bins is None:
+    if kinds and bins is None:
         raise ConfigInvalid("grouped summaries need duration bins for fallback")
 
     wt = table.watch_time_s
     jobs: list[tuple[GroupKey, np.ndarray]] = [(GroupKey("global"), wt)]
     groupings = []
-    if bins is not None and kinds:
+    if kinds:
         # every bin gets a summary, an empty one included
         groupings.append(("duration_bin", bins.bin_of_many(table.duration_s), bins.n_bins))
     for kind, ids in (("video", table.video_id), ("user", table.user_id)):
@@ -158,9 +160,7 @@ def build_grouped_summaries(
     else:
         built = [_build(v) for _, v in jobs]
 
-    present = frozenset(["global"]) | frozenset(kinds) | (
-        frozenset(["duration_bin"]) if bins is not None and kinds else frozenset()
-    )
+    present = frozenset(("global",) + kinds + (("duration_bin",) if kinds else ()))
     return GroupedSummaries(
         {key: s for (key, _), s in zip(jobs, built)}, bins, present, mode, eps
     )
@@ -190,8 +190,7 @@ def assign_wpr(
         r = min(lt + int(tie_ordinal) + 1, le) / n
     else:
         r = summary.rank(watch_time)
-    idx = min(int(np.searchsorted(partition.prefix, r, side="left")), partition.n_groups - 1)
-    return float(partition.prefix[idx])
+    return float(partition.prefix[group_index(partition.prefix, r)])
 
 
 def _rank_fractions(
@@ -215,12 +214,6 @@ def _rank_fractions(
     return np.searchsorted(srt, wt, side="right") / m
 
 
-def _labels_from_fractions(partition: PartitionScheme, r: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(partition.prefix, r, side="left")
-    idx = np.minimum(idx, partition.n_groups - 1)
-    return partition.prefix[idx]
-
-
 def _check_modes(tie_mode: str, mode: str) -> None:
     if tie_mode not in ("distinct", "shared"):
         raise ConfigInvalid(f"unknown tie mode {tie_mode!r}")
@@ -237,12 +230,7 @@ def label_wpr_global(
     eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
     """Rank labels over the whole dataset."""
-    _check_modes(tie_mode, mode)
-    table = as_table(dataset)
-    if table.n == 0:
-        raise EmptyDataset("cannot label an empty dataset")
-    r = _rank_fractions(table.watch_time_s, table.row_index, tie_mode, mode, eps)
-    return _labels_from_fractions(partition, r)
+    return _rank_labels(dataset, partition, None, tie_mode, mode, eps)
 
 
 def label_wpr_debiased(
@@ -255,18 +243,34 @@ def label_wpr_debiased(
     eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
     """Rank labels computed independently inside each duration bin."""
+    return _rank_labels(dataset, partition, bins, tie_mode, mode, eps)
+
+
+def _rank_labels(
+    dataset,
+    partition: PartitionScheme,
+    bins: Optional[DurationBins],
+    tie_mode: str,
+    mode: str,
+    eps: float,
+) -> np.ndarray:
+    """The rank label of every record inside its duration bin; without
+    bins the whole dataset is one segment."""
     _check_modes(tie_mode, mode)
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
-    _, order, bounds = segments(bins.bin_of_many(table.duration_s))
+    if bins is None:
+        parts = [slice(None)]
+    else:
+        _, order, bounds = segments(bins.bin_of_many(table.duration_s))
+        parts = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     out = np.empty(table.n, dtype=np.float64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        idx = order[lo:hi]
+    for idx in parts:
         r = _rank_fractions(
             table.watch_time_s[idx], table.row_index[idx], tie_mode, mode, eps
         )
-        out[idx] = _labels_from_fractions(partition, r)
+        out[idx] = partition.prefix[group_index(partition.prefix, r)]
     return out
 
 
@@ -348,15 +352,11 @@ def label_equal_width_wpr(
     """
     if n_groups < 2:
         raise ConfigInvalid("equal-width labels need at least 2 groups")
-    if not 0 < cap_percentile <= 100:
-        raise PercentileOutOfRange(f"cap percentile {cap_percentile} outside (0, 100]")
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
     wt = table.watch_time_s
-    srt = np.sort(wt)
-    k = max(1, int(np.ceil(len(srt) * cap_percentile / 100.0)))
-    t_cap = float(srt[k - 1])
+    t_cap = float(np.sort(wt)[_nearest_rank(table.n, cap_percentile) - 1])
     groups = np.ones(table.n, dtype=np.int64)
     if t_cap > 0:
         pos = wt > 0
@@ -467,8 +467,6 @@ def label_all_detailed(
         dict.fromkeys(_BINARY_SPEC[name][1] for name in enabled if name in _BINARY_SPEC)
     )
     summary_kinds = tuple(k for k in binary_kinds if k != "global")
-    if summary_kinds and "duration_bin" not in summary_kinds:
-        summary_kinds = ("duration_bin",) + summary_kinds
     if summaries is None and any(name in _BINARY_SPEC for name in enabled):
         summaries = build_grouped_summaries(
             table,

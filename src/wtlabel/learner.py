@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import DurationBins, InteractionTable, as_table, make_duration_bins, sigmoid
+from .core import DurationBins, InteractionTable, as_table, group_index, make_duration_bins, sigmoid
 from .dataio import Reader, atomic_write_bytes
 from .errors import (
     ConfigInvalid,
@@ -108,8 +108,7 @@ class WprInverse:
 
     def lookup(self, scores: np.ndarray, bin_rows: Optional[np.ndarray]) -> np.ndarray:
         r = np.clip(np.asarray(scores, dtype=np.float64), 1e-12, 1.0)
-        idx = np.searchsorted(self.prefix, r, side="left")
-        idx = np.minimum(idx, len(self.prefix) - 1)
+        idx = group_index(self.prefix, r)
         if self.per_bin:
             if bin_rows is None:
                 raise MissingInverseMap("bin-scoped inverse needs duration bins")
@@ -383,7 +382,7 @@ def _prepare_targets(
     for t in tasks:
         col = np.asarray(columns[t.target], dtype=np.float64)
         if t.loss == "ordinal_cumulative":
-            targets[t.name] = np.searchsorted(np.unique(col), col).astype(np.float64)
+            targets[t.name] = group_index(np.unique(col), col).astype(np.float64)
         else:
             targets[t.name] = col
         if t.loss == "weighted_logistic":
@@ -547,7 +546,7 @@ def build_wpr_inverse(
     bin-scoped labels each duration bin gets its own row; bins missing
     a group borrow the global representative."""
     prefix = np.unique(np.asarray(label_col, dtype=np.float64))
-    gidx = np.searchsorted(prefix, label_col)
+    gidx = group_index(prefix, label_col)
     g = len(prefix)
     global_reps = _cell_medians(watch, gidx, g)
     # every observed label value has at least one record

@@ -3,8 +3,8 @@
 Two interchangeable implementations sit behind one interface:
 
 * ExactSummary keeps every inserted value. Queries answer from the
-  sorted multiset, so percentile_rank and query_threshold are exact
-  under the nearest-rank convention.
+  sorted multiset, so threshold, rank and rank_many are exact under
+  the nearest-rank convention.
 
 * SketchSummary is a mergeable compactor sketch. Values live in level
   buffers where an item at level h stands for 2**h original values.
@@ -60,11 +60,14 @@ CAPACITY_FACTOR = 256.0
 _MIN_CAPACITY = 16
 
 
-def _validate_values(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
+def _in_domain(arr: np.ndarray) -> bool:
+    """Whether every value is finite and >= 0; NaN fails the comparison."""
+    return not arr.size or 0 <= arr.min() <= arr.max() < np.inf
+
+
+def _validate_values(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not _in_domain(arr):
         raise NegativeValue("summary values must be finite and >= 0")
     return arr
 
@@ -115,11 +118,10 @@ class ExactSummary(QuantileSummary):
     """Sorted-multiset summary with exact answers."""
 
     mode = "exact"
-    __slots__ = ("_chunks", "_pending", "_n", "_sorted")
+    __slots__ = ("_chunks", "_n", "_sorted")
 
     def __init__(self) -> None:
         self._chunks: list[np.ndarray] = []
-        self._pending: list[float] = []
         self._n = 0
         self._sorted: Optional[np.ndarray] = None
 
@@ -128,15 +130,10 @@ class ExactSummary(QuantileSummary):
         return self._n
 
     def insert(self, value: float) -> None:
-        v = float(value)
-        if not (math.isfinite(v) and v >= 0):
-            raise NegativeValue("summary values must be finite and >= 0")
-        self._pending.append(v)
-        self._n += 1
-        self._sorted = None
+        self.extend((value,))
 
     def extend(self, values: Iterable[float]) -> None:
-        arr = _validate_values(np.asarray(list(values) if not isinstance(values, np.ndarray) else values))
+        arr = _validate_values(values if isinstance(values, np.ndarray) else list(values))
         if arr.size == 0:
             return
         self._chunks.append(arr)
@@ -154,16 +151,9 @@ class ExactSummary(QuantileSummary):
     def values(self) -> np.ndarray:
         """Sorted array of everything inserted so far (cached)."""
         if self._sorted is None:
-            parts = list(self._chunks)
-            if self._pending:
-                parts.append(np.asarray(self._pending, dtype=np.float64))
-            if parts:
-                merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            else:
-                merged = np.empty(0, dtype=np.float64)
-            self._sorted = np.sort(merged)
+            parts = self._chunks or [np.empty(0, dtype=np.float64)]
+            self._sorted = np.sort(parts[0] if len(parts) == 1 else np.concatenate(parts))
             self._chunks = [self._sorted]
-            self._pending = []
         return self._sorted
 
     def threshold(self, p: float) -> float:
@@ -202,6 +192,8 @@ class SketchSummary(QuantileSummary):
         self.eps = float(eps)
         if capacity is None:
             capacity = max(_MIN_CAPACITY, math.ceil(CAPACITY_FACTOR / eps))
+        if capacity < 2:
+            raise ConfigInvalid(f"sketch capacity {capacity} is below 2")
         # compaction pairs items; an even capacity keeps leftovers rare
         self.capacity = capacity + (capacity % 2)
         self._levels: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
@@ -215,10 +207,8 @@ class SketchSummary(QuantileSummary):
         return self._n
 
     def insert(self, value: float) -> None:
-        v = float(value)
-        if not (math.isfinite(v) and v >= 0):
-            raise NegativeValue("summary values must be finite and >= 0")
-        self._pending.append(v)
+        (v,) = _validate_values(value)
+        self._pending.append(float(v))
         self._n += 1
         self._mat = None
         if len(self._pending) + self._levels[0].size >= self.capacity:
@@ -226,7 +216,7 @@ class SketchSummary(QuantileSummary):
             self._compact_cascade()
 
     def extend(self, values: Iterable[float]) -> None:
-        arr = _validate_values(np.asarray(list(values) if not isinstance(values, np.ndarray) else values))
+        arr = _validate_values(values if isinstance(values, np.ndarray) else list(values))
         if arr.size == 0:
             return
         self._mat = None
@@ -356,6 +346,18 @@ def summary_from_bytes(blob: bytes) -> QuantileSummary:
     return s
 
 
+def _read_values(r: Reader, size: int) -> np.ndarray:
+    """size summary values at the cursor; one outside the domain fails
+    at its own byte offset."""
+    values = r.floats(size)
+    if not _in_domain(values):
+        i = int(values.argmax())  # a NaN or an inf, or else the minimum is negative
+        if _in_domain(values[i : i + 1]):
+            i = int(values.argmin())
+        raise r.fail(f"summary value {values[i]} is not finite and >= 0", r.start + 8 * i)
+    return values
+
+
 def read_summary(r: Reader) -> QuantileSummary:
     """Decode one WLQS summary at the reader's cursor."""
     magic, version, mode, n = r.take("<4sHBQ")
@@ -367,17 +369,16 @@ def read_summary(r: Reader) -> QuantileSummary:
         (size,) = r.take("<Q")
         if size != n:
             raise r.fail(f"exact summary header counts {n} values, payload holds {size}")
-        values = r.floats(size)
-        if size and not 0 <= values.min() <= values.max() < np.inf:
-            raise r.fail("summary values must be finite and >= 0")
         s = ExactSummary()
-        s._chunks, s._n = [values], size
+        s._chunks, s._n = [_read_values(r, size)], size
         return s
     if mode != _MODE_SKETCH:
         raise r.fail(f"unknown summary mode byte {mode}")
     eps, capacity, n_levels = r.take("<dII")
     if not 0 < eps < 0.5:
         raise r.fail(f"sketch eps {eps} outside (0, 0.5)")
+    if capacity < 2:
+        raise r.fail(f"sketch capacity {capacity} is below 2", r.start + 8)
     s = SketchSummary(eps, capacity - (capacity % 2))
     s._levels = []
     s._parity = []
@@ -385,7 +386,7 @@ def read_summary(r: Reader) -> QuantileSummary:
         parity, size = r.take("<BQ")
         if parity not in (0, 1):
             raise r.fail(f"sketch level parity {parity} is not 0 or 1")
-        s._levels.append(r.floats(size))
+        s._levels.append(_read_values(r, size))
         s._parity.append(parity)
     if not s._levels:
         s._levels = [np.empty(0, dtype=np.float64)]
@@ -398,20 +399,3 @@ def read_summary(r: Reader) -> QuantileSummary:
     s._n = n
     return s
 
-
-# operation-style aliases
-
-def summary_insert(summary: QuantileSummary, value: float) -> None:
-    summary.insert(value)
-
-
-def summary_merge(a: QuantileSummary, b: QuantileSummary) -> QuantileSummary:
-    return a.merge(b)
-
-
-def query_threshold(summary: QuantileSummary, p: float) -> float:
-    return summary.threshold(p)
-
-
-def percentile_rank(summary: QuantileSummary, value: float) -> float:
-    return summary.rank(value)

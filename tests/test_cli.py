@@ -108,6 +108,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_threads_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    data = tmp_path / "in.csv"  # both are refused before the input is read
+    with pytest.raises(SystemExit) as exc:
+        run(["label", "--input", data, "--output", tmp_path / "a.csv", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    assert run(["label", "--input", data, "--output", tmp_path / "b.csv", "--config", cfg]) == 2
+    assert "unknown key 'threads'" in capsys.readouterr().err
+
+
 def test_malformed_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n_groups = many\n")
@@ -442,6 +454,24 @@ def test_truncated_summaries_file_exits_2(small_run, tmp_path, capsys):
               "--summaries-in", store])
     assert rc == 2
     assert f"error: {store}: truncated" in capsys.readouterr().err
+
+
+def test_summaries_file_with_a_nan_sketch_value_exits_2(small_run, tmp_path, capsys):
+    store = tmp_path / "sums.bin"
+    assert run(["label", "--input", small_run["data"], "--output", tmp_path / "a.csv",
+                "--summary", "sketch", "--summaries-out", store]) == 0
+    blob = bytearray(read_bytes(store))
+    # the file ends with the last value of the last user's sketch
+    at = len(blob) - 8
+    blob[at:] = struct.pack("<d", float("nan"))
+    store.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = run(["label", "--input", small_run["data"], "--output", tmp_path / "b.csv",
+              "--summary", "sketch", "--summaries-in", store])
+    assert rc == 2
+    assert f"error: {store}: summary value nan is not finite and >= 0 at byte {at}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_truncated_checkpoint_exits_2(small_run, trained, tmp_path, capsys):

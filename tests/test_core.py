@@ -28,6 +28,9 @@ from wtlabel.errors import (
     NonMonotoneCurve,
     NonPositiveDuration,
 )
+from wtlabel.labeling import assign_wpr, label_wpr_global
+from wtlabel.learner import WprInverse
+from wtlabel.quantile import ExactSummary
 
 
 # ---------------------------------------------------------------- records
@@ -212,6 +215,17 @@ def test_group_of_rank_boundary_belongs_to_lower_group():
     assert p.group_of_rank(0.25) == 0
     assert p.group_of_rank(0.2500000001) == 1
     assert p.group_of_rank(1.0) == 3
+    # every caller of the rule: eight distinct watch times rank 1/8 .. 8/8,
+    # so 2/8 sits on the first prefix and 3/8 is the next rank above it
+    wt = np.arange(1.0, 9.0)
+    summary = ExactSummary()
+    summary.extend(wt)
+    assert [assign_wpr(summary, p, w) for w in (2.0, 3.0, 8.0)] == [0.25, 0.5, 1.0]
+    table = InteractionTable(["u"] * 8, ["v"] * 8, np.full(8, 60.0), wt[::-1])
+    assert label_wpr_global(table, p)[[6, 5, 0]].tolist() == [0.25, 0.5, 1.0]
+    inverse = WprInverse(p.prefix, np.array([[10.0, 20.0, 30.0, 40.0]]), per_bin=False)
+    ranks = np.array([0.25, 0.2500000001, 1.0])
+    assert inverse.lookup(ranks, None).tolist() == [10.0, 20.0, 40.0]
 
 
 # ----------------------------------------------------------- duration bins

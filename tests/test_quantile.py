@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtlabel.errors import (
+    ConfigInvalid,
     EmptySummary,
     ModeMismatch,
     NegativeValue,
@@ -18,11 +19,7 @@ from wtlabel.quantile import (
     ExactSummary,
     SketchSummary,
     make_summary,
-    percentile_rank,
-    query_threshold,
     summary_from_bytes,
-    summary_insert,
-    summary_merge,
 )
 
 positive_floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -39,7 +36,7 @@ def exact_of(values) -> ExactSummary:
 
 def test_insert_counts():
     s = ExactSummary()
-    summary_insert(s, 5.0)
+    s.insert(5.0)
     assert s.count == 1
 
 
@@ -47,16 +44,16 @@ def test_duplicates_preserved():
     s = exact_of([1.0, 1.0, 2.0])
     assert s.count == 3
     # multiset semantics: two thirds of the mass sits at 1.0
-    assert percentile_rank(s, 1.0) == pytest.approx(2 / 3)
+    assert s.rank(1.0) == pytest.approx(2 / 3)
 
 
 def test_negative_insert_rejected():
     s = ExactSummary()
     with pytest.raises(NegativeValue):
-        summary_insert(s, -0.5)
+        s.insert(-0.5)
     sk = SketchSummary(0.01)
     with pytest.raises(NegativeValue):
-        summary_insert(sk, -1.0)
+        sk.insert(-1.0)
 
 
 # --------------------------------------------------------------- threshold
@@ -64,33 +61,33 @@ def test_negative_insert_rejected():
 
 def test_median_of_one_to_ten():
     s = exact_of(range(1, 11))
-    assert query_threshold(s, 50) == 5.0
+    assert s.threshold(50) == 5.0
 
 
 def test_p75_of_one_to_ten():
     s = exact_of(range(1, 11))
-    assert query_threshold(s, 75) == 8.0
+    assert s.threshold(75) == 8.0
 
 
 def test_point_mass_median():
     s = exact_of([7.0, 7.0, 7.0])
-    assert query_threshold(s, 50) == 7.0
+    assert s.threshold(50) == 7.0
 
 
 def test_threshold_out_of_range():
     s = exact_of([1.0, 2.0])
     with pytest.raises(PercentileOutOfRange):
-        query_threshold(s, 0.0)
+        s.threshold(0.0)
     with pytest.raises(PercentileOutOfRange):
-        query_threshold(s, 101.0)
+        s.threshold(101.0)
 
 
 def test_empty_summary_queries_fail():
     s = ExactSummary()
     with pytest.raises(EmptySummary):
-        query_threshold(s, 50)
+        s.threshold(50)
     with pytest.raises(EmptySummary):
-        percentile_rank(s, 1.0)
+        s.rank(1.0)
 
 
 # --------------------------------------------------------------------- rank
@@ -98,9 +95,9 @@ def test_empty_summary_queries_fail():
 
 def test_rank_examples():
     s = exact_of([1.0, 2.0, 3.0, 4.0])
-    assert percentile_rank(s, 3.0) == 0.75
-    assert percentile_rank(s, 0.5) == 0.0
-    assert percentile_rank(s, 100.0) == 1.0
+    assert s.rank(3.0) == 0.75
+    assert s.rank(0.5) == 0.0
+    assert s.rank(100.0) == 1.0
 
 
 @settings(deadline=None)
@@ -108,7 +105,7 @@ def test_rank_examples():
 def test_rank_non_decreasing_in_value(values, a, b):
     s = exact_of(values)
     lo, hi = min(a, b), max(a, b)
-    assert percentile_rank(s, lo) <= percentile_rank(s, hi)
+    assert s.rank(lo) <= s.rank(hi)
 
 
 @settings(deadline=None)
@@ -118,40 +115,40 @@ def test_rank_non_decreasing_in_value(values, a, b):
 )
 def test_threshold_is_inserted_value_reaching_p(values, p):
     s = exact_of(values)
-    t = query_threshold(s, p)
+    t = s.threshold(p)
     assert t in np.asarray(values)
-    assert percentile_rank(s, t) >= p / 100.0
+    assert s.rank(t) >= p / 100.0
 
 
 # -------------------------------------------------------------------- merge
 
 
 def test_exact_merge_is_multiset_union():
-    merged = summary_merge(exact_of([1.0, 3.0]), exact_of([2.0]))
+    merged = exact_of([1.0, 3.0]).merge(exact_of([2.0]))
     one = exact_of([1.0, 2.0, 3.0])
     assert merged.count == 3
     for p in (10, 34, 50, 66.7, 100):
-        assert query_threshold(merged, p) == query_threshold(one, p)
+        assert merged.threshold(p) == one.threshold(p)
 
 
 def test_exact_merge_commutes():
     a, b = exact_of([1.0, 5.0, 9.0]), exact_of([2.0, 2.0])
-    ab, ba = summary_merge(a, b), summary_merge(b, a)
+    ab, ba = a.merge(b), b.merge(a)
     for p in np.linspace(1, 100, 23):
-        assert query_threshold(ab, p) == query_threshold(ba, p)
+        assert ab.threshold(p) == ba.threshold(p)
 
 
 def test_exact_merge_associates():
     a, b, c = exact_of([1.0, 4.0]), exact_of([2.0]), exact_of([3.0, 5.0])
-    left = summary_merge(summary_merge(a, b), c)
-    right = summary_merge(a, summary_merge(b, c))
+    left = a.merge(b).merge(c)
+    right = a.merge(b.merge(c))
     for p in np.linspace(1, 100, 23):
-        assert query_threshold(left, p) == query_threshold(right, p)
+        assert left.threshold(p) == right.threshold(p)
 
 
 def test_mode_mismatch_rejected():
     with pytest.raises(ModeMismatch):
-        summary_merge(exact_of([1.0]), SketchSummary(0.01))
+        exact_of([1.0]).merge(SketchSummary(0.01))
 
 
 def test_eps_mismatch_rejected():
@@ -159,7 +156,7 @@ def test_eps_mismatch_rejected():
     a.insert(1.0)
     b.insert(2.0)
     with pytest.raises(ModeMismatch):
-        summary_merge(a, b)
+        a.merge(b)
 
 
 # ------------------------------------------------------------------- sketch
@@ -190,7 +187,7 @@ def test_sketch_merge_keeps_rank_error():
     a, b = SketchSummary(0.005), SketchSummary(0.005)
     a.extend(half_a)
     b.extend(half_b)
-    merged = summary_merge(a, b)
+    merged = a.merge(b)
     ex = exact_of(np.concatenate([half_a, half_b]))
     assert merged.count == 100_000
     probes = rng.uniform(0.1, 200.0, 1000)
@@ -230,7 +227,7 @@ def test_exact_roundtrip():
     assert isinstance(back, ExactSummary)
     assert back.count == 4
     for p in (25, 50, 75, 100):
-        assert query_threshold(back, p) == query_threshold(s, p)
+        assert back.threshold(p) == s.threshold(p)
 
 
 def test_sketch_roundtrip():
@@ -272,6 +269,32 @@ def test_sketch_parity_must_be_0_or_1():
     assert blob[level0] in (0, 1)
     blob[level0] = 9
     with pytest.raises(SerializationError, match=f"parity 9 is not 0 or 1 at byte {level0}"):
+        summary_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -5.0, float("inf")])
+def test_summary_values_must_be_finite_and_non_negative(bad):
+    exact = exact_of(np.arange(10.0))  # values from byte 23
+    one = SketchSummary(0.005, capacity=16)
+    one.extend(np.arange(10.0))  # one level, values from byte 40
+    many = SketchSummary(0.005, capacity=16)
+    many.extend(np.arange(100.0))  # the last value of the top level ends the blob
+    for s, at in ((exact, 23 + 8 * 3), (one, 40 + 8 * 3), (many, len(many.to_bytes()) - 8)):
+        blob = bytearray(s.to_bytes())
+        blob[at : at + 8] = np.float64(bad).tobytes()
+        message = f"value {bad} is not finite and >= 0 at byte {at}"
+        with pytest.raises(SerializationError, match=message):
+            summary_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("capacity", [0, 1])
+def test_sketch_capacity_below_2_rejected(capacity):
+    with pytest.raises(ConfigInvalid, match=f"capacity {capacity} is below 2"):
+        SketchSummary(0.005, capacity=capacity)
+    blob = bytearray(SketchSummary(0.005, capacity=16).to_bytes())
+    at = 15 + 8  # header, then eps
+    blob[at : at + 4] = capacity.to_bytes(4, "little")
+    with pytest.raises(SerializationError, match=f"capacity {capacity} is below 2 at byte {at}"):
         summary_from_bytes(bytes(blob))
 
 
