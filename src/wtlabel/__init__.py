@@ -17,7 +17,6 @@ from .core import (
     DurationBins,
     Interaction,
     InteractionTable,
-    LabelSet,
     PartitionScheme,
     make_duration_bins,
     make_partition,
@@ -56,7 +55,6 @@ from .labeling import (
     GroupKey,
     LabelConfig,
     LabelTable,
-    assign_wpr,
     build_grouped_summaries,
     label_all,
     label_all_detailed,

@@ -11,8 +11,8 @@ used to remove the duration confound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def validate_interaction(
 
 
 class InteractionTable:
-    """Column-oriented view of a record list.
+    """Interaction records as columns.
 
     Keeps the original text of numeric fields when the table was read
     from a file so downstream writers can echo input columns verbatim.
@@ -134,29 +134,6 @@ class InteractionTable:
     def n(self) -> int:
         return len(self.user_id)
 
-    def __len__(self) -> int:
-        return self.n
-
-    def row(self, i: int) -> Interaction:
-        return Interaction(
-            self.user_id[i],
-            self.video_id[i],
-            float(self.duration_s[i]),
-            float(self.watch_time_s[i]),
-            int(self.row_index[i]),
-        )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Interaction]) -> "InteractionTable":
-        rows = list(rows)
-        return cls(
-            [r.user_id for r in rows],
-            [r.video_id for r in rows],
-            np.asarray([r.duration_s for r in rows], dtype=np.float64),
-            np.asarray([r.watch_time_s for r in rows], dtype=np.float64),
-            np.asarray([r.row_index for r in rows], dtype=np.int64),
-        )
-
     def subset(self, index: np.ndarray) -> "InteractionTable":
         index = np.asarray(index)
         if index.dtype == bool:
@@ -173,10 +150,10 @@ class InteractionTable:
 
 
 def as_table(dataset) -> InteractionTable:
-    """Coerce a record sequence into an InteractionTable."""
-    if isinstance(dataset, InteractionTable):
-        return dataset
-    return InteractionTable.from_rows(dataset)
+    """dataset itself; anything but an InteractionTable raises TypeError."""
+    if not isinstance(dataset, InteractionTable):
+        raise TypeError(f"expected an InteractionTable, got {type(dataset).__name__}")
+    return dataset
 
 
 def segments(keys, n_keys: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,16 +206,11 @@ class PartitionScheme:
         return int(group_index(self.prefix, r))
 
 
-def _finish_partition(kind: str, q: np.ndarray, progressive: bool, strict: bool) -> PartitionScheme:
+def _finish_partition(kind: str, q: np.ndarray, progressive: bool) -> PartitionScheme:
     if np.any(~np.isfinite(q)) or np.any(q <= 0):
         raise InvalidRatios(f"{kind}: every group ratio must be positive and finite")
-    if progressive or strict:
-        diffs = np.diff(q)
-        if strict:
-            if np.any(diffs >= 0):
-                raise InvalidRatios(f"{kind}: ratios must strictly decrease")
-        elif np.any(diffs > 1e-15):
-            raise InvalidRatios(f"{kind}: ratios must be non-increasing")
+    if progressive and np.any(np.diff(q) > 1e-15):
+        raise InvalidRatios(f"{kind}: ratios must be non-increasing")
     q = q / q.sum()
     prefix = np.cumsum(q)
     prefix[-1] = 1.0
@@ -258,7 +230,6 @@ def make_partition(
     curve_range: tuple[float, float] = DEFAULT_CURVE_RANGE,
     ratios: Optional[Sequence[float]] = None,
     progressive: bool = False,
-    strict: bool = False,
 ) -> PartitionScheme:
     """Build a rank partition.
 
@@ -271,10 +242,10 @@ def make_partition(
                        over curve_range, then renormalized
       explicit         caller-provided ratios
 
-    progressive demands non-increasing ratios, strict demands a strict
-    decrease. Both raise InvalidRatios on violation. A log_quadratic
-    curve that is not strictly increasing, or leaves (0, 1], over the
-    integer k values inside curve_range raises NonMonotoneCurve.
+    progressive demands non-increasing ratios and raises InvalidRatios
+    on violation. A log_quadratic curve that is not strictly increasing,
+    or leaves (0, 1], over the integer k values inside curve_range
+    raises NonMonotoneCurve.
     """
     if kind not in PARTITION_KINDS:
         raise InvalidRatios(f"unknown partition kind {kind!r}")
@@ -293,7 +264,7 @@ def make_partition(
             raise InvalidRatios("explicit ratios must all be positive")
         if abs(q.sum() - 1.0) > 1e-9:
             raise InvalidRatios(f"explicit ratios sum to {q.sum()!r}, expected 1")
-        return _finish_partition(kind, q, progressive, strict)
+        return _finish_partition(kind, q, progressive)
 
     if n_groups < 2:
         raise InvalidRatios("a partition needs at least 2 groups")
@@ -303,13 +274,13 @@ def make_partition(
         # integer sum, keeping this bitwise equal to power_decay at
         # gamma 0 for every group count
         q = np.ones(n_groups)
-        return _finish_partition(kind, q, progressive, strict)
+        return _finish_partition(kind, q, progressive)
 
     if kind == "power_decay":
         if not (math.isfinite(gamma) and gamma >= 0):
             raise InvalidRatios(f"power_decay needs gamma >= 0, got {gamma}")
         q = np.arange(1, n_groups + 1, dtype=np.float64) ** (-gamma)
-        return _finish_partition(kind, q, progressive, strict)
+        return _finish_partition(kind, q, progressive)
 
     # log_quadratic
     if coeffs is None:
@@ -336,7 +307,7 @@ def make_partition(
     q = np.diff(wb)
     if np.any(q <= 0):
         raise NonMonotoneCurve("curve dips between integer points inside the range")
-    return _finish_partition(kind, q, progressive, strict)
+    return _finish_partition(kind, q, progressive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,22 +405,3 @@ STANDARD_LABELS = (
 )
 ABLATION_LABELS = ("ef_wpr", "ew_wpr")
 BINARY_LABELS = ("ev", "ev_d", "ev_v", "ev_u", "lv", "lv_d", "lv_v", "lv_u")
-
-
-@dataclass
-class LabelSet:
-    """Per-record labels. None marks a label that was not requested."""
-
-    wpr: Optional[float] = None
-    wpr_d: Optional[float] = None
-    ev: Optional[int] = None
-    ev_d: Optional[int] = None
-    ev_v: Optional[int] = None
-    ev_u: Optional[int] = None
-    lv: Optional[int] = None
-    lv_d: Optional[int] = None
-    lv_v: Optional[int] = None
-    lv_u: Optional[int] = None
-    playing_rate: Optional[float] = None
-    ef_wpr: Optional[float] = None
-    ew_wpr: Optional[float] = None

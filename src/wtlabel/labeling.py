@@ -35,8 +35,6 @@ import numpy as np
 from .core import (
     ABLATION_LABELS,
     DurationBins,
-    InteractionTable,
-    LabelSet,
     PartitionScheme,
     STANDARD_LABELS,
     as_table,
@@ -49,14 +47,12 @@ from .dataio import Reader, atomic_write_bytes
 from .errors import (
     ConfigInvalid,
     EmptyDataset,
-    EmptySummary,
     MissingGroupSummary,
     PercentileOutOfRange,
     SerializationError,
 )
 from .quantile import (
     DEFAULT_EPS,
-    ExactSummary,
     QuantileSummary,
     SketchSummary,
     _nearest_rank,
@@ -164,33 +160,6 @@ def build_grouped_summaries(
     return GroupedSummaries(
         {key: s for (key, _), s in zip(jobs, built)}, bins, present, mode, eps
     )
-
-
-def assign_wpr(
-    summary: QuantileSummary,
-    partition: PartitionScheme,
-    watch_time: float,
-    tie_ordinal: Optional[int] = None,
-) -> float:
-    """Label a single watch time against a summary.
-
-    tie_ordinal is the record's 0-based position among records sharing
-    this exact watch time, after sorting those ties by an ascending
-    tie key such as row index. With it each tied record gets a distinct
-    rank; without it the whole run shares the rank of its last element.
-    Sketch summaries cannot separate ties, so the ordinal is ignored.
-    """
-    if summary.is_empty:
-        raise EmptySummary("cannot assign a rank label from an empty summary")
-    n = summary.count
-    if tie_ordinal is not None and isinstance(summary, ExactSummary):
-        probe = np.asarray([watch_time])
-        lt = int(summary.count_many(probe, "left")[0])
-        le = int(summary.count_many(probe, "right")[0])
-        r = min(lt + int(tie_ordinal) + 1, le) / n
-    else:
-        r = summary.rank(watch_time)
-    return float(partition.prefix[group_index(partition.prefix, r)])
 
 
 def _rank_fractions(
@@ -302,21 +271,20 @@ def label_binary(
     if group_kind not in summaries.kinds:
         raise MissingGroupSummary(f"{group_kind} summaries were not built")
 
+    # entity groups fall back to duration bins, which build and load
+    # both keep beside any non-global kind
+    if summaries.bins is None or "duration_bin" not in summaries.kinds:
+        raise MissingGroupSummary("duration_bin summaries were not built")
     t_glob = glob.threshold(p)
-    if summaries.bins is not None and "duration_bin" in summaries.kinds:
-        bin_idx = summaries.bins.bin_of_many(table.duration_s)
-        bin_thr = np.empty(summaries.bins.n_bins, dtype=np.float64)
-        for b in range(summaries.bins.n_bins):
-            s = summaries.get(GroupKey("duration_bin", b))
-            if s is not None and s.count >= min_group_size:
-                bin_thr[b] = s.threshold(p)
-            else:
-                bin_thr[b] = t_glob
-        fallback = bin_thr[bin_idx]
-    else:
-        if group_kind == "duration_bin":
-            raise MissingGroupSummary("duration_bin summaries were not built")
-        fallback = np.full(table.n, t_glob)
+    bin_idx = summaries.bins.bin_of_many(table.duration_s)
+    bin_thr = np.empty(summaries.bins.n_bins, dtype=np.float64)
+    for b in range(summaries.bins.n_bins):
+        s = summaries.get(GroupKey("duration_bin", b))
+        if s is not None and s.count >= min_group_size:
+            bin_thr[b] = s.threshold(p)
+        else:
+            bin_thr[b] = t_glob
+    fallback = bin_thr[bin_idx]
 
     if group_kind == "duration_bin":
         return (wt >= fallback).astype(np.int8)
@@ -367,7 +335,6 @@ def label_equal_width_wpr(
     return groups / float(n_groups)
 
 
-DEFAULT_LABELS = STANDARD_LABELS
 _BINARY_SPEC = {
     "ev": (EV_PERCENTILE, "global"),
     "ev_d": (EV_PERCENTILE, "duration_bin"),
@@ -409,16 +376,6 @@ class LabelTable:
 
     def column(self, name: str) -> Optional[np.ndarray]:
         return self.columns.get(name)
-
-    def row(self, i: int) -> LabelSet:
-        return LabelSet(
-            **{
-                name: (
-                    int(col[i]) if col.dtype.kind == "i" else float(col[i])
-                )
-                for name, col in self.columns.items()
-            }
-        )
 
 
 def label_all(
@@ -561,6 +518,11 @@ def load_grouped_summaries(path: str) -> GroupedSummaries:
         except ValueError as exc:
             raise r.fail(str(exc), at) from None
     kinds = {_read_kind(r) for _ in range(r.take("<B")[0])}
+    if kinds - {"global"} and (bins is None or "duration_bin" not in kinds):
+        raise SerializationError(
+            f"{path}: {', '.join(sorted(kinds))} summaries need duration bins and the "
+            "duration_bin kind to fall back to"
+        )
     summaries: dict[GroupKey, QuantileSummary] = {}
     for _ in range(r.take("<I")[0]):
         kind = _read_kind(r)

@@ -107,15 +107,18 @@ class WprInverse:
     per_bin: bool
 
     def lookup(self, scores: np.ndarray, bin_rows: Optional[np.ndarray]) -> np.ndarray:
+        """Seconds of the group whose prefix interval holds each score."""
         r = np.clip(np.asarray(scores, dtype=np.float64), 1e-12, 1.0)
-        idx = group_index(self.prefix, r)
-        if self.per_bin:
-            if bin_rows is None:
-                raise MissingInverseMap("bin-scoped inverse needs duration bins")
-            rows = np.minimum(bin_rows, self.reps.shape[0] - 1)
-        else:
-            rows = np.zeros(len(r), dtype=np.int64)
-        return self.reps[rows, idx]
+        return self.at(group_index(self.prefix, r), bin_rows)
+
+    def at(self, groups: np.ndarray, bin_rows: Optional[np.ndarray]) -> np.ndarray:
+        """Seconds of each record's group, read from its duration bin's
+        row for bin-scoped labels and from the one row otherwise."""
+        if not self.per_bin:
+            return self.reps[0, groups]
+        if bin_rows is None:
+            raise MissingInverseMap("bin-scoped inverse needs duration bins")
+        return self.reps[np.minimum(bin_rows, self.reps.shape[0] - 1), groups]
 
 
 @dataclass
@@ -420,14 +423,12 @@ def train(
     model: Model,
     data: TrainData,
     opt: OptimizerConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> list[tuple[int, str, float]]:
-    """SGD over shuffled minibatches. Returns (epoch, task, loss) rows
-    holding each task's unweighted mean loss per epoch."""
+    """SGD over minibatches, shuffled by rng each epoch. Returns (epoch,
+    task, loss) rows holding each task's unweighted mean loss per epoch."""
     if data.n == 0:
         raise EmptyDataset("no training records")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(opt.seed))
     trace: list[tuple[int, str, float]] = []
     for epoch in range(1, opt.epochs + 1):
         perm = rng.permutation(data.n)
@@ -684,7 +685,7 @@ def _watch_time(
         raise MissingInverseMap(f"task {task.name} has no inverse map")
     if task.kind == "ordinal":
         g = np.clip(np.round(score), 0, len(inverse.prefix) - 1).astype(np.int64)
-        return inverse.reps[0, g]
+        return inverse.at(g, bin_rows)
     return inverse.lookup(score, bin_rows)
 
 

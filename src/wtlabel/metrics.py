@@ -96,9 +96,6 @@ class RegressionMetrics:
     n: int
     n_mape_skipped: int
 
-    def __iter__(self):
-        return iter((self.mae, self.rmse, self.mape))
-
 
 def regression_metrics(predicted, actual) -> RegressionMetrics:
     """MAE and RMSE in seconds; MAPE as a fraction over actual > 0."""

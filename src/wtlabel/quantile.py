@@ -80,38 +80,13 @@ def _nearest_rank(n: int, p: float) -> int:
 
 
 class QuantileSummary:
-    """Interface shared by both summary modes."""
+    """Interface shared by both summary modes. Each defines count,
+    insert, extend, merge, threshold, rank_many and to_bytes."""
 
     mode: str
 
-    @property
-    def count(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
-
-    def insert(self, value: float) -> None:
-        raise NotImplementedError
-
-    def extend(self, values: Iterable[float]) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "QuantileSummary") -> "QuantileSummary":
-        raise NotImplementedError
-
-    def threshold(self, p: float) -> float:
-        raise NotImplementedError
-
     def rank(self, value: float) -> float:
         return float(self.rank_many(np.asarray([value]))[0])
-
-    def rank_many(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_bytes(self) -> bytes:
-        raise NotImplementedError
 
 
 class ExactSummary(QuantileSummary):
@@ -261,7 +236,7 @@ class SketchSummary(QuantileSummary):
             raise ModeMismatch(
                 f"sketch accuracy differs: eps {self.eps} vs {other.eps}"
             )
-        out = SketchSummary(self.eps, self.capacity - (self.capacity % 2))
+        out = SketchSummary(self.eps, self.capacity)
         self._flush_pending()
         other_levels = list(other._levels)
         if other._pending:
@@ -379,7 +354,9 @@ def read_summary(r: Reader) -> QuantileSummary:
         raise r.fail(f"sketch eps {eps} outside (0, 0.5)")
     if capacity < 2:
         raise r.fail(f"sketch capacity {capacity} is below 2", r.start + 8)
-    s = SketchSummary(eps, capacity - (capacity % 2))
+    if capacity % 2:
+        raise r.fail(f"sketch capacity {capacity} is odd", r.start + 8)
+    s = SketchSummary(eps, capacity)
     s._levels = []
     s._parity = []
     for _ in range(n_levels):

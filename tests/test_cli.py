@@ -443,6 +443,64 @@ def test_non_numeric_truth_cell_exits_2(small_run, trained, tmp_path, capsys):
     assert f"error: {bad} row 7: not a number" in capsys.readouterr().err
 
 
+def _config(d, text):
+    (d / "c.cfg").write_text(text)
+    return ["--config", d / "c.cfg"]
+
+
+def _two_truth_rows(s, d):
+    lines = read_bytes(s["truth"]).decode().splitlines()[:3]
+    (d / "short.csv").write_text("\n".join(lines) + "\n")
+    return d / "short.csv"
+
+
+def _without_column(src, dest, column):
+    rows = [line.split(",") for line in read_bytes(src).decode().splitlines()]
+    col = rows[0].index(column)
+    dest.write_text("".join(",".join(r[:col] + r[col + 1 :]) + "\n" for r in rows))
+    return dest
+
+
+def _eval(s, d, labeled, *extra):
+    return ["eval", "--input", labeled, "--model", s["model"], "--report", d / "r.csv", *extra]
+
+
+# each argv builder takes the small run (with the trained model) and a scratch directory
+@pytest.mark.parametrize("argv,message", [
+    (lambda s, d: ["gen", "--out", d / "x", "--config", d / "none.cfg"],
+     "config file not found:"),
+    (lambda s, d: ["gen", "--out", d / "x", *_config(d, "n_groups 5\n")],
+     "line 1: expected key=value"),
+    (lambda s, d: ["gen", "--out", d / "x", *_config(d, "progressive = maybe\n")],
+     "cannot parse 'maybe' as bool"),
+    (lambda s, d: ["label", "--input", s["data"], "--output", d / "o.csv",
+                   *_config(d, "partition_kind = explicit\nratios = 0.5,half\n")],
+     "cannot parse ratios"),
+    (lambda s, d: ["train", "--input", s["labeled"], "--model", d / "m.bin", "--split-frac", "0"],
+     "training split is empty"),
+    (lambda s, d: _eval(s, d, s["labeled"], "--split-frac", "1"),
+     "eval split is empty"),
+    (lambda s, d: _eval(s, d, s["labeled"], "--truth", _two_truth_rows(s, d)),
+     "2 truth rows for 1000 records"),
+    (lambda s, d: ["ablate", "--input", s["data"], "--out", d, "--truth", _two_truth_rows(s, d)],
+     "2 truth rows for 1000 records"),
+    (lambda s, d: ["ablate", "--input", s["data"], "--out", d, "--truth", d / "none.csv"],
+     "truth file not found"),
+    (lambda s, d: ["ablate", "--input", s["data"], "--out", d, "--truth", ""],
+     "ablation scoring needs --truth"),
+    (lambda s, d: ["train", "--input", _with_cell(s["labeled"], d / "e.csv", 2, "wpr_d", ""),
+                   "--model", d / "m.bin"],
+     "label column 'wpr_d' has empty cells"),
+    (lambda s, d: _eval(s, d, _without_column(s["labeled"], d / "no_ev.csv", "ev")),
+     "evaluation needs the 'ev' label column"),
+], ids=["no_config_file", "config_line_without_eq", "bad_bool", "bad_ratios",
+        "empty_train_split", "empty_eval_split", "short_truth_eval", "short_truth_ablate",
+        "no_truth_file_ablate", "no_truth_flag_ablate", "empty_label_cell", "no_ev_column"])
+def test_cli_input_and_config_errors_exit_2(small_run, trained, tmp_path, capsys, argv, message):
+    assert run(argv({**small_run, "model": trained["model"]}, tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_truncated_summaries_file_exits_2(small_run, tmp_path, capsys):
     store = tmp_path / "sums.bin"
     assert run(["label", "--input", small_run["data"], "--output", tmp_path / "a.csv",

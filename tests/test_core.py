@@ -28,9 +28,8 @@ from wtlabel.errors import (
     NonMonotoneCurve,
     NonPositiveDuration,
 )
-from wtlabel.labeling import assign_wpr, label_wpr_global
+from wtlabel.labeling import label_wpr_global
 from wtlabel.learner import WprInverse
-from wtlabel.quantile import ExactSummary
 
 
 # ---------------------------------------------------------------- records
@@ -96,6 +95,12 @@ def test_table_subset_by_mask():
     assert list(sub.row_index) == [0, 2]
 
 
+def test_labels_take_only_a_table():
+    rec = validate_interaction("u1", "v1", 60.0, 30.0, 0)
+    with pytest.raises(TypeError, match="expected an InteractionTable, got list"):
+        label_wpr_global([rec], make_partition("equal_frequency", 2))
+
+
 # ------------------------------------------------------------- partitions
 
 
@@ -122,11 +127,6 @@ def test_explicit_plateau_passes_non_increasing_policy():
     # q2 == q3 satisfies q1 >= q2 >= q3
     p = make_partition("explicit", ratios=(0.5, 0.25, 0.25), progressive=True)
     assert p.n_groups == 3
-
-
-def test_explicit_plateau_fails_strict_policy():
-    with pytest.raises(InvalidRatios):
-        make_partition("explicit", ratios=(0.5, 0.25, 0.25), strict=True)
 
 
 def test_explicit_increasing_fails_progressive_policy():
@@ -218,9 +218,6 @@ def test_group_of_rank_boundary_belongs_to_lower_group():
     # every caller of the rule: eight distinct watch times rank 1/8 .. 8/8,
     # so 2/8 sits on the first prefix and 3/8 is the next rank above it
     wt = np.arange(1.0, 9.0)
-    summary = ExactSummary()
-    summary.extend(wt)
-    assert [assign_wpr(summary, p, w) for w in (2.0, 3.0, 8.0)] == [0.25, 0.5, 1.0]
     table = InteractionTable(["u"] * 8, ["v"] * 8, np.full(8, 60.0), wt[::-1])
     assert label_wpr_global(table, p)[[6, 5, 0]].tolist() == [0.25, 0.5, 1.0]
     inverse = WprInverse(p.prefix, np.array([[10.0, 20.0, 30.0, 40.0]]), per_bin=False)

@@ -21,7 +21,6 @@ from wtlabel.labeling import (
     GroupKey,
     GroupedSummaries,
     LabelConfig,
-    assign_wpr,
     build_grouped_summaries,
     label_all,
     label_all_detailed,
@@ -34,7 +33,6 @@ from wtlabel.labeling import (
     save_grouped_summaries,
 )
 from wtlabel.metrics import ks_distance
-from wtlabel.quantile import ExactSummary
 
 
 def table_of(watch, durations=None, users=None, videos=None) -> InteractionTable:
@@ -50,32 +48,7 @@ def table_of(watch, durations=None, users=None, videos=None) -> InteractionTable
     )
 
 
-def exact_of(values) -> ExactSummary:
-    s = ExactSummary()
-    s.extend(np.asarray(values, dtype=np.float64))
-    return s
-
-
 EQ4 = make_partition("equal_frequency", 4)
-
-
-# -------------------------------------------------------------- assign_wpr
-
-
-def test_assign_second_of_four_groups():
-    s = exact_of([1.0, 2.0, 3.0, 4.0])
-    assert assign_wpr(s, EQ4, 2.0) == 0.5
-
-
-def test_assign_tie_split_covers_all_groups():
-    s = exact_of([5.0, 5.0, 5.0, 5.0])
-    got = [assign_wpr(s, EQ4, 5.0, tie_ordinal=k) for k in range(4)]
-    assert got == [0.25, 0.5, 0.75, 1.0]
-
-
-def test_assign_without_ordinal_uses_run_end_rank():
-    s = exact_of([5.0, 5.0, 5.0, 5.0])
-    assert assign_wpr(s, EQ4, 5.0) == 1.0
 
 
 def test_assign_exponential_occupancy_matches_sort_oracle():
@@ -111,6 +84,13 @@ def test_global_wpr_sorted_input():
 def test_global_wpr_order_equivariant():
     t = table_of([40.0, 10.0, 30.0, 20.0])
     assert np.array_equal(label_wpr_global(t, EQ4), [1.0, 0.25, 0.75, 0.5])
+
+
+def test_global_wpr_tie_modes():
+    # distinct ranks a tie run by row index, shared gives it the run's last rank
+    t = table_of([5.0, 5.0, 5.0, 5.0])
+    assert label_wpr_global(t, EQ4).tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert label_wpr_global(t, EQ4, tie_mode="shared").tolist() == [1.0] * 4
 
 
 def test_global_wpr_occupancy_within_one_of_ratio():
@@ -288,9 +268,6 @@ def test_toggle_emits_only_requested_columns():
     lt = label_all(t, default_config(enabled=("wpr_d",)))
     assert set(lt.columns) == {"wpr_d"}
     assert lt.column("wpr") is None
-    row = lt.row(0)
-    assert row.wpr is None
-    assert row.wpr_d is not None
 
 
 def test_label_all_deterministic():
@@ -473,6 +450,27 @@ def test_grouped_summaries_reject_bins_outside_their_domain(tmp_path, which, ind
     path.write_bytes(blob[:20] + bounds.tobytes() + counts.tobytes() + blob[20 + 16 * n :])
     with pytest.raises(
         SerializationError, match=f"{path}: duration-bin {message} must be .* at byte 20$"
+    ):
+        load_grouped_summaries(str(path))
+
+
+@pytest.mark.parametrize("with_bins,kinds", [
+    (False, {"global", "video"}),  # an entity kind and no bins
+    (True, {"global", "user"}),  # bins, but no duration_bin summaries
+    (False, {"global", "duration_bin"}),
+])
+def test_grouped_summaries_without_a_bin_fallback_rejected(tmp_path, with_bins, kinds):
+    t, _ = small_synthetic(40, 20)
+    bins = make_duration_bins(t, 5, 5)
+    full = build_grouped_summaries(t, bins=bins, kinds=("duration_bin", "video", "user"))
+    gs = GroupedSummaries(
+        {key: s for key, s in full.summaries.items() if key.kind in kinds},
+        bins if with_bins else None, frozenset(kinds), "exact", full.eps,
+    )
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(gs, str(path))
+    with pytest.raises(
+        SerializationError, match=f"{path}: .* need duration bins and the duration_bin kind"
     ):
         load_grouped_summaries(str(path))
 

@@ -660,6 +660,20 @@ def test_predict_ordinal_rounds_expected_group():
     assert predict_watch_time(m, t)[0] == 5.0
 
 
+def test_predict_bin_scoped_ordinal_uses_record_bin():
+    t, columns = small_labeled(users=100, per_user=50)
+    m, _ = fit(t, columns, [TaskConfig("wpr_d", "ordinal_cumulative")],
+               arch=ModelArch(d_embed=4, n_experts=2, hidden=8), opt=OptimizerConfig(epochs=1))
+    inv = m.inverses["wpr_d"]
+    assert inv.per_bin and inv.reps.shape == (m.bins.n_bins, len(inv.prefix))
+    expected_group = score_records(m, t)["wpr_d"]
+    g = np.clip(np.round(expected_group), 0, len(inv.prefix) - 1).astype(np.int64)
+    want = inv.reps[m.bins.bin_of_many(t.duration_s), g]
+    got = predict_watch_time(m, t, "wpr_d")
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, inv.reps[0, g])
+
+
 # ------------------------------------------------------------ inverse maps
 
 

@@ -298,6 +298,15 @@ def test_sketch_capacity_below_2_rejected(capacity):
         summary_from_bytes(bytes(blob))
 
 
+def test_sketch_odd_capacity_rejected():
+    # SketchSummary stores only even capacities, so 17 cannot round-trip
+    blob = bytearray(SketchSummary(0.005, capacity=16).to_bytes())
+    at = 15 + 8  # header, then eps
+    blob[at : at + 4] = (17).to_bytes(4, "little")
+    with pytest.raises(SerializationError, match=f"capacity 17 is odd at byte {at}"):
+        summary_from_bytes(bytes(blob))
+
+
 def test_exact_count_must_match_payload():
     blob = bytearray(exact_of([1.0, 2.0, 3.0]).to_bytes())
     blob[7:15] = (10).to_bytes(8, "little")  # header count, payload of 3
