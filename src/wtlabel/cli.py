@@ -310,6 +310,13 @@ def cmd_label(args: argparse.Namespace, config: PipelineConfig) -> int:
     label_config = build_label_config(config, no_debias=args.no_debias)
     summaries = None
     if args.summaries_in:
+        # the file fixes the duration bins; bins_b from a config file stays
+        # allowed, since train reads it too
+        if args.no_debias or args.cfg_bins_b is not None:
+            flag = "--no-debias" if args.no_debias else "--bins"
+            raise ConfigInvalid(
+                f"{flag} conflicts with --summaries-in, whose file fixes the duration bins"
+            )
         summaries = load_grouped_summaries(args.summaries_in)
     labels, summaries, _bins = label_all_detailed(table, label_config, summaries)
     write_labeled(args.output, table, labels.columns)

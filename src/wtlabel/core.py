@@ -388,20 +388,50 @@ def _bin_counts(boundaries: np.ndarray, sorted_durations: np.ndarray) -> np.ndar
     return np.bincount(idx, minlength=len(boundaries)).astype(np.int64)
 
 
-# Canonical label column order for labeled output. The two ablation
-# columns are appended only when enabled.
-STANDARD_LABELS = (
-    "wpr",
-    "wpr_d",
-    "ev",
-    "ev_d",
-    "ev_v",
-    "ev_u",
-    "lv",
-    "lv_d",
-    "lv_v",
-    "lv_u",
-    "playing_rate",
-)
-ABLATION_LABELS = ("ef_wpr", "ew_wpr")
-BINARY_LABELS = ("ev", "ev_d", "ev_v", "ev_u", "lv", "lv_d", "lv_v", "lv_u")
+# The record groups a label is computed in: its scope. The order gives
+# the kind codes of the WLGS summaries file.
+GROUP_KINDS = ("global", "duration_bin", "video", "user")
+
+EV_PERCENTILE = 50.0
+LV_PERCENTILE = 75.0
+
+
+@dataclass(frozen=True)
+class LabelSpec:
+    """How one label column is computed. rule is rank (groups of the
+    configured partition), equal_frequency (equal-size rank groups),
+    equal_width (equal-width watch-time groups), playing_rate, or binary
+    (watch time at or above the percentile of the record's group). The
+    first three are rank-space: labels are group prefixes in (0, 1]. scope
+    is the GROUP_KINDS entry the label is computed in. An ablation label
+    is emitted only when ablation labels are asked for."""
+
+    rule: str
+    scope: str = "global"
+    percentile: Optional[float] = None
+    ablation: bool = False
+
+    @property
+    def rank_space(self) -> bool:
+        return self.rule in ("rank", "equal_frequency", "equal_width")
+
+
+# Every label, in labeled-output column order.
+LABELS = {
+    "wpr": LabelSpec("rank"),
+    "wpr_d": LabelSpec("rank", "duration_bin"),
+    "ev": LabelSpec("binary", "global", EV_PERCENTILE),
+    "ev_d": LabelSpec("binary", "duration_bin", EV_PERCENTILE),
+    "ev_v": LabelSpec("binary", "video", EV_PERCENTILE),
+    "ev_u": LabelSpec("binary", "user", EV_PERCENTILE),
+    "lv": LabelSpec("binary", "global", LV_PERCENTILE),
+    "lv_d": LabelSpec("binary", "duration_bin", LV_PERCENTILE),
+    "lv_v": LabelSpec("binary", "video", LV_PERCENTILE),
+    "lv_u": LabelSpec("binary", "user", LV_PERCENTILE),
+    "playing_rate": LabelSpec("playing_rate"),
+    "ef_wpr": LabelSpec("equal_frequency", "duration_bin", ablation=True),
+    "ew_wpr": LabelSpec("equal_width", ablation=True),
+}
+STANDARD_LABELS = tuple(name for name, spec in LABELS.items() if not spec.ablation)
+ABLATION_LABELS = tuple(name for name, spec in LABELS.items() if spec.ablation)
+BINARY_LABELS = tuple(name for name, spec in LABELS.items() if spec.rule == "binary")

@@ -29,13 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ABLATION_LABELS,
-    BINARY_LABELS,
-    STANDARD_LABELS,
-    InteractionTable,
-    validate_interaction,
-)
+from .core import BINARY_LABELS, LABELS, InteractionTable, validate_interaction
 from .datagen import SyntheticTruth
 from .errors import (
     ConfigInvalid,
@@ -278,9 +272,8 @@ def read_truth(path: str) -> SyntheticTruth:
 def labeled_header(columns: Mapping[str, np.ndarray]) -> list[str]:
     """Standard label columns always appear; ablation columns appear
     only when they were computed."""
-    head = list(INTERACTION_HEADER) + list(STANDARD_LABELS)
-    head += [c for c in ABLATION_LABELS if c in columns]
-    return head
+    labels = [name for name, spec in LABELS.items() if not spec.ablation or name in columns]
+    return list(INTERACTION_HEADER) + labels
 
 
 _BINARY_CELLS = np.array(["0", "1"], dtype=object)  # two shared strings for every row

@@ -32,8 +32,13 @@ from typing import Optional
 
 import numpy as np
 
+# EV_PERCENTILE, LV_PERCENTILE and ABLATION_LABELS stay importable from here
 from .core import (
     ABLATION_LABELS,
+    EV_PERCENTILE,
+    GROUP_KINDS,
+    LABELS,
+    LV_PERCENTILE,
     DurationBins,
     PartitionScheme,
     STANDARD_LABELS,
@@ -60,11 +65,6 @@ from .quantile import (
     read_summary,
 )
 
-EV_PERCENTILE = 50.0
-LV_PERCENTILE = 75.0
-
-GROUP_KINDS = ("global", "duration_bin", "video", "user")
-
 
 @dataclass(frozen=True)
 class GroupKey:
@@ -77,6 +77,9 @@ class GroupKey:
     def __post_init__(self) -> None:
         if self.kind not in GROUP_KINDS:
             raise ConfigInvalid(f"unknown group kind {self.kind!r}")
+
+    def __str__(self) -> str:
+        return self.kind if self.key is None else f"{self.kind} {self.key!r}"
 
 
 class GroupedSummaries:
@@ -262,42 +265,37 @@ def label_binary(
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
-    glob = summaries.global_summary
-    wt = table.watch_time_s
+    thr = summaries.global_summary.threshold(p)
+    if group_kind != "global":
+        if group_kind not in summaries.kinds:
+            raise MissingGroupSummary(f"{group_kind} summaries were not built")
+        # entity groups fall back to duration bins, which build and load
+        # both keep beside any non-global kind
+        if summaries.bins is None or "duration_bin" not in summaries.kinds:
+            raise MissingGroupSummary("duration_bin summaries were not built")
+        bin_idx = summaries.bins.bin_of_many(table.duration_s)
+        bin_keys = range(summaries.bins.n_bins)
+        thr = _own_or_fallback(thr, summaries, "duration_bin", bin_keys, bin_idx, p, min_group_size)
+    if group_kind in ("video", "user"):
+        ids = table.video_id if group_kind == "video" else table.user_id
+        keys = list(dict.fromkeys(ids))
+        code = dict(zip(keys, range(len(keys))))
+        inverse = np.fromiter(map(code.__getitem__, ids), np.int64, table.n)
+        thr = _own_or_fallback(thr, summaries, group_kind, keys, inverse, p, min_group_size)
+    return (table.watch_time_s >= thr).astype(np.int8)
 
-    if group_kind == "global":
-        return (wt >= glob.threshold(p)).astype(np.int8)
 
-    if group_kind not in summaries.kinds:
-        raise MissingGroupSummary(f"{group_kind} summaries were not built")
-
-    # entity groups fall back to duration bins, which build and load
-    # both keep beside any non-global kind
-    if summaries.bins is None or "duration_bin" not in summaries.kinds:
-        raise MissingGroupSummary("duration_bin summaries were not built")
-    t_glob = glob.threshold(p)
-    bin_idx = summaries.bins.bin_of_many(table.duration_s)
-    bin_thr = np.empty(summaries.bins.n_bins, dtype=np.float64)
-    for b in range(summaries.bins.n_bins):
-        s = summaries.get(GroupKey("duration_bin", b))
+def _own_or_fallback(fallback, summaries, kind, keys, inverse, p, min_group_size) -> np.ndarray:
+    """Each record's threshold: the p-th percentile of its group
+    keys[inverse] when that group's summary exists and holds at least
+    min_group_size values, else its fallback."""
+    own = np.full(len(keys), np.nan)
+    for i, key in enumerate(keys):
+        s = summaries.get(GroupKey(kind, key))
         if s is not None and s.count >= min_group_size:
-            bin_thr[b] = s.threshold(p)
-        else:
-            bin_thr[b] = t_glob
-    fallback = bin_thr[bin_idx]
-
-    if group_kind == "duration_bin":
-        return (wt >= fallback).astype(np.int8)
-
-    keys = table.video_id if group_kind == "video" else table.user_id
-    thr_by_key: dict[str, float] = {}
-    for key in set(keys):
-        s = summaries.get(GroupKey(group_kind, key))
-        if s is not None and s.count >= min_group_size:
-            thr_by_key[key] = s.threshold(p)
-    thr = np.asarray([thr_by_key.get(k, np.nan) for k in keys], dtype=np.float64)
-    thr = np.where(np.isnan(thr), fallback, thr)
-    return (wt >= thr).astype(np.int8)
+            own[i] = s.threshold(p)
+    thr = own[inverse]
+    return np.where(np.isnan(thr), fallback, thr)
 
 
 def label_playing_rate(dataset) -> np.ndarray:
@@ -335,18 +333,6 @@ def label_equal_width_wpr(
     return groups / float(n_groups)
 
 
-_BINARY_SPEC = {
-    "ev": (EV_PERCENTILE, "global"),
-    "ev_d": (EV_PERCENTILE, "duration_bin"),
-    "ev_v": (EV_PERCENTILE, "video"),
-    "ev_u": (EV_PERCENTILE, "user"),
-    "lv": (LV_PERCENTILE, "global"),
-    "lv_d": (LV_PERCENTILE, "duration_bin"),
-    "lv_v": (LV_PERCENTILE, "video"),
-    "lv_u": (LV_PERCENTILE, "user"),
-}
-
-
 @dataclass
 class LabelConfig:
     """Everything label_all needs to produce a full label table."""
@@ -368,11 +354,10 @@ class LabelTable:
 
     def __init__(self, n: int, columns: dict[str, np.ndarray]):
         self.n = n
-        known = STANDARD_LABELS + ABLATION_LABELS
         for name in columns:
-            if name not in known:
+            if name not in LABELS:
                 raise ConfigInvalid(f"unknown label column {name!r}")
-        self.columns = {name: columns[name] for name in known if name in columns}
+        self.columns = {name: columns[name] for name in LABELS if name in columns}
 
     def column(self, name: str) -> Optional[np.ndarray]:
         return self.columns.get(name)
@@ -393,38 +378,35 @@ def label_all_detailed(
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
-    known = set(STANDARD_LABELS) | set(ABLATION_LABELS)
     for name in config.enabled:
-        if name not in known:
+        if name not in LABELS:
             raise ConfigInvalid(f"unknown label {name!r}")
     _check_modes(config.tie_mode, config.summary_mode)
-    enabled = tuple(dict.fromkeys(config.enabled))
+    specs = {name: LABELS[name] for name in config.enabled}
 
-    needs_bins = any(
-        name in enabled
-        for name in ("wpr_d", "ev_d", "ev_v", "ev_u", "lv_d", "lv_v", "lv_u", "ef_wpr")
-    )
+    needs_bins = any(spec.scope != "global" for spec in specs.values())
     if summaries is not None:
         if summaries.mode != config.summary_mode:
             raise ConfigInvalid(
                 f"loaded summaries are {summaries.mode!r} but config asks for "
                 f"{config.summary_mode!r}"
             )
+        if summaries.mode == "sketch" and summaries.eps != config.eps_sketch:
+            raise ConfigInvalid(
+                f"loaded sketch summaries have eps {summaries.eps} but config asks for "
+                f"{config.eps_sketch}"
+            )
         if needs_bins and summaries.bins is None:
             raise ConfigInvalid("loaded summaries carry no duration bins")
         bins = summaries.bins if needs_bins else None
+    elif needs_bins:
+        bins = make_duration_bins(table, config.bins_b, config.bins_min_size)
     else:
-        bins = (
-            make_duration_bins(table, config.bins_b, config.bins_min_size)
-            if needs_bins
-            else None
-        )
+        bins = None
 
-    binary_kinds = tuple(
-        dict.fromkeys(_BINARY_SPEC[name][1] for name in enabled if name in _BINARY_SPEC)
-    )
+    binary_kinds = {spec.scope: None for spec in specs.values() if spec.rule == "binary"}
     summary_kinds = tuple(k for k in binary_kinds if k != "global")
-    if summaries is None and any(name in _BINARY_SPEC for name in enabled):
+    if summaries is None and binary_kinds:
         summaries = build_grouped_summaries(
             table,
             bins=bins if summary_kinds else None,
@@ -434,28 +416,25 @@ def label_all_detailed(
             threads=config.threads,
         )
 
-    wpr_kw = dict(
-        tie_mode=config.tie_mode, mode=config.summary_mode, eps=config.eps_sketch
-    )
     columns: dict[str, np.ndarray] = {}
-    for name in enabled:
-        if name == "wpr":
-            columns[name] = label_wpr_global(table, config.partition, **wpr_kw)
-        elif name == "wpr_d":
-            columns[name] = label_wpr_debiased(table, config.partition, bins, **wpr_kw)
-        elif name == "ef_wpr":
-            ef_part = make_partition("equal_frequency", config.partition.n_groups)
-            columns[name] = label_wpr_debiased(table, ef_part, bins, **wpr_kw)
-        elif name == "ew_wpr":
+    for name, spec in specs.items():
+        if spec.rule in ("rank", "equal_frequency"):
+            partition = config.partition
+            if spec.rule == "equal_frequency":
+                partition = make_partition("equal_frequency", partition.n_groups)
+            columns[name] = _rank_labels(
+                table, partition, bins if spec.scope == "duration_bin" else None,
+                config.tie_mode, config.summary_mode, config.eps_sketch,
+            )
+        elif spec.rule == "equal_width":
             columns[name] = label_equal_width_wpr(
                 table, config.partition.n_groups, config.ew_cap_percentile
             )
-        elif name == "playing_rate":
+        elif spec.rule == "playing_rate":
             columns[name] = label_playing_rate(table)
         else:
-            p, kind = _BINARY_SPEC[name]
             columns[name] = label_binary(
-                table, p, kind, summaries, config.min_group_size
+                table, spec.percentile, spec.scope, summaries, config.min_group_size
             )
     return LabelTable(table.n, columns), summaries, bins
 
@@ -524,10 +503,15 @@ def load_grouped_summaries(path: str) -> GroupedSummaries:
             "duration_bin kind to fall back to"
         )
     summaries: dict[GroupKey, QuantileSummary] = {}
-    for _ in range(r.take("<I")[0]):
+    for i in range(r.take("<I")[0]):
+        at = r.pos
         kind = _read_kind(r)
+        if kind not in kinds:
+            raise r.fail(f"{kind} summary of a kind the file does not declare", at)
         if kind == "duration_bin":
             key = GroupKey(kind, r.take("<q")[0])
+            if not 0 <= key.key < n_bins:
+                raise r.fail(f"duration-bin key {key.key} outside 0..{n_bins - 1}", at)
         elif kind == "global":
             key = GroupKey(kind)
         else:
@@ -540,7 +524,15 @@ def load_grouped_summaries(path: str) -> GroupedSummaries:
                 f"{path}: the {r.pos - start}-byte {s.mode} summary at byte {start} "
                 f"is stated as {size}-byte {mode}"
             )
+        if len(summaries) == i:  # the key was already there
+            raise r.fail(f"second summary for {key}", at)
     r.end()
+    needed = [GroupKey("global")]
+    if "duration_bin" in kinds:
+        needed += [GroupKey("duration_bin", b) for b in range(n_bins)]
+    for key in needed:
+        if key not in summaries:
+            raise SerializationError(f"{path}: no summary for {key}")
     return GroupedSummaries(summaries, bins, frozenset(kinds), mode, eps)
 
 

@@ -32,7 +32,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import DurationBins, InteractionTable, as_table, group_index, make_duration_bins, sigmoid
+from .core import (
+    LABELS, DurationBins, InteractionTable, as_table, group_index, make_duration_bins, sigmoid,
+)
 from .dataio import Reader, atomic_write_bytes
 from .errors import (
     ConfigInvalid,
@@ -51,9 +53,6 @@ LOSSES = ("squared_error", "logistic", "weighted_logistic", "ordinal_cumulative"
 
 # embedding tables, in the order their vectors are concatenated
 EMBEDDINGS = ("emb_user", "emb_video", "emb_bin")
-
-# rank-space label columns and whether their groups are duration-bin scoped
-QUANTILE_SCOPE = {"wpr": False, "ew_wpr": False, "wpr_d": True, "ef_wpr": True}
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,8 @@ def resolve_tasks(
         col = np.asarray(columns[t.target], dtype=np.float64)
         if t.loss in ("logistic", "weighted_logistic") and not np.isin(col, (0.0, 1.0)).all():
             raise ConfigInvalid(f"task {name}: {t.loss} needs 0/1 targets in {t.target!r}")
+        spec = LABELS.get(t.target)
+        rank_space = spec is not None and spec.rank_space
         n_out = 1
         if t.loss == "ordinal_cumulative":
             kind = "ordinal"
@@ -168,10 +169,10 @@ def resolve_tasks(
             kind = "odds"
         elif t.loss == "logistic":
             kind = "binary"
-        elif t.target in QUANTILE_SCOPE:
+        elif rank_space:
             kind = "quantile"
-        elif t.target == "playing_rate":
-            kind = "playing_rate"
+        elif spec is not None and spec.rule == "playing_rate":
+            kind = spec.rule
         else:
             kind = "seconds"
         out.append(
@@ -182,7 +183,7 @@ def resolve_tasks(
                 weight=float(t.weight),
                 n_out=n_out,
                 kind=kind,
-                per_bin=QUANTILE_SCOPE.get(t.target, False),
+                per_bin=rank_space and spec.scope == "duration_bin",
             )
         )
     return tuple(out)

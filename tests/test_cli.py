@@ -226,6 +226,21 @@ def test_label_summary_reuse_reproduces_output(small_run, tmp_path):
     assert run(["label", "--input", small_run["data"], "--output", second,
                 "--summaries-in", store]) == 0
     assert read_bytes(first) == read_bytes(second)
+    # a bins_b config key, which train reads as well, is not a conflict
+    assert run(["label", "--input", small_run["data"], "--output", second,
+                "--summaries-in", store, *_config(tmp_path, "bins_b = 5\n")]) == 0
+    assert read_bytes(first) == read_bytes(second)
+
+
+@pytest.mark.parametrize("flag", [["--no-debias"], ["--bins", "5"]], ids=["no_debias", "bins"])
+def test_label_summaries_in_rejects_bin_flags(small_run, tmp_path, capsys, flag):
+    store = str(tmp_path / "sums.bin")
+    assert run(["label", "--input", small_run["data"], "--output", tmp_path / "a.csv",
+                "--summaries-out", store]) == 0
+    capsys.readouterr()
+    assert run(["label", "--input", small_run["data"], "--output", tmp_path / "b.csv",
+                "--summaries-in", store, *flag]) == 2
+    assert f"error: {flag[0]} conflicts with --summaries-in" in capsys.readouterr().err
 
 
 def test_label_rerun_is_byte_identical(small_run, tmp_path):

@@ -402,6 +402,22 @@ def test_loaded_summaries_mode_must_match(tmp_path):
         label_all(t, default_config(summary_mode="sketch", tie_mode="shared"), summaries=loaded)
 
 
+def test_loaded_sketch_summaries_eps_must_match(tmp_path):
+    t, _ = small_synthetic(40, 20)
+    path = str(tmp_path / "s.bin")
+    for mode in ("exact", "sketch"):
+        cfg = default_config(summary_mode=mode, tie_mode="shared", eps_sketch=0.005)
+        lt, gs, _ = label_all_detailed(t, cfg)
+        save_grouped_summaries(gs, path)
+        other_eps = default_config(summary_mode=mode, tie_mode="shared", eps_sketch=0.01)
+        if mode == "exact":  # exact summaries do not depend on eps
+            relabeled = label_all(t, other_eps, summaries=load_grouped_summaries(path))
+            assert all(np.array_equal(c, relabeled.columns[n]) for n, c in lt.columns.items())
+        else:
+            with pytest.raises(ConfigInvalid, match="eps 0.005 but config asks for 0.01"):
+                label_all(t, other_eps, summaries=load_grouped_summaries(path))
+
+
 def _saved_summaries(tmp_path, **kw) -> bytes:
     t, _ = small_synthetic(40, 20)
     _, gs, _ = label_all_detailed(t, default_config(**kw))
@@ -472,6 +488,34 @@ def test_grouped_summaries_without_a_bin_fallback_rejected(tmp_path, with_bins, 
     with pytest.raises(
         SerializationError, match=f"{path}: .* need duration bins and the duration_bin kind"
     ):
+        load_grouped_summaries(str(path))
+
+
+@pytest.mark.parametrize("edit,message", [
+    # bin 4 of 5 keyed 99
+    (lambda s: {GroupKey("duration_bin", 99) if k == GroupKey("duration_bin", 4) else k: v
+                for k, v in s.items()},
+     r"duration-bin key 99 outside 0\.\.4 at byte \d+$"),
+    # the file declares global and duration_bin only
+    (lambda s: {**s, GroupKey("user", "u0"): s[GroupKey("global")]},
+     r"user summary of a kind the file does not declare at byte \d+$"),
+    # the writer packs the text key "0" as the integer 0: bin 0 twice
+    (lambda s: {**s, GroupKey("duration_bin", "0"): s[GroupKey("duration_bin", 1)]},
+     r"second summary for duration_bin 0 at byte \d+$"),
+    (lambda s: {k: v for k, v in s.items() if k != GroupKey("duration_bin", 2)},
+     "no summary for duration_bin 2$"),
+    (lambda s: {k: v for k, v in s.items() if k != GroupKey("global")},
+     "no summary for global$"),
+], ids=["bin_key_out_of_range", "undeclared_kind", "repeated_bin", "missing_bin",
+        "missing_global"])
+def test_grouped_summaries_reject_keys_outside_the_contract(tmp_path, edit, message):
+    t, _ = small_synthetic(40, 20)
+    gs = build_grouped_summaries(t, bins=make_duration_bins(t, 5, 5), kinds=("duration_bin",))
+    assert gs.bins.n_bins == 5
+    bad = GroupedSummaries(edit(gs.summaries), gs.bins, gs.kinds, gs.mode, gs.eps)
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(bad, str(path))
+    with pytest.raises(SerializationError, match=f"^{path}: {message}"):
         load_grouped_summaries(str(path))
 
 

@@ -244,7 +244,11 @@ def test_resolve_tasks_kinds_and_outputs():
     cols = {
         "wpr": np.array([0.25, 0.5, 0.75, 1.0, 0.25]),
         "wpr_d": np.array([0.5, 1.0, 0.5, 1.0, 0.5]),
+        "ef_wpr": np.array([0.5, 1.0, 0.5, 1.0, 0.5]),
+        "ew_wpr": np.array([0.5, 1.0, 0.5, 1.0, 0.5]),
         "ev": np.array([0.0, 1.0, 0.0, 1.0, 1.0]),
+        "ev_d": np.array([0.0, 1.0, 0.0, 1.0, 1.0]),
+        "lv_d": np.array([0.0, 1.0, 0.0, 0.0, 1.0]),
         "playing_rate": np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
         "watch_time_s": np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
     }
@@ -256,6 +260,12 @@ def test_resolve_tasks_kinds_and_outputs():
             TaskConfig("ev", "weighted_logistic", weight=0.05, name="wlr"),
             TaskConfig("playing_rate", "squared_error"),
             TaskConfig("watch_time_s", "squared_error"),
+            TaskConfig("ef_wpr", "squared_error"),
+            TaskConfig("ew_wpr", "squared_error"),
+            TaskConfig("wpr", "squared_error", name="wpr_se"),
+            TaskConfig("wpr_d", "ordinal_cumulative", name="wpr_d_or"),
+            TaskConfig("ev_d", "squared_error"),
+            TaskConfig("lv_d", "logistic"),
         ],
         cols,
     )
@@ -266,6 +276,13 @@ def test_resolve_tasks_kinds_and_outputs():
     assert by_name["wlr"].kind == "odds" and by_name["wlr"].weight == 0.05
     assert by_name["playing_rate"].kind == "playing_rate"
     assert by_name["watch_time_s"].kind == "seconds"
+    kind_and_bin = {name: (t.kind, t.per_bin) for name, t in by_name.items()}
+    assert kind_and_bin["ef_wpr"] == ("quantile", True)
+    assert kind_and_bin["ew_wpr"] == ("quantile", False)
+    assert kind_and_bin["wpr_se"] == ("quantile", False)
+    assert kind_and_bin["wpr_d_or"] == ("ordinal", True)
+    assert kind_and_bin["ev_d"] == ("seconds", False)  # per_bin is saved in WLMD
+    assert kind_and_bin["lv_d"] == ("binary", False)
 
 
 def test_resolve_tasks_errors():
