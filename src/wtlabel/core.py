@@ -169,7 +169,9 @@ def segments(keys, n_keys: Optional[int] = None) -> tuple[np.ndarray, np.ndarray
         uniq, inverse = np.unique(keys, return_inverse=True)
     else:
         uniq, inverse = np.arange(n_keys), keys
-    order = np.argsort(inverse, kind="stable")
+    # a stable sort of 16-bit keys is a radix sort
+    order = np.argsort(inverse.astype(np.uint16) if len(uniq) <= 1 << 16 else inverse,
+                       kind="stable")
     bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
     return uniq, order, bounds
 

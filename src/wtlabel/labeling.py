@@ -26,9 +26,10 @@ a sketch cannot separate equal values.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .dataio import Reader, atomic_write_bytes
 from .errors import (
     ConfigInvalid,
     EmptyDataset,
+    EmptySummary,
     MissingGroupSummary,
     PercentileOutOfRange,
     SerializationError,
@@ -60,9 +62,14 @@ from .quantile import (
     DEFAULT_EPS,
     QuantileSummary,
     SketchSummary,
+    _in_domain,
     _nearest_rank,
+    _validate_values,
+    checked_values,
     make_summary,
+    plain_bytes,
     read_summary,
+    sketch_capacity,
 )
 
 
@@ -74,40 +81,78 @@ class GroupKey:
     kind: str
     key: object = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in GROUP_KINDS:
-            raise ConfigInvalid(f"unknown group kind {self.kind!r}")
-
     def __str__(self) -> str:
         return self.kind if self.key is None else f"{self.kind} {self.key!r}"
 
 
+class _Groups:
+    """One group kind's summaries as columns. Group i has key keys[i] and
+    counts[i] values, kept in values[bounds[i]:bounds[i + 1]]: sorted when
+    exact, in row order when a sketch. A sketch group that reached capacity
+    is the real sketch sketches[i] instead, with an empty segment. sorted
+    holds each segment sorted, for the nearest-rank gather."""
+
+    def __init__(self, keys, sizes, values, sketches, mode):
+        self.keys, self.values, self.sketches = keys, values, sketches
+        self.bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.counts = np.array(sizes, dtype=np.int64)
+        self.counts[list(sketches)] = [s.count for s in sketches.values()]
+        seg = np.repeat(np.arange(len(keys)), sizes)
+        self.sorted = values
+        if np.any((np.diff(values) < 0) & (np.diff(seg) == 0)):
+            by_value = np.argsort(values)
+            self.sorted = values[by_value[segments(seg[by_value], len(keys))[1]]]
+        if mode == "exact":
+            self.values = self.sorted
+
+    def thresholds(self, p: float) -> np.ndarray:
+        """Every group's nearest-rank p-th percentile, NaN for an empty group."""
+        sizes = np.diff(self.bounds)
+        k = np.maximum(1, np.ceil(sizes * p / 100.0)).astype(np.int64)
+        out = np.append(self.sorted, np.nan)[np.where(sizes > 0, self.bounds[:-1] + k - 1, -1)]
+        for i, s in self.sketches.items():
+            out[i] = s.threshold(p) if s.count else np.nan
+        return out
+
+
 class GroupedSummaries:
-    """Watch-time summaries per group plus the bins they were cut by."""
+    """Watch-time summaries of every group, held one _Groups column block
+    per group kind, plus the bins they were cut by."""
 
     def __init__(
-        self,
-        summaries: dict[GroupKey, QuantileSummary],
-        bins: Optional[DurationBins],
-        kinds: frozenset[str],
-        mode: str,
-        eps: float,
+        self, groups: dict[str, _Groups], bins: Optional[DurationBins], mode: str, eps: float
     ):
-        self.summaries = summaries
-        self.bins = bins
-        self.kinds = kinds
-        self.mode = mode
-        self.eps = eps
+        self.groups, self.bins, self.mode, self.eps = groups, bins, mode, eps
+        self.kinds = frozenset(groups)
+        self._rows: tuple[object, dict[str, np.ndarray]] = (None, {})
 
-    def get(self, key: GroupKey) -> Optional[QuantileSummary]:
-        return self.summaries.get(key)
+    def rows(self, table, kind: str) -> np.ndarray:
+        """Each record's group of kind, -1 where it has none. The groups of
+        the last table asked about, at first the one summarized, are kept."""
+        if self._rows[0] is not table:
+            self._rows = (table, {})
+        rows, keys = self._rows[1], self.groups[kind].keys
+        if kind not in rows and len(keys):
+            ids = np.asarray(self.bins.bin_of_many(table.duration_s) if kind == "duration_bin"
+                             else table.video_id if kind == "video" else table.user_id)
+            at = rows[kind] = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
+            at[keys[at] != ids] = -1
+        return rows.get(kind, np.full(table.n, -1))
 
-    @property
-    def global_summary(self) -> QuantileSummary:
-        s = self.summaries.get(GroupKey("global"))
-        if s is None:
-            raise MissingGroupSummary("no global summary present")
-        return s
+    @cached_property
+    def summaries(self) -> Mapping[GroupKey, QuantileSummary]:
+        """A read-only QuantileSummary per group, built on first access.
+        This view and GroupKey stay only until the benchmark takes its
+        group counts from the WLGS file (ROADMAP item 1)."""
+        view = {}
+        for kind, g in self.groups.items():
+            for i, key in enumerate(g.keys.tolist()):
+                s = g.sketches.get(i)
+                if s is None:
+                    s = make_summary(self.mode, self.eps)
+                    s.extend(g.values[g.bounds[i] : g.bounds[i + 1]])
+                view[GroupKey(kind, key)] = s
+        return MappingProxyType(view)
 
 
 def build_grouped_summaries(
@@ -122,7 +167,9 @@ def build_grouped_summaries(
     """Build one watch-time summary per requested group, plus global.
 
     Entity kinds (video, user) need bins as well because sparse groups
-    fall back to their duration bin at threshold time.
+    fall back to their duration bin at threshold time. threads changes
+    nothing; it stays until the benchmark stops passing it (ROADMAP
+    item 1).
     """
     table = as_table(dataset)
     if table.n == 0:
@@ -133,36 +180,40 @@ def build_grouped_summaries(
             raise ConfigInvalid(f"unknown group kind {k!r}")
     if kinds and bins is None:
         raise ConfigInvalid("grouped summaries need duration bins for fallback")
+    if mode not in ("exact", "sketch"):
+        raise ConfigInvalid(f"unknown summary mode {mode!r}")
+    capacity = sketch_capacity(eps) if mode == "sketch" else table.n + 1
 
-    wt = table.watch_time_s
-    jobs: list[tuple[GroupKey, np.ndarray]] = [(GroupKey("global"), wt)]
-    groupings = []
+    wt = _validate_values(table.watch_time_s)
+    groupings = [("global", np.zeros(table.n, dtype=np.int64), 1)]
     if kinds:
         # every bin gets a summary, an empty one included
         groupings.append(("duration_bin", bins.bin_of_many(table.duration_s), bins.n_bins))
     for kind, ids in (("video", table.video_id), ("user", table.user_id)):
         if kind in kinds:
             groupings.append((kind, ids, None))
+    # grouping records taken in watch-time order leaves each exact group
+    # sorted; a sketch group keeps row order
+    sort = np.argsort(wt) if mode == "exact" else np.arange(table.n)
+    groups, rows = {}, {}
     for kind, keys, n_keys in groupings:
-        uniq, order, bounds = segments(keys, n_keys)
-        for key, lo, hi in zip(uniq.tolist(), bounds[:-1], bounds[1:]):
-            jobs.append((GroupKey(kind, key), wt[order[lo:hi]]))
-
-    def _build(values: np.ndarray) -> QuantileSummary:
-        s = make_summary(mode, eps)
-        s.extend(values)
-        return s
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(_build, (v for _, v in jobs)))
-    else:
-        built = [_build(v) for _, v in jobs]
-
-    present = frozenset(("global",) + kinds + (("duration_bin",) if kinds else ()))
-    return GroupedSummaries(
-        {key: s for (key, _), s in zip(jobs, built)}, bins, present, mode, eps
-    )
+        uniq, order, bounds = segments(np.asarray(keys)[sort], n_keys)
+        order = sort[order]
+        sizes = np.diff(bounds)
+        rows[kind] = np.empty(table.n, dtype=np.int64)
+        rows[kind][order] = np.repeat(np.arange(len(sizes)), sizes)
+        big = sizes >= capacity
+        sketches = {}
+        for i in np.flatnonzero(big).tolist():
+            s = sketches[i] = SketchSummary(eps)
+            s.extend(wt[order[bounds[i] : bounds[i + 1]]])
+        order = order[np.repeat(~big, sizes)]
+        sizes[big] = 0
+        keys = np.array([None]) if kind == "global" else uniq
+        groups[kind] = _Groups(keys, sizes, wt[order], sketches, mode)
+    gs = GroupedSummaries(groups, bins, mode, eps)
+    gs._rows = (table, rows)
+    return gs
 
 
 def _rank_fractions(
@@ -265,37 +316,26 @@ def label_binary(
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
-    thr = summaries.global_summary.threshold(p)
+    groups = summaries.groups
+    if "global" not in groups:
+        raise MissingGroupSummary("no global summary present")
+    if not groups["global"].counts[0]:
+        raise EmptySummary("threshold query on an empty summary")
+    thr = groups["global"].thresholds(p)[0]
     if group_kind != "global":
-        if group_kind not in summaries.kinds:
+        if group_kind not in groups:
             raise MissingGroupSummary(f"{group_kind} summaries were not built")
         # entity groups fall back to duration bins, which build and load
         # both keep beside any non-global kind
-        if summaries.bins is None or "duration_bin" not in summaries.kinds:
+        if summaries.bins is None or "duration_bin" not in groups:
             raise MissingGroupSummary("duration_bin summaries were not built")
-        bin_idx = summaries.bins.bin_of_many(table.duration_s)
-        bin_keys = range(summaries.bins.n_bins)
-        thr = _own_or_fallback(thr, summaries, "duration_bin", bin_keys, bin_idx, p, min_group_size)
-    if group_kind in ("video", "user"):
-        ids = table.video_id if group_kind == "video" else table.user_id
-        keys = list(dict.fromkeys(ids))
-        code = dict(zip(keys, range(len(keys))))
-        inverse = np.fromiter(map(code.__getitem__, ids), np.int64, table.n)
-        thr = _own_or_fallback(thr, summaries, group_kind, keys, inverse, p, min_group_size)
+        # a group's own threshold where it holds min_group_size values
+        for kind in dict.fromkeys(("duration_bin", group_kind)):
+            g = groups[kind]
+            own = np.where(g.counts >= min_group_size, g.thresholds(p), np.nan)
+            own = np.append(own, np.nan)[summaries.rows(table, kind)]
+            thr = np.where(np.isnan(own), thr, own)
     return (table.watch_time_s >= thr).astype(np.int8)
-
-
-def _own_or_fallback(fallback, summaries, kind, keys, inverse, p, min_group_size) -> np.ndarray:
-    """Each record's threshold: the p-th percentile of its group
-    keys[inverse] when that group's summary exists and holds at least
-    min_group_size values, else its fallback."""
-    own = np.full(len(keys), np.nan)
-    for i, key in enumerate(keys):
-        s = summaries.get(GroupKey(kind, key))
-        if s is not None and s.count >= min_group_size:
-            own[i] = s.threshold(p)
-    thr = own[inverse]
-    return np.where(np.isnan(thr), fallback, thr)
 
 
 def label_playing_rate(dataset) -> np.ndarray:
@@ -346,6 +386,7 @@ class LabelConfig:
     eps_sketch: float = DEFAULT_EPS
     enabled: tuple[str, ...] = field(default_factory=lambda: STANDARD_LABELS)
     ew_cap_percentile: float = 99.0
+    # changes nothing; stays until the benchmark stops passing it (ROADMAP item 1)
     threads: int = 1
 
 
@@ -413,7 +454,6 @@ def label_all_detailed(
             kinds=summary_kinds,
             mode=config.summary_mode,
             eps=config.eps_sketch,
-            threads=config.threads,
         )
 
     columns: dict[str, np.ndarray] = {}
@@ -459,22 +499,26 @@ def save_grouped_summaries(gs: GroupedSummaries, path: str) -> None:
     parts.append(struct.pack("<B", len(kinds)))
     for k in kinds:
         parts.append(struct.pack("<B", _KIND_CODE[k]))
-    keys = sorted(
-        gs.summaries.keys(), key=lambda k: (_KIND_CODE[k.kind], str(k.key))
-    )
-    parts.append(struct.pack("<I", len(keys)))
-    for key in keys:
-        blob = gs.summaries[key].to_bytes()
-        parts.append(struct.pack("<B", _KIND_CODE[key.kind]))
-        if key.kind == "duration_bin":
-            parts.append(struct.pack("<q", int(key.key)))
-        elif key.kind == "global":
-            pass
-        else:
-            enc = str(key.key).encode("utf-8")
-            parts.append(struct.pack("<I", len(enc)) + enc)
-        parts.append(struct.pack("<Q", len(blob)) + blob)
-    atomic_write_bytes(path, b"".join(parts))
+    plain_eps = gs.eps if gs.mode == "sketch" else None
+    entries = []
+    for kind in sorted(gs.groups, key=_KIND_CODE.__getitem__):
+        g = gs.groups[kind]
+        code = struct.pack("<B", _KIND_CODE[kind])
+        raw, bounds, keys = g.values.tobytes(), g.bounds.tolist(), g.keys.tolist()
+        for i in sorted(range(len(keys)), key=lambda i: str(keys[i])):
+            if kind == "duration_bin":
+                head = code + struct.pack("<q", keys[i])
+            elif kind == "global":
+                head = code
+            else:
+                enc = keys[i].encode("utf-8")
+                head = code + struct.pack("<I", len(enc)) + enc
+            s = g.sketches.get(i)
+            blob = (s.to_bytes() if s is not None
+                    else plain_bytes(raw[8 * bounds[i] : 8 * bounds[i + 1]], plain_eps))
+            entries += [head, struct.pack("<Q", len(blob)), blob]
+    parts.append(struct.pack("<I", len(entries) // 3))
+    atomic_write_bytes(path, b"".join(parts + entries))
 
 
 def load_grouped_summaries(path: str) -> GroupedSummaries:
@@ -502,38 +546,50 @@ def load_grouped_summaries(path: str) -> GroupedSummaries:
             f"{path}: {', '.join(sorted(kinds))} summaries need duration bins and the "
             "duration_bin kind to fall back to"
         )
-    summaries: dict[GroupKey, QuantileSummary] = {}
-    for i in range(r.take("<I")[0]):
+    # per kind, key -> (real sketch or None, raw values, their offset)
+    found: dict[str, dict] = {kind: {} for kind in GROUP_KINDS if kind in kinds}
+    for _ in range(r.take("<I")[0]):
         at = r.pos
         kind = _read_kind(r)
         if kind not in kinds:
             raise r.fail(f"{kind} summary of a kind the file does not declare", at)
         if kind == "duration_bin":
-            key = GroupKey(kind, r.take("<q")[0])
-            if not 0 <= key.key < n_bins:
-                raise r.fail(f"duration-bin key {key.key} outside 0..{n_bins - 1}", at)
+            (key,) = r.take("<q")
+            if not 0 <= key < n_bins:
+                raise r.fail(f"duration-bin key {key} outside 0..{n_bins - 1}", at)
         elif kind == "global":
-            key = GroupKey(kind)
+            key = None
         else:
-            key = GroupKey(kind, r.utf8(r.take("<I")[0]))
+            key = r.utf8(r.take("<I")[0])
         (size,) = r.take("<Q")
         start = r.pos
-        s = summaries[key] = read_summary(r)
-        if (r.pos - start, s.mode) != (size, mode):
+        entry_mode, s, raw, raw_at = read_summary(r, eps if mode == "sketch" else None)
+        if (r.pos - start, entry_mode) != (size, mode):
             raise SerializationError(
-                f"{path}: the {r.pos - start}-byte {s.mode} summary at byte {start} "
+                f"{path}: the {r.pos - start}-byte {entry_mode} summary at byte {start} "
                 f"is stated as {size}-byte {mode}"
             )
-        if len(summaries) == i:  # the key was already there
-            raise r.fail(f"second summary for {key}", at)
+        if key in found[kind]:
+            raise r.fail(f"second summary for {GroupKey(kind, key)}", at)
+        found[kind][key] = (s, raw, raw_at)
     r.end()
     needed = [GroupKey("global")]
     if "duration_bin" in kinds:
         needed += [GroupKey("duration_bin", b) for b in range(n_bins)]
     for key in needed:
-        if key not in summaries:
+        if key.key not in found.get(key.kind, ()):
             raise SerializationError(f"{path}: no summary for {key}")
-    return GroupedSummaries(summaries, bins, frozenset(kinds), mode, eps)
+    groups = {}
+    for kind, got in found.items():
+        entries = [got[key] for key in sorted(got)]
+        values = np.frombuffer(b"".join(raw for _, raw, _ in entries), np.float64)
+        if not _in_domain(values):
+            for _, raw, at in got.values():  # name the kind's first bad value in the file
+                checked_values(r, raw, at)
+        sketches = {i: s for i, (s, _, _) in enumerate(entries) if s is not None}
+        groups[kind] = _Groups(np.array(sorted(got)), [len(raw) // 8 for _, raw, _ in entries],
+                               values, sketches, mode)
+    return GroupedSummaries(groups, bins, mode, eps)
 
 
 def _read_kind(r: Reader) -> str:

@@ -72,6 +72,15 @@ def _validate_values(values) -> np.ndarray:
     return arr
 
 
+def sketch_capacity(eps: float) -> int:
+    """The per-level capacity of a sketch of this eps, rounded up to even:
+    compaction pairs items, so an even capacity keeps leftovers rare."""
+    if not (0 < eps < 0.5):
+        raise ConfigInvalid(f"eps {eps} outside (0, 0.5)")
+    capacity = max(_MIN_CAPACITY, math.ceil(CAPACITY_FACTOR / eps))
+    return capacity + (capacity % 2)
+
+
 def _nearest_rank(n: int, p: float) -> int:
     """1-based nearest rank for percentile p in (0, 100]."""
     if not 0 < p <= 100:
@@ -138,21 +147,13 @@ class ExactSummary(QuantileSummary):
         return float(self.values()[k - 1])
 
     def rank_many(self, values: np.ndarray) -> np.ndarray:
-        return self.count_many(values, "right") / self._n
-
-    def count_many(self, values: np.ndarray, side: str) -> np.ndarray:
-        """How many values are stored below (side "left") or at or below
-        (side "right") each of values."""
         if self._n == 0:
             raise EmptySummary("rank query on an empty summary")
-        return np.searchsorted(self.values(), np.asarray(values, dtype=np.float64), side=side)
+        return np.searchsorted(self.values(), np.asarray(values, dtype=np.float64),
+                               side="right") / self._n
 
     def to_bytes(self) -> bytes:
-        vals = self.values()
-        head = struct.pack(
-            "<4sHBQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_EXACT, self._n
-        )
-        return head + struct.pack("<Q", vals.size) + vals.tobytes()
+        return plain_bytes(self.values().tobytes())
 
 
 class SketchSummary(QuantileSummary):
@@ -162,14 +163,12 @@ class SketchSummary(QuantileSummary):
     __slots__ = ("eps", "capacity", "_levels", "_parity", "_pending", "_n", "_mat")
 
     def __init__(self, eps: float = DEFAULT_EPS, capacity: Optional[int] = None) -> None:
-        if not (0 < eps < 0.5):
-            raise ConfigInvalid(f"eps {eps} outside (0, 0.5)")
+        default = sketch_capacity(eps)
         self.eps = float(eps)
         if capacity is None:
-            capacity = max(_MIN_CAPACITY, math.ceil(CAPACITY_FACTOR / eps))
+            capacity = default
         if capacity < 2:
             raise ConfigInvalid(f"sketch capacity {capacity} is below 2")
-        # compaction pairs items; an even capacity keeps leftovers rare
         self.capacity = capacity + (capacity % 2)
         self._levels: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
         self._parity: list[int] = [0]
@@ -314,27 +313,45 @@ def make_summary(mode: str = "exact", eps: float = DEFAULT_EPS) -> QuantileSumma
     raise ConfigInvalid(f"unknown summary mode {mode!r}")
 
 
+def plain_bytes(raw: bytes, eps: Optional[float] = None) -> bytes:
+    """WLQS bytes of an exact summary whose sorted values are raw or, given
+    eps, of a sketch of that eps holding raw's values uncompacted."""
+    n = len(raw) // 8
+    if eps is None:
+        return struct.pack("<4sHBQQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_EXACT, n, n) + raw
+    return struct.pack("<4sHBQdIIBQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_SKETCH, n,
+                       eps, sketch_capacity(eps), 1, 0, n) + raw
+
+
 def summary_from_bytes(blob: bytes) -> QuantileSummary:
     r = Reader(blob, "WLQS summary")
-    s = read_summary(r)
+    _, s, raw, at = read_summary(r)
+    if s is None:
+        s = ExactSummary()
+        s.extend(checked_values(r, raw, at))
     r.end()
     return s
 
 
-def _read_values(r: Reader, size: int) -> np.ndarray:
-    """size summary values at the cursor; one outside the domain fails
+def checked_values(r: Reader, raw: bytes, at: int) -> np.ndarray:
+    """The values stored as raw from byte at; one outside the domain fails
     at its own byte offset."""
-    values = r.floats(size)
+    values = np.frombuffer(raw, np.float64).copy()
     if not _in_domain(values):
         i = int(values.argmax())  # a NaN or an inf, or else the minimum is negative
         if _in_domain(values[i : i + 1]):
             i = int(values.argmin())
-        raise r.fail(f"summary value {values[i]} is not finite and >= 0", r.start + 8 * i)
+        raise r.fail(f"summary value {values[i]} is not finite and >= 0", at + 8 * i)
     return values
 
 
-def read_summary(r: Reader) -> QuantileSummary:
-    """Decode one WLQS summary at the reader's cursor."""
+def read_summary(
+    r: Reader, plain_eps: Optional[float] = None
+) -> tuple[str, Optional[SketchSummary], bytes, int]:
+    """Decode one WLQS summary at the cursor as (mode, sketch, raw, at): an
+    exact one, or a never-compacted sketch of eps plain_eps, as sketch None
+    and its values unchecked in raw, stored from byte at; any other sketch
+    decoded and checked."""
     magic, version, mode, n = r.take("<4sHBQ")
     if magic != SERIAL_MAGIC:
         raise r.fail(f"bad summary magic {magic!r}")
@@ -344,9 +361,7 @@ def read_summary(r: Reader) -> QuantileSummary:
         (size,) = r.take("<Q")
         if size != n:
             raise r.fail(f"exact summary header counts {n} values, payload holds {size}")
-        s = ExactSummary()
-        s._chunks, s._n = [_read_values(r, size)], size
-        return s
+        return "exact", None, r.raw(8 * size), r.start
     if mode != _MODE_SKETCH:
         raise r.fail(f"unknown summary mode byte {mode}")
     eps, capacity, n_levels = r.take("<dII")
@@ -356,23 +371,21 @@ def read_summary(r: Reader) -> QuantileSummary:
         raise r.fail(f"sketch capacity {capacity} is below 2", r.start + 8)
     if capacity % 2:
         raise r.fail(f"sketch capacity {capacity} is odd", r.start + 8)
-    s = SketchSummary(eps, capacity)
-    s._levels = []
-    s._parity = []
+    levels = []
     for _ in range(n_levels):
         parity, size = r.take("<BQ")
         if parity not in (0, 1):
             raise r.fail(f"sketch level parity {parity} is not 0 or 1")
-        s._levels.append(_read_values(r, size))
-        s._parity.append(parity)
-    if not s._levels:
-        s._levels = [np.empty(0, dtype=np.float64)]
-        s._parity = [0]
+        levels.append((parity, r.raw(8 * size), r.start))
     # compaction keeps the total weight, so the levels must account for
     # every counted value
-    weight = sum(level.size << h for h, level in enumerate(s._levels))
+    weight = sum(len(raw) // 8 << h for h, (_, raw, _) in enumerate(levels))
     if weight != n:
         raise r.fail(f"sketch summary header counts {n} values, levels hold weight {weight}")
-    s._n = n
-    return s
-
+    parities = [parity for parity, _, _ in levels]
+    if eps == plain_eps and capacity == sketch_capacity(eps) > n and parities == [0]:
+        return "sketch", None, levels[0][1], levels[0][2]
+    s = SketchSummary(eps, capacity)
+    s._levels = [checked_values(r, raw, at) for _, raw, at in levels] or [np.empty(0)]
+    s._parity, s._n = parities or [0], n
+    return "sketch", s, b"", r.pos

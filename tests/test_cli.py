@@ -19,7 +19,7 @@ from wtlabel.core import make_partition
 from wtlabel.datagen import SyntheticConfig, generate, oracle_rank_quality
 from wtlabel.dataio import INTERACTION_HEADER, read_interactions, read_labeled, split_mask
 from wtlabel.errors import ConfigInvalid
-from wtlabel.labeling import LabelConfig, label_all
+from wtlabel.labeling import LabelConfig, label_all, load_grouped_summaries
 from wtlabel.learner import (
     ModelArch,
     OptimizerConfig,
@@ -229,6 +229,23 @@ def test_label_summary_reuse_reproduces_output(small_run, tmp_path):
     # a bins_b config key, which train reads as well, is not a conflict
     assert run(["label", "--input", small_run["data"], "--output", second,
                 "--summaries-in", store, *_config(tmp_path, "bins_b = 5\n")]) == 0
+    assert read_bytes(first) == read_bytes(second)
+
+
+def test_label_compacting_sketch_summaries_reproduce_output(small_run, tmp_path):
+    # eps 0.45 is a capacity of 570, so the one 1000-record duration bin
+    # and the global summary are real sketches that compacted
+    first = str(tmp_path / "one.csv")
+    second = str(tmp_path / "two.csv")
+    store = str(tmp_path / "sums.bin")
+    sketch = ["--summary", "sketch", "--eps", "0.45"]
+    assert run(["label", "--input", small_run["data"], "--output", first, *sketch,
+                "--bins", "1", "--summaries-out", store]) == 0
+    compacted = [key.kind for key, s in load_grouped_summaries(store).summaries.items()
+                 if s.count >= s.capacity]
+    assert compacted == ["global", "duration_bin"]
+    assert run(["label", "--input", small_run["data"], "--output", second, *sketch,
+                "--summaries-in", store]) == 0
     assert read_bytes(first) == read_bytes(second)
 
 

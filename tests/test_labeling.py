@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,13 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtlabel.core import (
+    BINARY_LABELS,
+    GROUP_KINDS,
+    LABELS,
     DurationBins,
     InteractionTable,
     make_duration_bins,
     make_partition,
 )
 from wtlabel.datagen import SyntheticConfig, generate
-from wtlabel.errors import ConfigInvalid, EmptyDataset, MissingGroupSummary, SerializationError
+from wtlabel.errors import (
+    ConfigInvalid,
+    EmptyDataset,
+    MissingGroupSummary,
+    NegativeValue,
+    SerializationError,
+)
 from wtlabel.labeling import (
     GroupKey,
     GroupedSummaries,
@@ -33,6 +44,7 @@ from wtlabel.labeling import (
     save_grouped_summaries,
 )
 from wtlabel.metrics import ks_distance
+from wtlabel.quantile import SketchSummary
 
 
 def table_of(watch, durations=None, users=None, videos=None) -> InteractionTable:
@@ -207,9 +219,119 @@ def test_user_group_used_when_large_enough():
     assert np.array_equal(got, (np.arange(1, 11) >= 5).astype(np.int64))
 
 
+def _oracle_binary(build, label, bins, p, kind, mode, eps, min_group_size) -> list[int]:
+    """Brute force: a record's threshold is the nearest-rank p-th
+    percentile of its own video or user in the build table, else of its
+    duration bin there, else of the whole build table; a group below
+    min_group_size, or missing, passes to the next. In sketch mode every
+    group's percentile comes from its own SketchSummary, fed in row order."""
+    cache = {}
+
+    def threshold(level, key, values):
+        if (level, key) not in cache:
+            if mode == "sketch":
+                s = SketchSummary(eps)
+                s.extend(values)
+                cache[level, key] = s.threshold(p)
+            else:
+                cache[level, key] = sorted(values)[max(1, math.ceil(len(values) * p / 100)) - 1]
+        return cache[level, key]
+
+    def grouped(keys):
+        out = {}
+        for key, w in zip(keys, build.watch_time_s.tolist()):
+            out.setdefault(key, []).append(w)
+        return out
+
+    chain = [("duration_bin", grouped(bins.bin_of_many(build.duration_s).tolist()),
+              bins.bin_of_many(label.duration_s).tolist())]
+    if kind in ("video", "user"):
+        ids = "video_id" if kind == "video" else "user_id"
+        chain.append((kind, grouped(getattr(build, ids)), getattr(label, ids)))
+    out = []
+    for i, w in enumerate(label.watch_time_s.tolist()):
+        t = threshold("global", None, build.watch_time_s.tolist())
+        for level, groups, keys in chain if kind != "global" else ():
+            values = groups.get(keys[i], [])
+            if len(values) >= min_group_size:
+                t = threshold(level, keys[i], values)
+        out.append(int(w >= t))
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_binary_labels_match_a_per_group_oracle(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # over 570 records lets the global and bin sketches of eps 0.45 compact
+    n = data.draw(st.one_of(st.integers(1, 60), st.just(1300)))
+    durations = rng.choice([10.0, 20.0, 30.0, 40.0], n)
+    full = table_of(
+        # few distinct watch times make many ties; many make compaction show
+        rng.integers(0, data.draw(st.sampled_from([8, 10**6])), n) * 2.5,
+        durations=durations,
+        users=[f"u{i}" for i in rng.integers(0, max(1, n // 6), n)],
+        videos=[f"v{i}" for i in rng.integers(0, max(1, n // 3), n)],
+    )
+    b = data.draw(st.integers(1, 4))
+    bins = make_duration_bins(full, b, min_bin_size=1)
+    # summarize a part of the records, so some bins are empty and some ids
+    # have no group, then label them all
+    keep = (durations != data.draw(st.sampled_from([0.0, 10.0, 30.0]))) & (rng.random(n) < 0.9)
+    keep[0] = True
+    build = full.subset(keep)
+    p = data.draw(st.floats(0, 100, exclude_min=True))
+    min_group_size = data.draw(st.integers(1, 6))
+    own_bins = make_duration_bins(build, b, min_bin_size=1)
+    # eps 0.45 is a capacity of 570, which the larger tables' sketches reach
+    for mode, eps in (("exact", 0.005), ("sketch", 0.005), ("sketch", 0.45)):
+        gs = build_grouped_summaries(build, bins=bins, kinds=("duration_bin", "video", "user"),
+                                     mode=mode, eps=eps)
+        with tempfile.TemporaryDirectory() as d:
+            save_grouped_summaries(gs, f"{d}/s.bin")
+            loaded = load_grouped_summaries(f"{d}/s.bin")
+        for kind in GROUP_KINDS:
+            want = _oracle_binary(build, full, bins, p, kind, mode, eps, min_group_size)
+            assert label_binary(full, p, kind, gs, min_group_size).tolist() == want
+            assert label_binary(full, p, kind, loaded, min_group_size).tolist() == want
+        # label_all places the records in their groups while it summarizes them
+        config = LabelConfig(partition=EQ4, bins_b=b, bins_min_size=1,
+                             min_group_size=min_group_size, summary_mode=mode, eps_sketch=eps,
+                             enabled=BINARY_LABELS)
+        for name, col in label_all(build, config).columns.items():
+            spec = LABELS[name]
+            assert col.tolist() == _oracle_binary(build, build, own_bins, spec.percentile,
+                                                  spec.scope, mode, eps, min_group_size)
+
+
+def test_sketch_group_at_capacity_is_a_real_sketch():
+    # eps 0.45 is a capacity of 570: a group of exactly 570 values compacts
+    # once, so its percentiles are the sketch's, not the exact ones
+    watch = np.random.default_rng(5).permutation(570) * 1.5
+    t = table_of(watch)
+    gs = build_grouped_summaries(t, kinds=(), mode="sketch", eps=0.45)
+    sketch = SketchSummary(0.45)
+    sketch.extend(watch)
+    assert sketch.capacity == 570 and len(sketch._levels) > 1
+    moved = 0
+    for p in np.linspace(1, 100, 34):
+        assert np.array_equal(label_binary(t, p, "global", gs), watch >= sketch.threshold(p))
+        moved += sketch.threshold(p) != np.sort(watch)[max(1, math.ceil(570 * p / 100)) - 1]
+    assert moved
+
+
+@pytest.mark.parametrize("mode", ["exact", "sketch"])
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+def test_grouped_summaries_reject_watch_times_outside_the_domain(mode, bad):
+    t = table_of([1.0, bad, 3.0])
+    with pytest.raises(NegativeValue, match="finite and >= 0"):
+        build_grouped_summaries(t, bins=make_duration_bins(t, 1), kinds=("duration_bin", "user"),
+                                mode=mode)
+
+
 def test_missing_grouping_fails():
     t = table_of([1.0, 2.0])
-    gs = GroupedSummaries({}, None, frozenset(), "exact", 0.005)
+    gs = GroupedSummaries({}, None, "exact", 0.005)
     with pytest.raises(MissingGroupSummary):
         label_binary(t, 50.0, "global", gs)
 
@@ -418,6 +540,30 @@ def test_loaded_sketch_summaries_eps_must_match(tmp_path):
                 label_all(t, other_eps, summaries=load_grouped_summaries(path))
 
 
+def test_exact_summaries_stored_out_of_order_label_as_sorted(tmp_path):
+    t, _ = small_synthetic(40, 20)
+    cfg = default_config()
+    lt, gs, _ = label_all_detailed(t, cfg)
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(gs, str(path))
+    blob = path.read_bytes()
+    bad = blob
+    # store the global and the first bin's values in descending order
+    for key in (GroupKey("global"), GroupKey("duration_bin", 0)):
+        run = gs.summaries[key].values().tobytes()
+        at = bad.index(run)
+        bad = bad[:at] + np.sort(gs.summaries[key].values())[::-1].tobytes() + bad[at + len(run):]
+    assert bad != blob
+    path.write_bytes(bad)
+    loaded = load_grouped_summaries(str(path))
+    relabeled = label_all(t, cfg, summaries=loaded)
+    for name, col in lt.columns.items():
+        assert np.array_equal(col, relabeled.columns[name])
+    # saving writes each exact summary sorted, as the original file holds it
+    save_grouped_summaries(loaded, str(path))
+    assert path.read_bytes() == blob
+
+
 def _saved_summaries(tmp_path, **kw) -> bytes:
     t, _ = small_synthetic(40, 20)
     _, gs, _ = label_all_detailed(t, default_config(**kw))
@@ -470,6 +616,33 @@ def test_grouped_summaries_reject_bins_outside_their_domain(tmp_path, which, ind
         load_grouped_summaries(str(path))
 
 
+def _write_summaries(path, summaries, bins, kinds, mode, eps):
+    """A WLGS v1 file holding exactly the GroupKey -> summary entries given,
+    in save_grouped_summaries' layout, so a test can write a file that no
+    GroupedSummaries holds: a repeated or out-of-range key, an undeclared
+    kind, a missing bin."""
+    code = {kind: i for i, kind in enumerate(GROUP_KINDS)}
+    parts = [struct.pack("<4sHBd", b"WLGS", 1, 0 if mode == "exact" else 1, eps)]
+    if bins is None:
+        parts.append(struct.pack("<BI", 0, 0))
+    else:
+        parts += [struct.pack("<BI", 1, bins.n_bins), bins.boundaries.tobytes(),
+                  bins.counts.tobytes()]
+    parts.append(struct.pack("<B", len(kinds)) + bytes(code[k] for k in sorted(kinds)))
+    keys = sorted(summaries, key=lambda k: (code[k.kind], str(k.key)))
+    parts.append(struct.pack("<I", len(keys)))
+    for key in keys:
+        parts.append(struct.pack("<B", code[key.kind]))
+        if key.kind == "duration_bin":
+            parts.append(struct.pack("<q", int(key.key)))
+        elif key.kind != "global":
+            enc = str(key.key).encode("utf-8")
+            parts.append(struct.pack("<I", len(enc)) + enc)
+        blob = summaries[key].to_bytes()
+        parts.append(struct.pack("<Q", len(blob)) + blob)
+    path.write_bytes(b"".join(parts))
+
+
 @pytest.mark.parametrize("with_bins,kinds", [
     (False, {"global", "video"}),  # an entity kind and no bins
     (True, {"global", "user"}),  # bins, but no duration_bin summaries
@@ -479,12 +652,11 @@ def test_grouped_summaries_without_a_bin_fallback_rejected(tmp_path, with_bins, 
     t, _ = small_synthetic(40, 20)
     bins = make_duration_bins(t, 5, 5)
     full = build_grouped_summaries(t, bins=bins, kinds=("duration_bin", "video", "user"))
-    gs = GroupedSummaries(
-        {key: s for key, s in full.summaries.items() if key.kind in kinds},
-        bins if with_bins else None, frozenset(kinds), "exact", full.eps,
-    )
     path = tmp_path / "s.bin"
-    save_grouped_summaries(gs, str(path))
+    _write_summaries(
+        path, {key: s for key, s in full.summaries.items() if key.kind in kinds},
+        bins if with_bins else None, kinds, "exact", full.eps,
+    )
     with pytest.raises(
         SerializationError, match=f"{path}: .* need duration bins and the duration_bin kind"
     ):
@@ -512,9 +684,12 @@ def test_grouped_summaries_reject_keys_outside_the_contract(tmp_path, edit, mess
     t, _ = small_synthetic(40, 20)
     gs = build_grouped_summaries(t, bins=make_duration_bins(t, 5, 5), kinds=("duration_bin",))
     assert gs.bins.n_bins == 5
-    bad = GroupedSummaries(edit(gs.summaries), gs.bins, gs.kinds, gs.mode, gs.eps)
     path = tmp_path / "s.bin"
-    save_grouped_summaries(bad, str(path))
+    save_grouped_summaries(gs, str(path))
+    saved = path.read_bytes()
+    _write_summaries(path, dict(gs.summaries), gs.bins, gs.kinds, gs.mode, gs.eps)
+    assert path.read_bytes() == saved
+    _write_summaries(path, edit(dict(gs.summaries)), gs.bins, gs.kinds, gs.mode, gs.eps)
     with pytest.raises(SerializationError, match=f"^{path}: {message}"):
         load_grouped_summaries(str(path))
 

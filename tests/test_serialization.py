@@ -40,6 +40,14 @@ def artifacts(tmp_path_factory):
     grouped = build_grouped_summaries(
         table, bins=make_duration_bins(table, 4, 5), kinds=("duration_bin", "video", "user")
     )
+    # eps 0.45 is a capacity of 570: the global summary and the 600-record
+    # bins compact, every video and user stays below capacity
+    wide, _ = generate(SyntheticConfig(n_users=20, n_videos=60, interactions_per_user=60, seed=3))
+    compacting = build_grouped_summaries(
+        wide, bins=make_duration_bins(wide, 2, 5), kinds=("duration_bin", "video", "user"),
+        mode="sketch", eps=0.45,
+    )
+    assert sum(s.count >= s.capacity for s in compacting.summaries.values()) == 3
     labels = label_all(table, LabelConfig(partition=make_partition("equal_frequency", 6),
                                           bins_b=4, bins_min_size=5))
     model, _ = fit(
@@ -71,11 +79,12 @@ def artifacts(tmp_path_factory):
         "wlqs_exact": (wlqs[1](exact), *wlqs),
         "wlqs_sketch": (wlqs[1](sketch), *wlqs),
         "wlgs": (wlgs[1](grouped), *wlgs),
+        "wlgs_sketch": (wlgs[1](compacting), *wlgs),
         "wlmd": (wlmd[1](model), *wlmd),
     }
 
 
-FORMATS = ("wlqs_exact", "wlqs_sketch", "wlgs", "wlmd")
+FORMATS = ("wlqs_exact", "wlqs_sketch", "wlgs", "wlgs_sketch", "wlmd")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
