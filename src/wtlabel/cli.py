@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -199,7 +200,12 @@ def _validate_ranges(config: PipelineConfig) -> None:
         (config.batch_size >= 1, "batch_size must be >= 1"),
         (config.tie_mode in ("distinct", "shared"), "tie_mode must be distinct or shared"),
         (config.summary_mode in ("exact", "sketch"), "summary_mode must be exact or sketch"),
+        (config.seed >= 0, "seed must be >= 0"),
+        (config.train_seed >= 0, "train_seed must be >= 0"),
+        (0 <= config.split_seed < 2**64, "split_seed must lie in [0, 2**64)"),
     ]
+    checks += [(not math.isnan(getattr(config, key)), f"{key} must not be NaN")
+               for key, f in _FIELDS.items() if type(f.default) is float]
     for ok, message in checks:
         if not ok:
             raise ConfigInvalid(message)
@@ -273,6 +279,8 @@ def cmd_gen(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.records is not None:
         if args.records <= 0:
             raise ConfigInvalid("records must be positive")
+        if n_users < 1:
+            raise ConfigInvalid("n_users must be >= 1")
         if args.records % n_users != 0:
             raise ConfigInvalid(
                 f"records={args.records} is not a multiple of n_users={n_users}"

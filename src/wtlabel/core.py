@@ -289,8 +289,10 @@ def make_partition(
         raise InvalidRatios("log_quadratic partition needs coeffs (a, b, c)")
     a, b, c = (float(v) for v in coeffs)
     y_lo, y_hi = curve_range
-    if not (0 < y_lo < y_hi):
-        raise NonMonotoneCurve(f"curve range {curve_range} is not an increasing positive span")
+    if not (0 < y_lo < y_hi < math.inf):
+        raise NonMonotoneCurve(
+            f"curve range {curve_range} is not a finite, increasing positive span"
+        )
     k_lo = math.ceil(math.log(y_lo))
     k_hi = math.ceil(math.log(y_hi))
     if k_hi <= k_lo:

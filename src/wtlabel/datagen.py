@@ -66,6 +66,8 @@ class SyntheticConfig:
             raise ConfigInvalid("noise scales must be >= 0")
         if self.confound_sign not in (1.0, -1.0):
             raise ConfigInvalid("confound_sign must be +1 or -1")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
 
     @property
     def n_records(self) -> int:

@@ -62,12 +62,10 @@ from .quantile import (
     DEFAULT_EPS,
     QuantileSummary,
     SketchSummary,
-    _in_domain,
     _nearest_rank,
     _validate_values,
     checked_values,
     make_summary,
-    plain_bytes,
     read_summary,
     sketch_capacity,
 )
@@ -81,35 +79,29 @@ class GroupKey:
     kind: str
     key: object = None
 
-    def __str__(self) -> str:
-        return self.kind if self.key is None else f"{self.kind} {self.key!r}"
-
 
 class _Groups:
     """One group kind's summaries as columns. Group i has key keys[i] and
-    counts[i] values, kept in values[bounds[i]:bounds[i + 1]]: sorted when
-    exact, in row order when a sketch. A sketch group that reached capacity
-    is the real sketch sketches[i] instead, with an empty segment. sorted
-    holds each segment sorted, for the nearest-rank gather."""
+    counts[i] values, kept sorted in values[bounds[i]:bounds[i + 1]] for the
+    nearest-rank gather. A sketch group that reached capacity is the real
+    sketch sketches[i] instead, with an empty segment; a smaller one never
+    compacts, so the order its values came in does not matter."""
 
-    def __init__(self, keys, sizes, values, sketches, mode):
+    def __init__(self, keys, sizes, values, sketches):
         self.keys, self.values, self.sketches = keys, values, sketches
         self.bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.counts = np.array(sizes, dtype=np.int64)
         self.counts[list(sketches)] = [s.count for s in sketches.values()]
         seg = np.repeat(np.arange(len(keys)), sizes)
-        self.sorted = values
         if np.any((np.diff(values) < 0) & (np.diff(seg) == 0)):
             by_value = np.argsort(values)
-            self.sorted = values[by_value[segments(seg[by_value], len(keys))[1]]]
-        if mode == "exact":
-            self.values = self.sorted
+            self.values = values[by_value[segments(seg[by_value], len(keys))[1]]]
 
     def thresholds(self, p: float) -> np.ndarray:
         """Every group's nearest-rank p-th percentile, NaN for an empty group."""
         sizes = np.diff(self.bounds)
         k = np.maximum(1, np.ceil(sizes * p / 100.0)).astype(np.int64)
-        out = np.append(self.sorted, np.nan)[np.where(sizes > 0, self.bounds[:-1] + k - 1, -1)]
+        out = np.append(self.values, np.nan)[np.where(sizes > 0, self.bounds[:-1] + k - 1, -1)]
         for i, s in self.sketches.items():
             out[i] = s.threshold(p) if s.count else np.nan
         return out
@@ -193,7 +185,8 @@ def build_grouped_summaries(
         if kind in kinds:
             groupings.append((kind, ids, None))
     # grouping records taken in watch-time order leaves each exact group
-    # sorted; a sketch group keeps row order
+    # sorted; a sketch group keeps row order, which a real sketch's
+    # compactions depend on, and _Groups sorts the others
     sort = np.argsort(wt) if mode == "exact" else np.arange(table.n)
     groups, rows = {}, {}
     for kind, keys, n_keys in groupings:
@@ -210,7 +203,7 @@ def build_grouped_summaries(
         order = order[np.repeat(~big, sizes)]
         sizes[big] = 0
         keys = np.array([None]) if kind == "global" else uniq
-        groups[kind] = _Groups(keys, sizes, wt[order], sketches, mode)
+        groups[kind] = _Groups(keys, sizes, wt[order], sketches)
     gs = GroupedSummaries(groups, bins, mode, eps)
     gs._rows = (table, rows)
     return gs
@@ -479,121 +472,114 @@ def label_all_detailed(
     return LabelTable(table.n, columns), summaries, bins
 
 
-# grouped-summary persistence
+# grouped-summary persistence: WLGS v2, one column block per group kind
 
 _GROUPED_MAGIC = b"WLGS"
-_GROUPED_VERSION = 1
-_KIND_CODE = {kind: code for code, kind in enumerate(GROUP_KINDS)}
+_GROUPED_VERSION = 2
 
 
 def save_grouped_summaries(gs: GroupedSummaries, path: str) -> None:
-    parts = [struct.pack("<4sHBd", _GROUPED_MAGIC, _GROUPED_VERSION,
-                         0 if gs.mode == "exact" else 1, gs.eps)]
-    if gs.bins is not None:
-        parts.append(struct.pack("<BI", 1, gs.bins.n_bins))
-        parts.append(np.ascontiguousarray(gs.bins.boundaries).tobytes())
-        parts.append(np.ascontiguousarray(gs.bins.counts).tobytes())
-    else:
-        parts.append(struct.pack("<BI", 0, 0))
-    kinds = sorted(gs.kinds)
-    parts.append(struct.pack("<B", len(kinds)))
-    for k in kinds:
-        parts.append(struct.pack("<B", _KIND_CODE[k]))
-    plain_eps = gs.eps if gs.mode == "sketch" else None
-    entries = []
-    for kind in sorted(gs.groups, key=_KIND_CODE.__getitem__):
+    """Write gs as WLGS v2. The header holds the mode, the eps (0 for an
+    exact file), a bit mask of the group kinds held (bit i for
+    GROUP_KINDS[i]) and the duration bins. Each kind then follows in
+    GROUP_KINDS order: its group count and real-sketch count; for
+    video and user the byte lengths and UTF-8 text of the keys; every
+    group's value count; each real sketch as (group index, WLQS bytes);
+    and all values, group after group. Global and bin keys are implied."""
+    n_bins = 0 if gs.bins is None else gs.bins.n_bins
+    mask = sum(1 << GROUP_KINDS.index(kind) for kind in gs.groups)
+    exact = gs.mode == "exact"
+    parts = [struct.pack("<4sHBdBI", _GROUPED_MAGIC, _GROUPED_VERSION, int(not exact),
+                         0.0 if exact else gs.eps, mask, n_bins)]
+    if n_bins:
+        parts += [gs.bins.boundaries.tobytes(), gs.bins.counts.tobytes()]
+    for kind in sorted(gs.groups, key=GROUP_KINDS.index):
         g = gs.groups[kind]
-        code = struct.pack("<B", _KIND_CODE[kind])
-        raw, bounds, keys = g.values.tobytes(), g.bounds.tolist(), g.keys.tolist()
-        for i in sorted(range(len(keys)), key=lambda i: str(keys[i])):
-            if kind == "duration_bin":
-                head = code + struct.pack("<q", keys[i])
-            elif kind == "global":
-                head = code
-            else:
-                enc = keys[i].encode("utf-8")
-                head = code + struct.pack("<I", len(enc)) + enc
-            s = g.sketches.get(i)
-            blob = (s.to_bytes() if s is not None
-                    else plain_bytes(raw[8 * bounds[i] : 8 * bounds[i + 1]], plain_eps))
-            entries += [head, struct.pack("<Q", len(blob)), blob]
-    parts.append(struct.pack("<I", len(entries) // 3))
-    atomic_write_bytes(path, b"".join(parts + entries))
+        parts.append(struct.pack("<QQ", len(g.keys), len(g.sketches)))
+        if kind in ("video", "user"):
+            keys = [key.encode("utf-8") for key in g.keys.tolist()]
+            parts += [np.array([len(key) for key in keys], np.int64).tobytes(), *keys]
+        parts.append(np.diff(g.bounds).tobytes())
+        for i in sorted(g.sketches):
+            parts += [struct.pack("<Q", i), g.sketches[i].to_bytes()]
+        parts.append(g.values.tobytes())
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_grouped_summaries(path: str) -> GroupedSummaries:
+    """Read a WLGS v2 file; any fault raises SerializationError naming its
+    byte offset or the missing piece. Version 1 files are not read."""
     with open(path, "rb") as fh:
         r = Reader(fh.read(), path)
     if r.raw(4) != _GROUPED_MAGIC:
         raise SerializationError(f"{path}: not a grouped-summary file")
-    version, mode_byte, eps = r.take("<HBd")
+    version, mode_byte, eps, mask, n_bins = r.take("<HBdBI")
     if version != _GROUPED_VERSION:
         raise SerializationError(f"{path}: unsupported version {version}")
-    has_bins, n_bins = r.take("<BI")
-    if mode_byte not in (0, 1) or has_bins != (n_bins > 0):
-        raise r.fail(f"bad header: mode byte {mode_byte}, bins flag {has_bins}, {n_bins} bins")
+    if mode_byte not in (0, 1):
+        raise r.fail(f"bad header: mode byte {mode_byte}", 6)
     mode = ("exact", "sketch")[mode_byte]
+    if not (eps == 0 if mode == "exact" else 0 < eps < 0.5):
+        raise r.fail(f"bad header: {mode} file with eps {eps}", 7)
+    kinds = [kind for code, kind in enumerate(GROUP_KINDS) if mask >> code & 1]
+    if mask >> len(GROUP_KINDS) or not mask & 1:
+        raise r.fail(f"bad header: kind mask {mask:#b} lacks global or has unknown kinds", 15)
     bins = None
-    if has_bins:
-        at = r.pos
+    if n_bins:
         try:
             bins = DurationBins(r.floats(n_bins), r.floats(n_bins, np.int64))
         except ValueError as exc:
-            raise r.fail(str(exc), at) from None
-    kinds = {_read_kind(r) for _ in range(r.take("<B")[0])}
-    if kinds - {"global"} and (bins is None or "duration_bin" not in kinds):
-        raise SerializationError(
-            f"{path}: {', '.join(sorted(kinds))} summaries need duration bins and the "
-            "duration_bin kind to fall back to"
-        )
-    # per kind, key -> (real sketch or None, raw values, their offset)
-    found: dict[str, dict] = {kind: {} for kind in GROUP_KINDS if kind in kinds}
-    for _ in range(r.take("<I")[0]):
-        at = r.pos
-        kind = _read_kind(r)
-        if kind not in kinds:
-            raise r.fail(f"{kind} summary of a kind the file does not declare", at)
-        if kind == "duration_bin":
-            (key,) = r.take("<q")
-            if not 0 <= key < n_bins:
-                raise r.fail(f"duration-bin key {key} outside 0..{n_bins - 1}", at)
-        elif kind == "global":
-            key = None
-        else:
-            key = r.utf8(r.take("<I")[0])
-        (size,) = r.take("<Q")
-        start = r.pos
-        entry_mode, s, raw, raw_at = read_summary(r, eps if mode == "sketch" else None)
-        if (r.pos - start, entry_mode) != (size, mode):
-            raise SerializationError(
-                f"{path}: the {r.pos - start}-byte {entry_mode} summary at byte {start} "
-                f"is stated as {size}-byte {mode}"
-            )
-        if key in found[kind]:
-            raise r.fail(f"second summary for {GroupKey(kind, key)}", at)
-        found[kind][key] = (s, raw, raw_at)
-    r.end()
-    needed = [GroupKey("global")]
-    if "duration_bin" in kinds:
-        needed += [GroupKey("duration_bin", b) for b in range(n_bins)]
-    for key in needed:
-        if key.key not in found.get(key.kind, ()):
-            raise SerializationError(f"{path}: no summary for {key}")
+            raise r.fail(str(exc), 20) from None
+    if len(kinds) > 1 and (bins is None or "duration_bin" not in kinds):
+        raise r.fail(f"{', '.join(kinds)} summaries need duration bins and the duration_bin "
+                     "kind to fall back to", 15)
     groups = {}
-    for kind, got in found.items():
-        entries = [got[key] for key in sorted(got)]
-        values = np.frombuffer(b"".join(raw for _, raw, _ in entries), np.float64)
-        if not _in_domain(values):
-            for _, raw, at in got.values():  # name the kind's first bad value in the file
-                checked_values(r, raw, at)
-        sketches = {i: s for i, (s, _, _) in enumerate(entries) if s is not None}
-        groups[kind] = _Groups(np.array(sorted(got)), [len(raw) // 8 for _, raw, _ in entries],
-                               values, sketches, mode)
+    for kind in kinds:
+        n, n_sketches = r.take("<QQ")
+        need = {"global": 1, "duration_bin": n_bins}.get(kind, n)
+        if n != need:
+            raise r.fail(f"{n} {kind} groups where the file needs {need}")
+        if n_sketches and mode == "exact":
+            raise r.fail(f"{kind} block of an exact file holds {n_sketches} sketches")
+        if kind in ("video", "user"):
+            keys = _read_keys(r, n, kind)
+        else:  # n was checked against the header above
+            keys = np.array([None]) if kind == "global" else np.arange(n)
+        sizes = _read_counts(r, n, f"{kind} group size")
+        sketches = {}
+        for _ in range(n_sketches):
+            (i,) = r.take("<Q")
+            if not (max(sketches, default=-1) < i < n and sizes[i] == 0):
+                raise r.fail(f"sketch at {kind} group {i}, not an empty group after the last")
+            at = r.pos
+            s = read_summary(r)[0]
+            if s is None or s.eps != eps:
+                raise r.fail(f"{kind} group {i} holds no sketch of the file's eps {eps}", at)
+            sketches[i] = s
+        raw = r.raw(8 * int(sizes.sum()))
+        groups[kind] = _Groups(keys, sizes, checked_values(r, raw, r.start), sketches)
+    r.end()
     return GroupedSummaries(groups, bins, mode, eps)
 
 
-def _read_kind(r: Reader) -> str:
-    (code,) = r.take("<B")
-    if code >= len(GROUP_KINDS):
-        raise r.fail(f"unknown group kind code {code}")
-    return GROUP_KINDS[code]
+def _read_counts(r: Reader, n: int, what: str) -> np.ndarray:
+    """n int64 counts, each in 0..len(file); the first outside fails at its offset."""
+    sizes = r.floats(n, np.int64)
+    bad = np.flatnonzero((sizes < 0) | (sizes > len(r.blob)))
+    if bad.size:
+        raise r.fail(f"{what} {sizes[bad[0]]} outside 0..{len(r.blob)}", r.start + 8 * bad[0])
+    return sizes
+
+
+def _read_keys(r: Reader, n: int, kind: str) -> np.ndarray:
+    """n UTF-8 keys, stored as their byte lengths and then their text;
+    they must ascend strictly."""
+    lengths = _read_counts(r, n, f"{kind} key length")
+    at = r.pos
+    keys = np.array([r.utf8(k) for k in lengths.tolist()], dtype=str)
+    bad = np.flatnonzero(keys[1:] <= keys[:-1])
+    if bad.size:
+        i = bad[0] + 1
+        raise r.fail(f"{kind} key {keys[i]!r} does not follow {keys[i - 1]!r}",
+                     at + int(lengths[:i].sum()))
+    return keys

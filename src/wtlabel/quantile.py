@@ -153,7 +153,9 @@ class ExactSummary(QuantileSummary):
                                side="right") / self._n
 
     def to_bytes(self) -> bytes:
-        return plain_bytes(self.values().tobytes())
+        v = self.values()
+        return struct.pack("<4sHBQQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_EXACT, v.size,
+                           v.size) + v.tobytes()
 
 
 class SketchSummary(QuantileSummary):
@@ -313,19 +315,9 @@ def make_summary(mode: str = "exact", eps: float = DEFAULT_EPS) -> QuantileSumma
     raise ConfigInvalid(f"unknown summary mode {mode!r}")
 
 
-def plain_bytes(raw: bytes, eps: Optional[float] = None) -> bytes:
-    """WLQS bytes of an exact summary whose sorted values are raw or, given
-    eps, of a sketch of that eps holding raw's values uncompacted."""
-    n = len(raw) // 8
-    if eps is None:
-        return struct.pack("<4sHBQQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_EXACT, n, n) + raw
-    return struct.pack("<4sHBQdIIBQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_SKETCH, n,
-                       eps, sketch_capacity(eps), 1, 0, n) + raw
-
-
 def summary_from_bytes(blob: bytes) -> QuantileSummary:
     r = Reader(blob, "WLQS summary")
-    _, s, raw, at = read_summary(r)
+    s, raw, at = read_summary(r)
     if s is None:
         s = ExactSummary()
         s.extend(checked_values(r, raw, at))
@@ -345,13 +337,10 @@ def checked_values(r: Reader, raw: bytes, at: int) -> np.ndarray:
     return values
 
 
-def read_summary(
-    r: Reader, plain_eps: Optional[float] = None
-) -> tuple[str, Optional[SketchSummary], bytes, int]:
-    """Decode one WLQS summary at the cursor as (mode, sketch, raw, at): an
-    exact one, or a never-compacted sketch of eps plain_eps, as sketch None
-    and its values unchecked in raw, stored from byte at; any other sketch
-    decoded and checked."""
+def read_summary(r: Reader) -> tuple[Optional[SketchSummary], bytes, int]:
+    """Decode one WLQS summary at the cursor as (sketch, raw, at): an exact
+    one as sketch None and its values unchecked in raw, stored from byte
+    at; a sketch decoded and checked."""
     magic, version, mode, n = r.take("<4sHBQ")
     if magic != SERIAL_MAGIC:
         raise r.fail(f"bad summary magic {magic!r}")
@@ -361,7 +350,7 @@ def read_summary(
         (size,) = r.take("<Q")
         if size != n:
             raise r.fail(f"exact summary header counts {n} values, payload holds {size}")
-        return "exact", None, r.raw(8 * size), r.start
+        return None, r.raw(8 * size), r.start
     if mode != _MODE_SKETCH:
         raise r.fail(f"unknown summary mode byte {mode}")
     eps, capacity, n_levels = r.take("<dII")
@@ -382,10 +371,7 @@ def read_summary(
     weight = sum(len(raw) // 8 << h for h, (_, raw, _) in enumerate(levels))
     if weight != n:
         raise r.fail(f"sketch summary header counts {n} values, levels hold weight {weight}")
-    parities = [parity for parity, _, _ in levels]
-    if eps == plain_eps and capacity == sketch_capacity(eps) > n and parities == [0]:
-        return "sketch", None, levels[0][1], levels[0][2]
     s = SketchSummary(eps, capacity)
     s._levels = [checked_values(r, raw, at) for _, raw, at in levels] or [np.empty(0)]
-    s._parity, s._n = parities or [0], n
-    return "sketch", s, b"", r.pos
+    s._parity, s._n = [parity for parity, _, _ in levels] or [0], n
+    return s, b"", r.pos

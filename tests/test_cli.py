@@ -15,9 +15,15 @@ import pytest
 
 import wtlabel
 from wtlabel.cli import evaluate_model, main, parse_tasks
-from wtlabel.core import make_partition
+from wtlabel.core import InteractionTable, make_partition
 from wtlabel.datagen import SyntheticConfig, generate, oracle_rank_quality
-from wtlabel.dataio import INTERACTION_HEADER, read_interactions, read_labeled, split_mask
+from wtlabel.dataio import (
+    INTERACTION_HEADER,
+    read_interactions,
+    read_labeled,
+    split_mask,
+    write_interactions,
+)
 from wtlabel.errors import ConfigInvalid
 from wtlabel.labeling import LabelConfig, label_all, load_grouped_summaries
 from wtlabel.learner import (
@@ -154,6 +160,31 @@ def test_config_range_validation(tmp_path, capsys):
     assert "n_groups" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["gen", "--seed", "-1"], "", "seed must be >= 0"),
+    (["gen", "--users", "0", "--records", "10"], "", "n_users must be >= 1"),
+    (["train"], "train_seed = -3\n", "train_seed must be >= 0"),
+    (["train"], "split_seed = -1\n", "split_seed must lie in"),
+    (["train"], f"split_seed = {2**64}\n", "split_seed must lie in"),
+    (["gen"], "alpha = nan\n", "alpha must not be NaN"),
+    (["train"], "lr_dense = nan\n", "lr_dense must not be NaN"),
+    (["label"], "partition_kind = log_quadratic\ncurve_hi = inf\n",
+     r"curve range (1.0, inf) is not a finite"),
+], ids=["seed", "n_users", "train_seed", "split_seed", "split_seed_2_64", "alpha_nan",
+        "lr_dense_nan", "curve_hi_inf"])
+def test_out_of_domain_config_exits_2_naming_the_key(small_run, tmp_path, capsys, argv,
+                                                      config, message):
+    paths = {"gen": ["--out", tmp_path / "g"],
+             "label": ["--input", small_run["data"], "--output", tmp_path / "l.csv"],
+             "train": ["--input", small_run["labeled"], "--model", tmp_path / "m.bin"]}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    assert run([*argv, *paths[argv[0]], "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "g").exists() and not (tmp_path / "m.bin").exists()
+
+
 # ------------------------------------------------------------------- label
 
 
@@ -245,6 +276,34 @@ def test_label_compacting_sketch_summaries_reproduce_output(small_run, tmp_path)
                  if s.count >= s.capacity]
     assert compacted == ["global", "duration_bin"]
     assert run(["label", "--input", small_run["data"], "--output", second, *sketch,
+                "--summaries-in", store]) == 0
+    assert read_bytes(first) == read_bytes(second)
+
+
+@pytest.mark.parametrize("summary", [[], ["--summary", "sketch", "--eps", "0.45"]],
+                         ids=["exact", "sketch"])
+def test_label_summaries_reuse_keeps_awkward_ids(tmp_path, summary):
+    # ids that need CSV quoting, are not ASCII, or are a prefix of another;
+    # "v1" has 7 records, below min_group_size. At eps 0.45 (capacity 570)
+    # the 700-record global summary compacts.
+    ids = ("a,b", 'say "hi"', "two\nlines", "naïve ü", "視頻", "v10")
+    rng = np.random.default_rng(8)
+    n = 700
+    videos = [ids[i // 6 % 6] for i in range(n)]
+    videos[::100] = ["v1"] * 7
+    duration = rng.uniform(5, 600, n).round(3)
+    table = InteractionTable([ids[i % 6] for i in range(n)], videos, duration,
+                             (duration * rng.uniform(0, 1, n)).round(3))
+    data = str(tmp_path / "in.csv")
+    write_interactions(data, table)
+    first, second = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
+    store = str(tmp_path / "sums.bin")
+    assert run(["label", "--input", data, "--output", first, *summary,
+                "--summaries-out", store]) == 0
+    saved = load_grouped_summaries(store)
+    assert set(saved.groups["video"].keys) == set(ids) | {"v1"}
+    assert bool(saved.groups["global"].sketches) == bool(summary)
+    assert run(["label", "--input", data, "--output", second, *summary,
                 "--summaries-in", store]) == 0
     assert read_bytes(first) == read_bytes(second)
 

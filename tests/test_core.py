@@ -210,6 +210,12 @@ def test_log_quadratic_needs_scale_span():
         make_partition("log_quadratic", 5, coeffs=(0.02, 0.1, 1.0), curve_range=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("curve_range", [(1.0, math.inf), (-math.inf, 10.0), (1.0, math.nan)])
+def test_log_quadratic_needs_a_finite_range(curve_range):
+    with pytest.raises(NonMonotoneCurve, match="not a finite, increasing positive span"):
+        make_partition("log_quadratic", 5, coeffs=(0.01, -0.2, 2.0), curve_range=curve_range)
+
+
 def test_group_of_rank_boundary_belongs_to_lower_group():
     p = make_partition("equal_frequency", 4)
     assert p.group_of_rank(0.25) == 0

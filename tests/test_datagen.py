@@ -116,6 +116,11 @@ def test_confound_sign_must_be_unit():
         SyntheticConfig(confound_sign=0.5).validate()
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
+        generate(SyntheticConfig(n_users=2, n_videos=4, interactions_per_user=2, seed=-1))
+
+
 # -------------------------------------------------------------- rank oracle
 
 

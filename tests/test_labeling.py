@@ -573,23 +573,36 @@ def _saved_summaries(tmp_path, **kw) -> bytes:
 
 
 @pytest.mark.parametrize("mode,offset,value,message", [
-    ("exact", 6, 7, "bad header: mode byte 7, bins flag 1, 5 bins"),  # mode byte
-    ("exact", 15, 2, "bad header: mode byte 0, bins flag 2, 5 bins"),  # has-bins flag
-    ("exact", 15, 0, "bad header: mode byte 0, bins flag 0, 5 bins"),  # bins, flag cleared
-    # entries whose mode disagrees with the file's mode byte
-    ("exact", 6, 1, r"exact summary at byte \d+ is stated as \d+-byte sketch"),
-    ("sketch", 6, 0, r"sketch summary at byte \d+ is stated as \d+-byte exact"),
-])
+    ("exact", 6, 7, "bad header: mode byte 7 at byte 6"),
+    # the kind mask at byte 15: no global summary, or an unknown kind (bit 4)
+    ("exact", 15, 2, "bad header: kind mask 0b10 lacks global or has unknown kinds at byte 15"),
+    ("exact", 15, 0, "bad header: kind mask 0b0 lacks global or has unknown kinds at byte 15"),
+    ("exact", 15, 17, "bad header: kind mask 0b10001 lacks global or has unknown kinds at byte 15"),
+    # an exact file stores eps 0, a sketch file its eps: a flipped mode
+    # byte disagrees with the eps
+    ("exact", 6, 1, r"bad header: sketch file with eps 0\.0 at byte 7"),
+    ("sketch", 6, 0, r"bad header: exact file with eps 0\.005 at byte 7"),
+], ids=["exact-6-7-bad header mode byte", "exact-15-2-bad kind mask", "exact-15-0-bad kind mask",
+        "exact-15-17-bad kind mask", "exact-6-1-exact file marked sketch",
+        "sketch-6-0-sketch file marked exact"])
 def test_grouped_summaries_reject_header_bytes_outside_their_domain(
     tmp_path, mode, offset, value, message
 ):
     tie_mode = "shared" if mode == "sketch" else "distinct"
     blob = bytearray(_saved_summaries(tmp_path, summary_mode=mode, tie_mode=tie_mode))
-    assert blob[offset] in (0, 1) and blob[offset] != value
+    assert blob[offset] != value
     blob[offset] = value
     path = tmp_path / "bad.bin"
     path.write_bytes(bytes(blob))
-    with pytest.raises(SerializationError, match=f"{path}: .*{message}"):
+    with pytest.raises(SerializationError, match=f"^{path}: {message}$"):
+        load_grouped_summaries(str(path))
+
+
+def test_grouped_summaries_of_version_1_rejected(tmp_path):
+    blob = _saved_summaries(tmp_path)
+    path = tmp_path / "v1.bin"
+    path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+    with pytest.raises(SerializationError, match=f"^{path}: unsupported version 1$"):
         load_grouped_summaries(str(path))
 
 
@@ -600,9 +613,9 @@ def test_grouped_summaries_reject_header_bytes_outside_their_domain(
     ("boundaries", 2, 0.0, "boundaries"),  # below its left neighbour
 ])
 def test_grouped_summaries_reject_bins_outside_their_domain(tmp_path, which, index, value, message):
-    # bins follow the 15-byte header and the (flag, count) pair: n float64
-    # boundaries at byte 20, then n int64 counts. Counts are stored as
-    # integers, so a NaN or fractional count cannot occur in this format.
+    # bins follow the 20-byte header, whose last field is their number n:
+    # n float64 boundaries at byte 20, then n int64 counts. Counts are
+    # stored as integers, so a NaN or fractional count cannot occur.
     blob = _saved_summaries(tmp_path)
     (n,) = struct.unpack_from("<I", blob, 16)
     bounds = np.frombuffer(blob, np.float64, n, 20).copy()
@@ -616,33 +629,6 @@ def test_grouped_summaries_reject_bins_outside_their_domain(tmp_path, which, ind
         load_grouped_summaries(str(path))
 
 
-def _write_summaries(path, summaries, bins, kinds, mode, eps):
-    """A WLGS v1 file holding exactly the GroupKey -> summary entries given,
-    in save_grouped_summaries' layout, so a test can write a file that no
-    GroupedSummaries holds: a repeated or out-of-range key, an undeclared
-    kind, a missing bin."""
-    code = {kind: i for i, kind in enumerate(GROUP_KINDS)}
-    parts = [struct.pack("<4sHBd", b"WLGS", 1, 0 if mode == "exact" else 1, eps)]
-    if bins is None:
-        parts.append(struct.pack("<BI", 0, 0))
-    else:
-        parts += [struct.pack("<BI", 1, bins.n_bins), bins.boundaries.tobytes(),
-                  bins.counts.tobytes()]
-    parts.append(struct.pack("<B", len(kinds)) + bytes(code[k] for k in sorted(kinds)))
-    keys = sorted(summaries, key=lambda k: (code[k.kind], str(k.key)))
-    parts.append(struct.pack("<I", len(keys)))
-    for key in keys:
-        parts.append(struct.pack("<B", code[key.kind]))
-        if key.kind == "duration_bin":
-            parts.append(struct.pack("<q", int(key.key)))
-        elif key.kind != "global":
-            enc = str(key.key).encode("utf-8")
-            parts.append(struct.pack("<I", len(enc)) + enc)
-        blob = summaries[key].to_bytes()
-        parts.append(struct.pack("<Q", len(blob)) + blob)
-    path.write_bytes(b"".join(parts))
-
-
 @pytest.mark.parametrize("with_bins,kinds", [
     (False, {"global", "video"}),  # an entity kind and no bins
     (True, {"global", "user"}),  # bins, but no duration_bin summaries
@@ -650,34 +636,50 @@ def _write_summaries(path, summaries, bins, kinds, mode, eps):
 ])
 def test_grouped_summaries_without_a_bin_fallback_rejected(tmp_path, with_bins, kinds):
     t, _ = small_synthetic(40, 20)
-    bins = make_duration_bins(t, 5, 5)
-    full = build_grouped_summaries(t, bins=bins, kinds=("duration_bin", "video", "user"))
+    full = build_grouped_summaries(t, bins=make_duration_bins(t, 5, 5),
+                                   kinds=("duration_bin", "video", "user"))
+    gs = GroupedSummaries({kind: g for kind, g in full.groups.items() if kind in kinds},
+                          full.bins if with_bins else None, "exact", full.eps)
     path = tmp_path / "s.bin"
-    _write_summaries(
-        path, {key: s for key, s in full.summaries.items() if key.kind in kinds},
-        bins if with_bins else None, kinds, "exact", full.eps,
-    )
+    save_grouped_summaries(gs, str(path))
     with pytest.raises(
-        SerializationError, match=f"{path}: .* need duration bins and the duration_bin kind"
+        SerializationError,
+        match=f"^{path}: .* need duration bins and the duration_bin kind .* at byte 15$",
     ):
         load_grouped_summaries(str(path))
 
 
+def _with_bins(gs, boundaries, counts):
+    return GroupedSummaries(gs.groups, DurationBins(boundaries, counts), gs.mode, gs.eps)
+
+
+def _bin_block(gs):
+    """Bytes of the last kind block, the duration_bin block of an exact
+    global and duration_bin file: its 16-byte head (group and sketch
+    counts), 5 sizes and every record's value end the file."""
+    return 16 + 8 * 5 + 8 * int(gs.groups["duration_bin"].counts.sum())
+
+
+def _bin_count(gs, blob):
+    at = len(blob) - _bin_block(gs)
+    assert struct.unpack_from("<Q", blob, at) == (5,)
+    return blob[:at] + struct.pack("<Q", 6) + blob[at + 8:]
+
+
 @pytest.mark.parametrize("edit,message", [
-    # bin 4 of 5 keyed 99
-    (lambda s: {GroupKey("duration_bin", 99) if k == GroupKey("duration_bin", 4) else k: v
-                for k, v in s.items()},
-     r"duration-bin key 99 outside 0\.\.4 at byte \d+$"),
-    # the file declares global and duration_bin only
-    (lambda s: {**s, GroupKey("user", "u0"): s[GroupKey("global")]},
-     r"user summary of a kind the file does not declare at byte \d+$"),
-    # the writer packs the text key "0" as the integer 0: bin 0 twice
-    (lambda s: {**s, GroupKey("duration_bin", "0"): s[GroupKey("duration_bin", 1)]},
-     r"second summary for duration_bin 0 at byte \d+$"),
-    (lambda s: {k: v for k, v in s.items() if k != GroupKey("duration_bin", 2)},
-     "no summary for duration_bin 2$"),
-    (lambda s: {k: v for k, v in s.items() if k != GroupKey("global")},
-     "no summary for global$"),
+    # 5 bin groups in a file of 4 bins: bin 4 has no place
+    (lambda gs, _: _with_bins(gs, gs.bins.boundaries[:4], gs.bins.counts[:4]),
+     r"5 duration_bin groups where the file needs 4 at byte \d+$"),
+    # a block that no mask bit declares (a second bin block) is left over
+    (lambda gs, blob: blob + blob[-_bin_block(gs):], r"\d+ trailing bytes at byte \d+$"),
+    # a bin block that claims one group more than there are bins
+    (_bin_count, r"6 duration_bin groups where the file needs 5 at byte \d+$"),
+    # 5 bin groups in a file of 6 bins: bin 5 has none
+    (lambda gs, _: _with_bins(gs, np.append(gs.bins.boundaries, 1e6), np.append(gs.bins.counts, 0)),
+     r"5 duration_bin groups where the file needs 6 at byte \d+$"),
+    (lambda gs, _: GroupedSummaries({"duration_bin": gs.groups["duration_bin"]}, gs.bins,
+                                    gs.mode, gs.eps),
+     "bad header: kind mask 0b10 lacks global or has unknown kinds at byte 15$"),
 ], ids=["bin_key_out_of_range", "undeclared_kind", "repeated_bin", "missing_bin",
         "missing_global"])
 def test_grouped_summaries_reject_keys_outside_the_contract(tmp_path, edit, message):
@@ -686,10 +688,109 @@ def test_grouped_summaries_reject_keys_outside_the_contract(tmp_path, edit, mess
     assert gs.bins.n_bins == 5
     path = tmp_path / "s.bin"
     save_grouped_summaries(gs, str(path))
-    saved = path.read_bytes()
-    _write_summaries(path, dict(gs.summaries), gs.bins, gs.kinds, gs.mode, gs.eps)
-    assert path.read_bytes() == saved
-    _write_summaries(path, edit(dict(gs.summaries)), gs.bins, gs.kinds, gs.mode, gs.eps)
+    bad = edit(gs, path.read_bytes())
+    if isinstance(bad, GroupedSummaries):
+        save_grouped_summaries(bad, str(path))
+    else:
+        path.write_bytes(bad)
+    with pytest.raises(SerializationError, match=f"^{path}: {message}"):
+        load_grouped_summaries(str(path))
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["twice", "unsorted"])
+def test_grouped_summaries_reject_entity_keys_out_of_order(tmp_path, swap):
+    t, _ = small_synthetic(40, 20)
+    gs = build_grouped_summaries(t, bins=make_duration_bins(t, 5, 5),
+                                 kinds=("duration_bin", "video"))
+    keys = gs.groups["video"].keys
+    first, second = keys[0], keys[1]
+    keys[:2] = (second, first) if swap else (first, first)
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(gs, str(path))
+    blob = path.read_bytes()
+    with pytest.raises(SerializationError) as exc:
+        load_grouped_summaries(str(path))
+    a, b = keys[1], keys[0]
+    at = int(str(exc.value).rsplit(" ", 1)[1])
+    assert str(exc.value) == f"{path}: video key {a!r} does not follow {b!r} at byte {at}"
+    # the offset is the second key's text, right after the first's
+    assert blob[at - len(b) : at + len(a)] == (b + a).encode()
+
+
+def test_grouped_summaries_name_a_key_that_is_not_utf8(tmp_path):
+    t = table_of(np.arange(12.0), videos=["é-unique"] * 6 + ["v"] * 6)
+    gs = build_grouped_summaries(t, bins=make_duration_bins(t, 1), kinds=("duration_bin", "video"))
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(gs, str(path))
+    blob = bytearray(path.read_bytes())
+    at = blob.index("é-unique".encode())
+    blob[at + 1] = 0xFF  # the second byte of é
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SerializationError, match=f"^{path}: text is not UTF-8 at byte {at}$"):
+        load_grouped_summaries(str(path))
+
+
+def test_grouped_summaries_reject_a_huge_entity_count_before_allocating(tmp_path):
+    # a video block that claims 2**40 groups fails at the read of their key
+    # lengths, not at an array built from the count
+    t, _ = small_synthetic(40, 20)
+    gs = build_grouped_summaries(t, bins=make_duration_bins(t, 5, 5),
+                                 kinds=("duration_bin", "video"))
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(gs, str(path))
+    blob = bytearray(path.read_bytes())
+    at = 20 + 16 * 5 + sum(16 + 8 * len(gs.groups[kind].keys) + 8 * int(gs.groups[kind].counts.sum())
+                           for kind in ("global", "duration_bin"))
+    assert struct.unpack_from("<QQ", blob, at) == (len(gs.groups["video"].keys), 0)
+    struct.pack_into("<Q", blob, at, 2**40)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SerializationError, match=rf"^{path}: truncated: {8 * 2**40} bytes wanted, "
+                                                 rf"\d+ left at byte {at + 16}$"):
+        load_grouped_summaries(str(path))
+
+
+def test_grouped_summaries_reject_a_negative_group_size(tmp_path):
+    blob = bytearray(_saved_summaries(tmp_path))
+    # the global size follows the bins and the global block's 16-byte head
+    (n,) = struct.unpack_from("<I", blob, 16)
+    at = 20 + 16 * n + 16
+    struct.pack_into("<q", blob, at, -1)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SerializationError,
+                       match=rf"^{path}: global group size -1 outside 0\.\.\d+ at byte {at}$"):
+        load_grouped_summaries(str(path))
+
+
+def _compacting(t):
+    # eps 0.45 is a capacity of 570: the 800-record global group compacts
+    gs = build_grouped_summaries(t, bins=make_duration_bins(t, 5, 5), kinds=("duration_bin",),
+                                 mode="sketch", eps=0.45)
+    assert list(gs.groups["global"].sketches) == [0] and not gs.groups["duration_bin"].sketches
+    return gs
+
+
+def _sketch_of(eps, values):
+    s = SketchSummary(eps)
+    s.extend(values)
+    return s
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda gs, t: gs.groups["global"].sketches.update({0: _sketch_of(0.3, t.watch_time_s)}),
+     r"global group 0 holds no sketch of the file's eps 0\.45 at byte \d+$"),
+    # bin 0 holds values of its own
+    (lambda gs, t: gs.groups["duration_bin"].sketches.update({0: _sketch_of(0.45, [1.0])}),
+     "sketch at duration_bin group 0, not an empty group after the last at byte"),
+    (lambda gs, t: setattr(gs, "mode", "exact"),
+     r"global block of an exact file holds 1 sketches at byte \d+$"),
+], ids=["other_eps", "nonempty_group", "exact_file"])
+def test_grouped_summaries_reject_sketches_outside_the_contract(tmp_path, edit, message):
+    t, _ = small_synthetic(40, 20)
+    gs = _compacting(t)
+    edit(gs, t)
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(gs, str(path))
     with pytest.raises(SerializationError, match=f"^{path}: {message}"):
         load_grouped_summaries(str(path))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtlabel.core import make_duration_bins, make_partition
+from wtlabel.core import InteractionTable, make_duration_bins, make_partition
 from wtlabel.datagen import SyntheticConfig, generate
 from wtlabel.errors import PipelineError
 from wtlabel.labeling import (
@@ -48,6 +48,15 @@ def artifacts(tmp_path_factory):
         mode="sketch", eps=0.45,
     )
     assert sum(s.count >= s.capacity for s in compacting.summaries.values()) == 3
+    # video and user ids that need CSV quoting, are not ASCII, or are a
+    # prefix of another id
+    ids = ("a,b", 'say "hi"', "two\nlines", "naïve ü", "視頻", "v1", "v10")
+    n, duration = 210, rng.uniform(5, 600, 210)
+    awkward = build_grouped_summaries(
+        InteractionTable([ids[i % 7] for i in range(n)], [ids[i // 7 % 7] for i in range(n)],
+                         duration, rng.uniform(0, 300, n)),
+        bins=make_duration_bins(duration, 3, 5), kinds=("duration_bin", "video", "user"),
+    )
     labels = label_all(table, LabelConfig(partition=make_partition("equal_frequency", 6),
                                           bins_b=4, bins_min_size=5))
     model, _ = fit(
@@ -80,11 +89,12 @@ def artifacts(tmp_path_factory):
         "wlqs_sketch": (wlqs[1](sketch), *wlqs),
         "wlgs": (wlgs[1](grouped), *wlgs),
         "wlgs_sketch": (wlgs[1](compacting), *wlgs),
+        "wlgs_keys": (wlgs[1](awkward), *wlgs),
         "wlmd": (wlmd[1](model), *wlmd),
     }
 
 
-FORMATS = ("wlqs_exact", "wlqs_sketch", "wlgs", "wlgs_sketch", "wlmd")
+FORMATS = ("wlqs_exact", "wlqs_sketch", "wlgs", "wlgs_sketch", "wlgs_keys", "wlmd")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
