@@ -286,21 +286,13 @@ def cmd_gen(args: argparse.Namespace, config: PipelineConfig) -> int:
                 f"records={args.records} is not a multiple of n_users={n_users}"
             )
         per_user = args.records // n_users
-    syn = SyntheticConfig(
-        n_users=n_users,
-        n_videos=config.n_videos,
+    off = args.confound == "off"
+    syn = dataclasses.replace(
+        SyntheticConfig(**{f.name: getattr(config, f.name)
+                           for f in dataclasses.fields(SyntheticConfig)}),
         interactions_per_user=per_user,
-        latent_dim=config.latent_dim,
-        mu_d=config.mu_d,
-        s_d=0.0 if args.confound == "off" else config.s_d,
-        sigma_d=0.0 if args.confound == "off" else config.sigma_d,
-        d_min=config.d_min,
-        d_max=config.d_max,
-        alpha=config.alpha,
-        beta=config.beta,
-        sigma_y=config.sigma_y,
-        confound_sign=config.confound_sign,
-        seed=config.seed,
+        s_d=0.0 if off else config.s_d,
+        sigma_d=0.0 if off else config.sigma_d,
     )
     table, truth = generate(syn)
     os.makedirs(args.out, exist_ok=True)
@@ -366,13 +358,17 @@ def _fit_with_config(
     return fit(table, columns, tasks, arch, opt, config.bins_b, config.bins_min_size)
 
 
+def _subset(table, columns: dict[str, np.ndarray], keep: np.ndarray):
+    """The records where keep is set, and their label columns."""
+    return table.subset(keep), {k: v[keep] for k, v in columns.items()}
+
+
 def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
     table, columns = read_labeled(args.input)
     tasks = parse_tasks(config.tasks)
     _training_columns(columns, tasks, args.input)
     mask = split_mask(table.row_index, config.split_frac, config.split_seed)
-    train_table = table.subset(mask)
-    train_columns = {k: v[mask] for k, v in columns.items()}
+    train_table, train_columns = _subset(table, columns, mask)
     if train_table.n == 0:
         raise ConfigInvalid("training split is empty; raise split_frac")
     model, trace = _fit_with_config(train_table, train_columns, tasks, config)
@@ -450,10 +446,9 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
         keep = np.ones(table.n, dtype=bool)
     else:
         keep = ~mask
-    sub = table.subset(keep)
+    sub, sub_columns = _subset(table, columns, keep)
     if sub.n == 0:
         raise ConfigInvalid(f"{args.split} split is empty")
-    sub_columns = {k: v[keep] for k, v in columns.items()}
     truth_m = None
     if args.truth:
         truth = read_truth(args.truth)
@@ -517,10 +512,8 @@ def run_ablation(
     config: PipelineConfig,
 ) -> list[tuple[str, float, float, float, float, float, float]]:
     mask = split_mask(table.row_index, config.split_frac, config.split_seed)
-    train_table = table.subset(mask)
-    train_columns = {k: v[mask] for k, v in columns.items()}
-    eval_table = table.subset(~mask)
-    eval_columns = {k: v[~mask] for k, v in columns.items()}
+    train_table, train_columns = _subset(table, columns, mask)
+    eval_table, eval_columns = _subset(table, columns, ~mask)
     eval_truth = truth_m[eval_table.row_index]
     rows = []
     for name, tasks in ABLATE_VARIANTS:

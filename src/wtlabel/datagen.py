@@ -22,13 +22,14 @@ noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import InteractionTable, segments, sigmoid
-from .errors import ConfigInvalid, NoEligibleUsers
+from .core import InteractionTable, sigmoid
+from .errors import ConfigInvalid
+from .metrics import eligible_user_mean, user_segments
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,9 @@ class SyntheticConfig:
             raise ConfigInvalid("confound_sign must be +1 or -1")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0")
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), float) and math.isnan(getattr(self, f.name)):
+                raise ConfigInvalid(f"{f.name} must not be NaN")
 
     @property
     def n_records(self) -> int:
@@ -141,33 +145,24 @@ def oracle_rank_quality(scores, truth_m, user_ids) -> float:
     scores count half. Users contribute when they have at least two
     records and a non-constant m, weighted by their record count.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    m = np.asarray(truth_m, dtype=np.float64)
-    ids = np.asarray(user_ids)
-    if not (len(scores) == len(m) == len(ids)):
+    if not (len(scores) == len(truth_m) == len(user_ids)):
         raise ConfigInvalid("scores, truth, and user ids must align")
-    _, order, bounds = segments(ids)
-    total_weight = 0.0
-    total = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        idx = order[lo:hi]
-        if len(idx) < 2:
-            continue
-        mu = m[idx]
-        if np.all(mu == mu[0]):
-            continue
-        su = scores[idx]
-        dm = mu[:, None] - mu[None, :]
-        ds = su[:, None] - su[None, :]
-        upper = np.triu(np.ones_like(dm, dtype=bool), k=1)
-        informative = upper & (dm != 0)
-        pairs = informative.sum()
-        conc = (informative & (dm * ds > 0)).sum()
-        ties = (informative & (ds == 0)).sum()
-        value = (conc + 0.5 * ties) / pairs
-        w = float(len(idx))
-        total += w * value
-        total_weight += w
-    if total_weight == 0:
-        raise NoEligibleUsers("no user has two records with differing interest")
-    return total / total_weight
+    order, user, sizes = user_segments(user_ids)
+    # largest users first: step k counts at i the pairs (i, i + k) within
+    # the prefix that holds the users with more than k records
+    by = np.argsort(-sizes[user], kind="stable")
+    user, neg_size = user[by], -sizes[user[by]]
+    s, mu = (np.asarray(x, dtype=np.float64)[order[by]] for x in (scores, truth_m))
+    pairs, conc, ties = np.zeros((3, len(user)), dtype=np.int32)
+    for k in range(1, sizes.max(initial=0)):
+        end = int(np.searchsorted(neg_size, -k))
+        i, j = slice(0, end - k), slice(k, end)
+        dm, ds = mu[i] - mu[j], s[i] - s[j]
+        informative = (user[i] == user[j]) & (dm != 0)
+        pairs[i] += informative
+        conc[i] += informative & (np.multiply(dm, ds, out=dm) > 0)
+        ties[i] += informative & (ds == 0)
+    pairs, conc, ties = (np.bincount(user, weights=c, minlength=len(sizes))
+                         for c in (pairs, conc, ties))
+    return eligible_user_mean(conc + 0.5 * ties, pairs, sizes,
+                              "no user has two records with differing interest")[0]

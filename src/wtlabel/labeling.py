@@ -100,7 +100,7 @@ class _Groups:
     def thresholds(self, p: float) -> np.ndarray:
         """Every group's nearest-rank p-th percentile, NaN for an empty group."""
         sizes = np.diff(self.bounds)
-        k = np.maximum(1, np.ceil(sizes * p / 100.0)).astype(np.int64)
+        k = _nearest_rank(sizes, p)
         out = np.append(self.values, np.nan)[np.where(sizes > 0, self.bounds[:-1] + k - 1, -1)]
         for i, s in self.sketches.items():
             out[i] = s.threshold(p) if s.count else np.nan

@@ -364,8 +364,6 @@ class TrainData:
     user_rows: np.ndarray
     video_rows: np.ndarray
     bin_rows: np.ndarray
-    duration_s: np.ndarray
-    watch_time_s: np.ndarray
     targets: dict[str, np.ndarray]      # task name -> target vector
     wlr_weights: dict[str, np.ndarray]  # task name -> weight vector
 
@@ -413,8 +411,6 @@ def build_train_data(
         _embedding_rows(user_index, table.user_id),
         _embedding_rows(video_index, table.video_id),
         bins.bin_of_many(table.duration_s),
-        table.duration_s,
-        table.watch_time_s,
         targets,
         weights,
     )

@@ -17,36 +17,58 @@ from .core import segments
 from .errors import DegenerateLabels, EmptyGroup, EmptyInput, NoEligibleUsers
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    n = len(s)
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    new_run[1:] = s[1:] != s[:-1]
+def _average_ranks(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """1-based rank of each score among its group's scores, ties averaged."""
+    order = np.lexsort((scores, group))
+    s, g = scores[order], group[order]
+    new_run = np.ones(len(s), dtype=bool)
+    new_run[1:] = (s[1:] != s[:-1]) | (g[1:] != g[:-1])
     run_id = np.cumsum(new_run) - 1
     counts = np.bincount(run_id)
     ends = np.cumsum(counts)
-    starts = ends - counts
-    avg = (starts + ends + 1) / 2.0  # 1-based positions
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = avg[run_id]
+    # position in (group, score) order, less the records of earlier groups
+    ranks = np.empty(len(s), dtype=np.float64)
+    ranks[order] = ((2 * ends - counts + 1) / 2.0)[run_id] - np.searchsorted(g, g)
     return ranks
+
+
+def _auc_terms(scores, labels, group: np.ndarray, n_groups: int):
+    """Each group's AUC as a numerator over its positive-negative pair
+    count. Ranks are half-integers, so every sum here is exact."""
+    pos = np.asarray(labels) == 1
+    ranks = _average_ranks(np.asarray(scores, dtype=np.float64), group)
+    p = np.bincount(group[pos], minlength=n_groups)
+    q = np.bincount(group, minlength=n_groups) - p
+    rank_sum = np.bincount(group[pos], weights=ranks[pos], minlength=n_groups)
+    return rank_sum - p * (p + 1) / 2.0, p * q
+
+
+def user_segments(user_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """core.segments' order of the records, each one's user and each user's record count."""
+    _, order, bounds = segments(np.asarray(user_ids))
+    sizes = np.diff(bounds)
+    return order, np.repeat(np.arange(len(sizes)), sizes), sizes
+
+
+def eligible_user_mean(num, den, sizes, no_users: str) -> tuple[float, np.ndarray]:
+    """Mean of the per-user ratios num / den over the users with den > 0,
+    weighted by record count, and the mask of those users. The terms are
+    summed in user order (np.cumsum; np.sum would pair them), as a loop would."""
+    used = den > 0
+    if not used.any():
+        raise NoEligibleUsers(no_users)
+    w = sizes[used].astype(np.float64)
+    return float(np.cumsum(w * (num[used] / den[used]))[-1] / w.sum()), used
 
 
 def auc(scores, labels) -> float:
     """Probability a positive outranks a negative, ties counting half."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     if len(scores) != len(labels):
         raise EmptyInput("scores and labels must align")
-    pos = labels == 1
-    p = int(pos.sum())
-    q = len(labels) - p
-    if p == 0 or q == 0:
+    num, den = _auc_terms(scores, labels, np.zeros(len(scores), dtype=np.int64), 1)
+    if den[0] == 0:
         raise DegenerateLabels("need at least one positive and one negative")
-    ranks = _average_ranks(scores)
-    return (ranks[pos].sum() - p * (p + 1) / 2.0) / (p * q)
+    return float(num[0] / den[0])
 
 
 @dataclass
@@ -58,29 +80,12 @@ class GaucDetail:
 
 
 def gauc_detail(scores, labels, user_ids) -> GaucDetail:
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    ids = np.asarray(user_ids)
-    if not (len(scores) == len(labels) == len(ids)):
+    if not (len(scores) == len(labels) == len(user_ids)):
         raise EmptyInput("scores, labels, and user ids must align")
-    _, order, bounds = segments(ids)
-    total = 0.0
-    used = 0
-    skipped = 0
-    records = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        idx = order[lo:hi]
-        lab = labels[idx]
-        p = int((lab == 1).sum())
-        if p == 0 or p == len(idx):
-            skipped += 1
-            continue
-        total += len(idx) * auc(scores[idx], lab)
-        used += 1
-        records += len(idx)
-    if used == 0:
-        raise NoEligibleUsers("no user carries both label classes")
-    return GaucDetail(total / records, used, skipped, records)
+    order, user, sizes = user_segments(user_ids)
+    num, den = _auc_terms(np.asarray(scores)[order], np.asarray(labels)[order], user, len(sizes))
+    value, used = eligible_user_mean(num, den, sizes, "no user carries both label classes")
+    return GaucDetail(value, int(used.sum()), int((~used).sum()), int(sizes[used].sum()))
 
 
 def gauc(scores, labels, user_ids) -> float:

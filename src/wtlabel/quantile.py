@@ -81,11 +81,12 @@ def sketch_capacity(eps: float) -> int:
     return capacity + (capacity % 2)
 
 
-def _nearest_rank(n: int, p: float) -> int:
-    """1-based nearest rank for percentile p in (0, 100]."""
+def _nearest_rank(n, p: float):
+    """1-based nearest rank for percentile p in (0, 100] of n values, for
+    a count n or an array of counts."""
     if not 0 < p <= 100:
         raise PercentileOutOfRange(f"percentile {p} outside (0, 100]")
-    return max(1, math.ceil(n * p / 100.0))
+    return np.maximum(1, np.ceil(np.asarray(n) * p / 100.0)).astype(np.int64)
 
 
 class QuantileSummary:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,17 @@ def test_confound_sign_must_be_unit():
 def test_negative_seed_rejected():
     with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
         generate(SyntheticConfig(n_users=2, n_videos=4, interactions_per_user=2, seed=-1))
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(SyntheticConfig) if f.type == "float"]
+)
+def test_nan_float_rejected(field):
+    config = SyntheticConfig(n_users=3, n_videos=5, interactions_per_user=2)
+    # a NaN an earlier rule already rejects keeps that rule's message
+    message = {"d_min": "d_min must be > 0", "confound_sign": "confound_sign must be"}
+    with pytest.raises(ConfigInvalid, match=message.get(field, f"^{field} must not be NaN$")):
+        generate(dataclasses.replace(config, **{field: math.nan}))
 
 
 # -------------------------------------------------------------- rank oracle

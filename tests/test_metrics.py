@@ -8,9 +8,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wtlabel.core import segments
+from wtlabel.datagen import oracle_rank_quality
 from wtlabel.errors import DegenerateLabels, EmptyGroup, EmptyInput, NoEligibleUsers
 from wtlabel.metrics import (
     EvalReport,
+    GaucDetail,
     auc,
     gauc,
     gauc_detail,
@@ -128,6 +131,151 @@ def test_gauc_matches_per_user_double_loop():
         total += idx.sum() * brute_auc(scores[idx], labels[idx])
         weight += idx.sum()
     assert gauc(scores, labels, users) == pytest.approx(total / weight, abs=1e-12)
+
+
+# ------------------------------------------- per-user loops, as references
+#
+# The per-user loops gauc_detail and oracle_rank_quality ran before they
+# were vectorised, kept verbatim: the vectorised forms must give the same
+# bits.
+
+
+def _loop_average_ranks(scores: np.ndarray) -> np.ndarray:
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    n = len(s)
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    new_run[1:] = s[1:] != s[:-1]
+    run_id = np.cumsum(new_run) - 1
+    counts = np.bincount(run_id)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    avg = (starts + ends + 1) / 2.0  # 1-based positions
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = avg[run_id]
+    return ranks
+
+
+def _loop_auc(scores, labels) -> float:
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if len(scores) != len(labels):
+        raise EmptyInput("scores and labels must align")
+    pos = labels == 1
+    p = int(pos.sum())
+    q = len(labels) - p
+    if p == 0 or q == 0:
+        raise DegenerateLabels("need at least one positive and one negative")
+    ranks = _loop_average_ranks(scores)
+    return (ranks[pos].sum() - p * (p + 1) / 2.0) / (p * q)
+
+
+def _loop_gauc_detail(scores, labels, user_ids):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    ids = np.asarray(user_ids)
+    if not (len(scores) == len(labels) == len(ids)):
+        raise EmptyInput("scores, labels, and user ids must align")
+    _, order, bounds = segments(ids)
+    total = 0.0
+    used = 0
+    skipped = 0
+    records = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
+        lab = labels[idx]
+        p = int((lab == 1).sum())
+        if p == 0 or p == len(idx):
+            skipped += 1
+            continue
+        total += len(idx) * _loop_auc(scores[idx], lab)
+        used += 1
+        records += len(idx)
+    if used == 0:
+        raise NoEligibleUsers("no user carries both label classes")
+    return (total / records, used, skipped, records)
+
+
+def _loop_oracle_rank_quality(scores, truth_m, user_ids) -> float:
+    scores = np.asarray(scores, dtype=np.float64)
+    m = np.asarray(truth_m, dtype=np.float64)
+    ids = np.asarray(user_ids)
+    _, order, bounds = segments(ids)
+    total_weight = 0.0
+    total = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
+        if len(idx) < 2:
+            continue
+        mu = m[idx]
+        if np.all(mu == mu[0]):
+            continue
+        su = scores[idx]
+        dm = mu[:, None] - mu[None, :]
+        ds = su[:, None] - su[None, :]
+        upper = np.triu(np.ones_like(dm, dtype=bool), k=1)
+        informative = upper & (dm != 0)
+        pairs = informative.sum()
+        conc = (informative & (dm * ds > 0)).sum()
+        ties = (informative & (ds == 0)).sum()
+        value = (conc + 0.5 * ties) / pairs
+        w = float(len(idx))
+        total += w * value
+        total_weight += w
+    if total_weight == 0:
+        raise NoEligibleUsers("no user has two records with differing interest")
+    return total / total_weight
+
+
+def _outcome(f, *args):
+    """f's result with every float as hex, or its error type and message."""
+    try:
+        out = f(*args)
+    except (DegenerateLabels, NoEligibleUsers) as e:
+        return (type(e).__name__, str(e))
+    if isinstance(out, GaucDetail):
+        out = (out.value, out.n_users_used, out.n_users_skipped, out.n_records_used)
+    return tuple(float(x).hex() if isinstance(x, float) else int(x)
+                 for x in (out if isinstance(out, tuple) else (out,)))
+
+
+# a user's records: (score, label, interest); scores and interest come
+# from small pools so that ties, single-class users and users of
+# constant interest are common; a user may have one record or none
+_user_records = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                  st.floats(min_value=-3, max_value=3, allow_nan=False)),
+        st.integers(min_value=0, max_value=1),
+        st.one_of(st.sampled_from([0.0, 0.25]),
+                  st.floats(min_value=-2, max_value=2, allow_nan=False)),
+    ),
+    max_size=12,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_user_records, max_size=16), st.randoms(use_true_random=False))
+def test_per_user_metrics_equal_the_per_user_loops(users, rnd):
+    rows = [(f"u{i}",) + r for i, records in enumerate(users) for r in records]
+    rnd.shuffle(rows)  # a user's records need not be adjacent
+    ids = np.array([r[0] for r in rows], dtype=str)
+    scores, labels, m = (np.array([r[k] for r in rows], dtype=np.float64) for k in (1, 2, 3))
+    assert _outcome(auc, scores, labels) == _outcome(_loop_auc, scores, labels)
+    assert (_outcome(gauc_detail, scores, labels, ids)
+            == _outcome(_loop_gauc_detail, scores, labels, ids))
+    assert (_outcome(oracle_rank_quality, scores, m, ids)
+            == _outcome(_loop_oracle_rank_quality, scores, m, ids))
+
+
+def test_empty_input_has_no_eligible_users():
+    empty = np.array([])
+    with pytest.raises(NoEligibleUsers, match="^no user carries both label classes$"):
+        gauc_detail(empty, empty, np.array([], dtype=str))
+    with pytest.raises(NoEligibleUsers,
+                       match="^no user has two records with differing interest$"):
+        oracle_rank_quality(empty, empty, np.array([], dtype=str))
 
 
 # --------------------------------------------------------------- regression
