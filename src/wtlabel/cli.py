@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ABLATION_LABELS, STANDARD_LABELS, make_partition
+from .core import ABLATION_LABELS, STANDARD_LABELS, check_config, make_partition
 from .dataio import (
     read_interactions,
     read_labeled,
@@ -181,34 +181,11 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         values["seed"] = args.seed
         values.setdefault("train_seed", args.seed)
     config = PipelineConfig(**values)
-    _validate_ranges(config)
+    check_config(config)
     if getattr(args, "print_config", False):
         for key in sorted(_FIELDS):
             print(f"{key}={getattr(config, key)}")
     return config
-
-
-def _validate_ranges(config: PipelineConfig) -> None:
-    checks = [
-        (config.n_groups >= 1, "n_groups must be >= 1"),
-        (config.bins_b >= 1, "bins_b must be >= 1"),
-        (config.bins_min_size >= 1, "bins_min_size must be >= 1"),
-        (config.min_group_size >= 1, "min_group_size must be >= 1"),
-        (0.0 < config.split_frac < 1.0 or config.split_frac in (0.0, 1.0),
-         "split_frac must lie in [0, 1]"),
-        (config.epochs >= 1, "epochs must be >= 1"),
-        (config.batch_size >= 1, "batch_size must be >= 1"),
-        (config.tie_mode in ("distinct", "shared"), "tie_mode must be distinct or shared"),
-        (config.summary_mode in ("exact", "sketch"), "summary_mode must be exact or sketch"),
-        (config.seed >= 0, "seed must be >= 0"),
-        (config.train_seed >= 0, "train_seed must be >= 0"),
-        (0 <= config.split_seed < 2**64, "split_seed must lie in [0, 2**64)"),
-    ]
-    checks += [(not math.isnan(getattr(config, key)), f"{key} must not be NaN")
-               for key, f in _FIELDS.items() if type(f.default) is float]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigInvalid(message)
 
 
 def build_partition(config: PipelineConfig):
@@ -263,8 +240,9 @@ def parse_tasks(spec: str) -> list[TaskConfig]:
                 weight = float(parts[2])
             except ValueError:
                 raise ConfigInvalid(f"task {piece!r}: bad weight {parts[2]!r}")
-        if weight <= 0:
-            raise ConfigInvalid(f"task {piece!r}: weight must be > 0")
+        if not 0 < weight < math.inf:
+            finite = "finite and " if weight > 0 else ""
+            raise ConfigInvalid(f"task {piece!r}: weight must be {finite}> 0")
         tasks.append(TaskConfig(target=parts[0], loss=parts[1], weight=weight))
     if not tasks:
         raise ConfigInvalid("no tasks configured")
@@ -279,8 +257,6 @@ def cmd_gen(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.records is not None:
         if args.records <= 0:
             raise ConfigInvalid("records must be positive")
-        if n_users < 1:
-            raise ConfigInvalid("n_users must be >= 1")
         if args.records % n_users != 0:
             raise ConfigInvalid(
                 f"records={args.records} is not a multiple of n_users={n_users}"
@@ -306,8 +282,8 @@ def cmd_gen(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_label(args: argparse.Namespace, config: PipelineConfig) -> int:
-    table = read_interactions(args.input)
     label_config = build_label_config(config, no_debias=args.no_debias)
+    table = read_interactions(args.input)
     summaries = None
     if args.summaries_in:
         # the file fixes the duration bins; bins_b from a config file stays
@@ -364,8 +340,8 @@ def _subset(table, columns: dict[str, np.ndarray], keep: np.ndarray):
 
 
 def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
-    table, columns = read_labeled(args.input)
     tasks = parse_tasks(config.tasks)
+    table, columns = read_labeled(args.input)
     _training_columns(columns, tasks, args.input)
     mask = split_mask(table.row_index, config.split_frac, config.split_seed)
     train_table, train_columns = _subset(table, columns, mask)
@@ -535,6 +511,8 @@ def format_ablation(rows) -> str:
 
 
 def cmd_ablate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    config = dataclasses.replace(config, ablation_labels=True)
+    label_config = build_label_config(config)
     if not args.truth:
         raise MissingTruthFile("ablation scoring needs --truth")
     if not os.path.exists(args.truth):
@@ -545,8 +523,7 @@ def cmd_ablate(args: argparse.Namespace, config: PipelineConfig) -> int:
         raise MissingTruthFile(
             f"{args.truth}: {len(truth.m)} truth rows for {table.n} records"
         )
-    config = dataclasses.replace(config, ablation_labels=True)
-    labels, _, _ = label_all_detailed(table, build_label_config(config))
+    labels, _, _ = label_all_detailed(table, label_config)
     columns = dict(labels.columns)
     rows = run_ablation(table, columns, truth.m, config)
     os.makedirs(args.out, exist_ok=True)

@@ -11,12 +11,13 @@ used to remove the duration confound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     EmptyDataset,
     InvalidRatios,
     MissingField,
@@ -279,8 +280,7 @@ def make_partition(
         return _finish_partition(kind, q, progressive)
 
     if kind == "power_decay":
-        if not (math.isfinite(gamma) and gamma >= 0):
-            raise InvalidRatios(f"power_decay needs gamma >= 0, got {gamma}")
+        check_value("gamma", gamma)
         q = np.arange(1, n_groups + 1, dtype=np.float64) ** (-gamma)
         return _finish_partition(kind, q, progressive)
 
@@ -357,8 +357,7 @@ def make_duration_bins(dataset, b: int, min_bin_size: int = 20) -> DurationBins:
     last bin merges left) until every remaining bin is large enough or
     one bin is left.
     """
-    if b < 1:
-        raise EmptyDataset(f"need at least one bin, got b={b}")
+    check_value("bins_b", b)
     if isinstance(dataset, np.ndarray):
         durations = np.asarray(dataset, dtype=np.float64)
     else:
@@ -366,6 +365,8 @@ def make_duration_bins(dataset, b: int, min_bin_size: int = 20) -> DurationBins:
     n = len(durations)
     if n == 0:
         raise EmptyDataset("cannot build duration bins from an empty dataset")
+    # every rank is a boundary candidate once b reaches n, so more bins add none
+    b = min(b, n)
     d = np.sort(durations)
     # nearest-rank quantile at p = i/b: smallest value with
     # count(d <= v) >= p * n
@@ -439,3 +440,51 @@ LABELS = {
 STANDARD_LABELS = tuple(name for name, spec in LABELS.items() if not spec.ablation)
 ABLATION_LABELS = tuple(name for name, spec in LABELS.items() if spec.ablation)
 BINARY_LABELS = tuple(name for name, spec in LABELS.items() if spec.rule == "binary")
+
+
+# Each config key's valid values: a tuple of choices or an interval, each
+# end closed [ ] or open ( ), so an open end at inf asks for a finite value.
+# Any other key takes any value but NaN. Cross-key rules stay where needed.
+CONFIG_DOMAINS = {
+    # synthetic data; rounding to the CSV's 3 decimals scales durations by 1e3
+    "n_users": "[1, inf)", "n_videos": "[1, inf)", "interactions_per_user": "[1, inf)",
+    "latent_dim": "[1, inf)", "mu_d": "(-inf, inf)", "s_d": "(-inf, inf)", "sigma_d": "[0, inf)",
+    "d_min": "[0.001, inf)", "d_max": "[0.001, 1e300]", "alpha": "(-inf, inf)",
+    "beta": "(-inf, inf)", "sigma_y": "[0, inf)", "confound_sign": (1.0, -1.0), "seed": "[0, inf)",
+    # labeling
+    "partition_kind": PARTITION_KINDS, "n_groups": "[2, inf)", "gamma": "[0, inf)",
+    "coeff_a": "(-inf, inf)", "coeff_b": "(-inf, inf)", "coeff_c": "(-inf, inf)",
+    "bins_b": "[1, inf)", "bins_min_size": "[1, inf)", "min_group_size": "[1, inf)",
+    "tie_mode": ("distinct", "shared"), "summary_mode": ("exact", "sketch"),
+    "eps_sketch": "(0, 0.5)", "ew_cap_percentile": "(0, 100]",
+    # learner and split
+    "d_embed": "[1, inf)", "n_experts": "[1, inf)", "hidden": "[1, inf)", "lr_embed": "(0, inf)",
+    "lr_dense": "(0, inf)", "batch_size": "[1, inf)", "epochs": "[1, inf)",
+    "train_seed": "[0, inf)", "split_frac": "[0, 1]", "split_seed": "[0, 18446744073709551616)",
+}
+
+
+def check_value(key: str, value) -> None:
+    """Raise ConfigInvalid naming key if value is NaN or outside CONFIG_DOMAINS[key]."""
+    domain = CONFIG_DOMAINS.get(key)
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigInvalid(f"{key} must not be NaN")
+    if isinstance(domain, tuple) and value not in domain:
+        *head, last = domain
+        raise ConfigInvalid(f"{key} must be {', '.join(map(str, head))} or {last}")
+    if not isinstance(domain, str):
+        return
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    if (lo < value if domain[0] == "(" else lo <= value) and (
+            value < hi if domain[-1] == ")" else value <= hi):
+        return
+    problem = ("be finite" if math.isinf(value) and value in (lo, hi) else
+               f"lie in {domain}" if hi < math.inf else
+               f"be {'>' if domain[0] == '(' else '>='} {lo:g}")
+    raise ConfigInvalid(f"{key} must {problem}")
+
+
+def check_config(config) -> None:
+    """check_value on each field of a config dataclass, in field order."""
+    for f in fields(config):
+        check_value(f.name, getattr(config, f.name))

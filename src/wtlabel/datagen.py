@@ -22,12 +22,12 @@ noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import InteractionTable, sigmoid
+from .core import InteractionTable, check_config, sigmoid
 from .errors import ConfigInvalid
 from .metrics import eligible_user_mean, user_segments
 
@@ -50,28 +50,11 @@ class SyntheticConfig:
     seed: int = 42
 
     def validate(self) -> None:
-        if self.n_users < 1 or self.n_videos < 1:
-            raise ConfigInvalid("need at least one user and one video")
-        if not 1 <= self.interactions_per_user <= self.n_videos:
-            raise ConfigInvalid(
-                "interactions_per_user must lie in [1, n_videos]; "
-                f"got {self.interactions_per_user} with {self.n_videos} videos"
-            )
-        if self.latent_dim < 1:
-            raise ConfigInvalid("latent_dim must be >= 1")
-        if not self.d_min > 0:
-            raise ConfigInvalid("d_min must be > 0")
+        check_config(self)
+        if self.interactions_per_user > self.n_videos:
+            raise ConfigInvalid(f"interactions_per_user must be <= n_videos ({self.n_videos})")
         if self.d_max < self.d_min:
             raise ConfigInvalid("d_max must be >= d_min")
-        if self.sigma_d < 0 or self.sigma_y < 0:
-            raise ConfigInvalid("noise scales must be >= 0")
-        if self.confound_sign not in (1.0, -1.0):
-            raise ConfigInvalid("confound_sign must be +1 or -1")
-        if self.seed < 0:
-            raise ConfigInvalid("seed must be >= 0")
-        for f in fields(self):
-            if isinstance(getattr(self, f.name), float) and math.isnan(getattr(self, f.name)):
-                raise ConfigInvalid(f"{f.name} must not be NaN")
 
     @property
     def n_records(self) -> int:
@@ -92,6 +75,7 @@ def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     return ndtri(u)
 
 
+@np.errstate(over="ignore")  # a huge setting overflows to inf, which clips and sigmoids saturate
 def generate(config: SyntheticConfig) -> tuple[InteractionTable, SyntheticTruth]:
     """Generate the synthetic dataset for config, deterministically."""
     config.validate()

@@ -29,10 +29,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import BINARY_LABELS, LABELS, InteractionTable, validate_interaction
+from .core import BINARY_LABELS, LABELS, InteractionTable, check_value, validate_interaction
 from .datagen import SyntheticTruth
 from .errors import (
-    ConfigInvalid,
     EmptyInput,
     LabelOutOfRange,
     MissingField,
@@ -340,8 +339,7 @@ def split_mask(row_index: np.ndarray, train_frac: float, split_seed: int = 1) ->
     with the split seed; the hash modulo 10⁴ is compared against the
     training fraction. Membership depends only on row_index and the
     split seed, never on dataset size or ordering."""
-    if not 0.0 <= train_frac <= 1.0:
-        raise ConfigInvalid(f"train fraction {train_frac} outside [0, 1]")
+    check_value("split_frac", train_frac)
     with np.errstate(over="ignore"):
         z = np.asarray(row_index).astype(np.uint64) ^ np.uint64(split_seed)
         z = z + _SPLIT_GAMMA

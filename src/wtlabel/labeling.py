@@ -44,6 +44,8 @@ from .core import (
     PartitionScheme,
     STANDARD_LABELS,
     as_table,
+    check_config,
+    check_value,
     group_index,
     make_duration_bins,
     make_partition,
@@ -55,7 +57,6 @@ from .errors import (
     EmptyDataset,
     EmptySummary,
     MissingGroupSummary,
-    PercentileOutOfRange,
     SerializationError,
 )
 from .quantile import (
@@ -172,8 +173,7 @@ def build_grouped_summaries(
             raise ConfigInvalid(f"unknown group kind {k!r}")
     if kinds and bins is None:
         raise ConfigInvalid("grouped summaries need duration bins for fallback")
-    if mode not in ("exact", "sketch"):
-        raise ConfigInvalid(f"unknown summary mode {mode!r}")
+    check_value("summary_mode", mode)
     capacity = sketch_capacity(eps) if mode == "sketch" else table.n + 1
 
     wt = _validate_values(table.watch_time_s)
@@ -230,13 +230,6 @@ def _rank_fractions(
     return np.searchsorted(srt, wt, side="right") / m
 
 
-def _check_modes(tie_mode: str, mode: str) -> None:
-    if tie_mode not in ("distinct", "shared"):
-        raise ConfigInvalid(f"unknown tie mode {tie_mode!r}")
-    if mode not in ("exact", "sketch"):
-        raise ConfigInvalid(f"unknown summary mode {mode!r}")
-
-
 def label_wpr_global(
     dataset,
     partition: PartitionScheme,
@@ -272,7 +265,8 @@ def _rank_labels(
 ) -> np.ndarray:
     """The rank label of every record inside its duration bin; without
     bins the whole dataset is one segment."""
-    _check_modes(tie_mode, mode)
+    check_value("tie_mode", tie_mode)
+    check_value("summary_mode", mode)
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
@@ -302,8 +296,6 @@ def label_binary(
     The threshold is inclusive. Groups smaller than min_group_size fall
     back to the record's duration bin, then to the global summary.
     """
-    if not 0 < p <= 100:
-        raise PercentileOutOfRange(f"percentile {p} outside (0, 100]")
     if group_kind not in GROUP_KINDS:
         raise ConfigInvalid(f"unknown group kind {group_kind!r}")
     table = as_table(dataset)
@@ -349,8 +341,7 @@ def label_equal_width_wpr(
     Group n covers ((n-1)*w, n*w] with w = t_cap / N; zero watch time
     belongs to group 1 and anything above the cap to group N.
     """
-    if n_groups < 2:
-        raise ConfigInvalid("equal-width labels need at least 2 groups")
+    check_value("n_groups", n_groups)
     table = as_table(dataset)
     if table.n == 0:
         raise EmptyDataset("cannot label an empty dataset")
@@ -415,7 +406,7 @@ def label_all_detailed(
     for name in config.enabled:
         if name not in LABELS:
             raise ConfigInvalid(f"unknown label {name!r}")
-    _check_modes(config.tie_mode, config.summary_mode)
+    check_config(config)
     specs = {name: LABELS[name] for name in config.enabled}
 
     needs_bins = any(spec.scope != "global" for spec in specs.values())

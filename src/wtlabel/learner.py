@@ -33,7 +33,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import (
-    LABELS, DurationBins, InteractionTable, as_table, group_index, make_duration_bins, sigmoid,
+    LABELS, DurationBins, InteractionTable, as_table, check_config, group_index,
+    make_duration_bins, sigmoid,
 )
 from .dataio import Reader, atomic_write_bytes
 from .errors import (
@@ -60,10 +61,6 @@ class ModelArch:
     d_embed: int = 16
     n_experts: int = 3
     hidden: int = 32
-
-    def validate(self) -> None:
-        if min(self.d_embed, self.n_experts, self.hidden) < 1:
-            raise ConfigInvalid("architecture sizes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ def init_model(
     """Fresh parameter dict. Dense weights are uniform in
     +-sqrt(6/fan_in), embeddings in +-sqrt(3/d) (unit-variance rows),
     biases zero."""
-    arch.validate()
+    check_config(arch)
     params: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(arch, tasks, n_users, n_videos, n_bins).items():
         if len(shape) == 1:
@@ -416,6 +413,9 @@ def build_train_data(
     )
 
 
+# a huge learning rate overflows in an update or the forward pass after it,
+# which the next batch's loss check or the final parameter check reports
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Model,
     data: TrainData,
@@ -448,6 +448,9 @@ def train(
                 model.params[k] -= (opt.lr_embed if k.startswith("emb_") else opt.lr_dense) * g
         for t in model.tasks:
             trace.append((epoch, t.name, sums[t.name] / data.n))
+    bad = [k for k, p in model.params.items() if not np.isfinite(p).all()]
+    if bad:
+        raise NonFiniteLoss(f"parameter {bad[0]} became non-finite in the last update")
     return trace
 
 
@@ -569,6 +572,7 @@ def fit(
 ) -> tuple[Model, list[tuple[int, str, float]]]:
     """Train a fresh model on a labeled table. One seed (opt.seed)
     drives initialization and batch shuffling."""
+    check_config(opt)
     table = as_table(table)
     if table.n == 0:
         raise EmptyDataset("no training records")

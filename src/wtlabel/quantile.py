@@ -35,6 +35,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .core import check_value
 from .dataio import Reader
 from .errors import (
     ConfigInvalid,
@@ -75,8 +76,7 @@ def _validate_values(values) -> np.ndarray:
 def sketch_capacity(eps: float) -> int:
     """The per-level capacity of a sketch of this eps, rounded up to even:
     compaction pairs items, so an even capacity keeps leftovers rare."""
-    if not (0 < eps < 0.5):
-        raise ConfigInvalid(f"eps {eps} outside (0, 0.5)")
+    check_value("eps_sketch", eps)
     capacity = max(_MIN_CAPACITY, math.ceil(CAPACITY_FACTOR / eps))
     return capacity + (capacity % 2)
 
@@ -309,11 +309,8 @@ class SketchSummary(QuantileSummary):
 
 
 def make_summary(mode: str = "exact", eps: float = DEFAULT_EPS) -> QuantileSummary:
-    if mode == "exact":
-        return ExactSummary()
-    if mode == "sketch":
-        return SketchSummary(eps)
-    raise ConfigInvalid(f"unknown summary mode {mode!r}")
+    check_value("summary_mode", mode)
+    return ExactSummary() if mode == "exact" else SketchSummary(eps)
 
 
 def summary_from_bytes(blob: bytes) -> QuantileSummary:

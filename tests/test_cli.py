@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wtlabel
-from wtlabel.cli import evaluate_model, main, parse_tasks
+from wtlabel.cli import (
+    PipelineConfig,
+    build_parser,
+    evaluate_model,
+    main,
+    parse_tasks,
+    resolve_config,
+)
 from wtlabel.core import InteractionTable, make_partition
 from wtlabel.datagen import SyntheticConfig, generate, oracle_rank_quality
 from wtlabel.dataio import (
@@ -170,8 +182,14 @@ def test_config_range_validation(tmp_path, capsys):
     (["train"], "lr_dense = nan\n", "lr_dense must not be NaN"),
     (["label"], "partition_kind = log_quadratic\ncurve_hi = inf\n",
      r"curve range (1.0, inf) is not a finite"),
+    (["gen"], "d_min = 1e-9\nmu_d = -100\n", "d_min must be >= 0.001"),
+    (["gen"], "mu_d = 1e3\nd_max = inf\n", "d_max must lie in [0.001, 1e300]"),
+    (["gen"], "mu_d = 1e3\nd_max = 1e306\n", "d_max must lie in [0.001, 1e300]"),
+    (["train"], "lr_embed = inf\n", "lr_embed must be finite"),
+    (["train"], "tasks = wpr_d:squared_error:nan\n", "weight must be > 0"),
 ], ids=["seed", "n_users", "train_seed", "split_seed", "split_seed_2_64", "alpha_nan",
-        "lr_dense_nan", "curve_hi_inf"])
+        "lr_dense_nan", "curve_hi_inf", "d_min_below_csv_precision", "d_max_inf", "d_max_huge",
+        "lr_embed_inf", "task_weight_nan"])
 def test_out_of_domain_config_exits_2_naming_the_key(small_run, tmp_path, capsys, argv,
                                                       config, message):
     paths = {"gen": ["--out", tmp_path / "g"],
@@ -183,6 +201,76 @@ def test_out_of_domain_config_exits_2_naming_the_key(small_run, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "g").exists() and not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("config", ["eps_sketch = 0.7\n", "gamma = -1\n"])
+def test_config_error_comes_before_a_missing_input(tmp_path, capsys, config):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    argv = ["label", "--input", tmp_path / "missing.csv", "--output", tmp_path / "l.csv"]
+    assert run([*argv, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config.split()[0]} must") and "missing.csv" not in err
+
+
+# toy sizes for the fuzz below, given in the config file so that the drawn
+# key overrides them there
+FUZZ_TOY = {"n_users": 12, "n_videos": 30, "interactions_per_user": 10, "n_groups": 8,
+            "bins_b": 3, "bins_min_size": 5, "min_group_size": 3, "d_embed": 4,
+            "n_experts": 2, "hidden": 4, "epochs": 2, "batch_size": 64,
+            "lr_embed": 1.0, "lr_dense": 0.02}
+NUMERIC_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)
+                if type(f.default) in (int, float)]
+# a huge value of these allocates or runs for real before any input is read
+SIZE_KEYS = {"n_groups", "n_users", "n_videos", "latent_dim", "d_embed", "n_experts",
+             "hidden", "epochs"}
+HUGE = {int: str(10**20), float: "1e308"}
+
+
+def _config_text(values) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "toy.cfg"
+    cfg.write_text(_config_text(FUZZ_TOY))
+    assert run(["gen", "--out", root, "--config", cfg]) == 0
+    data, truth, labeled, model = (root / n for n in
+                                   ("interactions.csv", "truth.csv", "labeled.csv", "m.bin"))
+    assert run(["label", "--input", data, "--output", labeled, "--config", cfg]) == 0
+    assert run(["train", "--input", labeled, "--model", model, "--config", cfg]) == 0
+    return {"gen": [], "label": ["--input", data], "train": ["--input", labeled],
+            "eval": ["--input", labeled, "--model", model],
+            "ablate": ["--input", data, "--truth", truth]}
+
+
+# hypothesis stops early once it has drawn every key and value pair
+@pytest.mark.parametrize("command", ["gen", "label", "train", "eval", "ablate"])
+@settings(deadline=None, max_examples=400)
+@given(data=st.data())
+def test_cli_fuzz_one_bad_value_exits_0_or_2(fuzz_inputs, command, data):
+    key = data.draw(st.sampled_from(NUMERIC_KEYS))
+    kind = type(PipelineConfig.__dataclass_fields__[key].default)
+    value = data.draw(st.sampled_from(["-1", "0", "nan", "inf", "-inf", HUGE[kind]]))
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "c.cfg"
+        cfg.write_text(_config_text({**FUZZ_TOY, key: value}))
+        outputs = {"gen": ["--out", d], "label": ["--output", f"{d}/l.csv"],
+                   "train": ["--model", f"{d}/m.bin"], "eval": ["--report", f"{d}/r.csv"],
+                   "ablate": ["--out", d]}
+        argv = [command, *fuzz_inputs[command], *outputs[command], "--config", cfg]
+        if key in SIZE_KEYS and value == HUGE[kind]:
+            resolve_config(build_parser().parse_args([str(a) for a in argv]))
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 2), err.getvalue()
+        assert code == 0 or err.getvalue().startswith("error: ")
+        if command == "gen" and code == 0:
+            read_interactions(f"{d}/interactions.csv")
 
 
 # ------------------------------------------------------------------- label
@@ -442,6 +530,11 @@ def test_parse_tasks_triples():
         parse_tasks("a:b:c:d")
     with pytest.raises(ConfigInvalid):
         parse_tasks("ev:logistic:heavy")
+    with pytest.raises(ConfigInvalid, match="weight must be > 0"):
+        parse_tasks("ev:logistic:nan")
+    for weight in ("inf", "1e400"):
+        with pytest.raises(ConfigInvalid, match="weight must be finite and > 0"):
+            parse_tasks(f"ev:logistic:{weight}")
 
 
 # ------------------------------------------------------------------ ablate

@@ -306,6 +306,14 @@ def test_empty_dataset_rejected():
         make_duration_bins(np.array([]), 5)
 
 
+def test_bins_beyond_the_record_count_change_nothing():
+    # every rank is a boundary candidate once b reaches n
+    d = np.random.default_rng(3).integers(1, 40, 500).astype(np.float64)
+    a, b = make_duration_bins(d, len(d), 5), make_duration_bins(d, 10**12, 5)
+    assert np.array_equal(a.boundaries, b.boundaries)
+    assert np.array_equal(a.counts, b.counts)
+
+
 @pytest.mark.parametrize("boundaries,counts,message", [
     ([10.0, 20.0], [3.0, np.nan], "counts"),
     ([10.0, 20.0], [3.0, -1.0], "counts"),

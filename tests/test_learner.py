@@ -390,6 +390,35 @@ def test_runaway_learning_rate_raises():
                 bins_b=1, bins_min_size=1)
 
 
+
+@pytest.mark.parametrize("weight,epochs,message", [
+    # one batch, one epoch: the update overflows and no batch follows it
+    (1e10, 1, r"^parameter emb_user became non-finite in the last update$"),
+    # the update stays finite and the next forward pass overflows
+    (1.0, 2, r"^epoch 2, batch at 0: loss became inf "),
+])
+def test_huge_learning_rate_raises_without_a_warning(weight, epochs, message):
+    t = table_of(np.linspace(1.0, 50.0, 32), durations=np.full(32, 60.0))
+    opt = OptimizerConfig(lr_embed=1e300, batch_size=32, epochs=epochs)
+    with pytest.raises(NonFiniteLoss, match=message):
+        fit(t, {}, [TaskConfig("watch_time_s", "squared_error", weight=weight)],
+            ModelArch(2, 2, 4), opt, bins_b=1, bins_min_size=1)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("epochs", 0, "epochs must be >= 1"),
+    ("lr_embed", math.inf, "lr_embed must be finite"),
+    ("lr_dense", 0.0, "lr_dense must be > 0"),
+    ("seed", -1, "seed must be >= 0"),
+])
+def test_fit_rejects_optimizer_settings_outside_their_domain(field, value, message):
+    t = table_of(np.linspace(1.0, 50.0, 8))
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        fit(t, {}, [TaskConfig("watch_time_s", "squared_error")], ModelArch(2, 2, 4),
+            OptimizerConfig(**{field: value}), bins_b=1, bins_min_size=1)
+
+
 # ---------------------------------------------------------- gradient_check
 
 
