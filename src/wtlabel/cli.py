@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -481,25 +483,50 @@ ABLATE_VARIANTS: list[tuple[str, list[TaskConfig]]] = [
 ABLATE_HEADER = ("variant", "gauc_truth", "auc_ev", "gauc_ev", "mae", "rmse", "mape")
 
 
+# the inputs every ablate worker shares: set once per worker process by
+# _ablate_worker_init, which fork hands its arguments without pickling
+_ablate_inputs: tuple = ()
+
+
+def _ablate_worker_init(*inputs) -> None:
+    global _ablate_inputs
+    _ablate_inputs = inputs
+
+
+def _ablate_row(variant: int) -> tuple[str, float, float, float, float, float, float]:
+    """Fit and score ABLATE_VARIANTS[variant] on the worker's inputs."""
+    train_table, train_columns, eval_table, eval_columns, eval_truth, config = _ablate_inputs
+    name, tasks = ABLATE_VARIANTS[variant]
+    model, _ = _fit_with_config(train_table, train_columns, tasks, config)
+    report = evaluate_model(model, eval_table, eval_columns, eval_truth)
+    return (name, report.gauc_truth, report.auc, report.gauc,
+            report.mae, report.rmse, report.mape)
+
+
 def run_ablation(
     table,
     columns: dict[str, np.ndarray],
     truth_m: np.ndarray,
     config: PipelineConfig,
 ) -> list[tuple[str, float, float, float, float, float, float]]:
+    """One row per ABLATE_VARIANTS entry, in that order.
+
+    The recipes are independent and each is deterministic from its
+    seed, so they run in one forked worker process per usable CPU; the
+    rows are the same at any worker count. Results are read in recipe
+    order, so a failure raises the error of the first failing recipe,
+    and the recipes not yet started are cancelled."""
     mask = split_mask(table.row_index, config.split_frac, config.split_seed)
     train_table, train_columns = _subset(table, columns, mask)
     eval_table, eval_columns = _subset(table, columns, ~mask)
     eval_truth = truth_m[eval_table.row_index]
-    rows = []
-    for name, tasks in ABLATE_VARIANTS:
-        model, _ = _fit_with_config(train_table, train_columns, tasks, config)
-        report = evaluate_model(model, eval_table, eval_columns, eval_truth)
-        rows.append(
-            (name, report.gauc_truth, report.auc, report.gauc,
-             report.mae, report.rmse, report.mape)
-        )
-    return rows
+    inputs = (train_table, train_columns, eval_table, eval_columns, eval_truth, config)
+    workers = min(len(os.sched_getaffinity(0)), len(ABLATE_VARIANTS))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_ablate_worker_init, initargs=inputs) as pool:
+        # map's iterator cancels the futures it has not yielded when one
+        # raises; leaving the block then waits for the running ones
+        return list(pool.map(_ablate_row, range(len(ABLATE_VARIANTS))))
 
 
 def format_ablation(rows) -> str:

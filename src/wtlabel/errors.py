@@ -95,7 +95,8 @@ class MissingLabelColumn(PipelineError):
 
 
 class NonFiniteLoss(PipelineError):
-    """Training produced a NaN or infinite loss."""
+    """Training produced a NaN or infinite loss, or a model whose scores
+    are not finite."""
 
 
 class MissingInverseMap(PipelineError):

@@ -642,7 +642,15 @@ def score_and_predict(
     user_rows = _embedding_rows(model.user_index, table.user_id)
     video_rows = _embedding_rows(model.video_index, table.video_id)
     bin_rows = model.bins.bin_of_many(table.duration_s)
-    scores, _ = forward(model.params, model.arch, model.tasks, user_rows, video_rows, bin_rows)
+    # a diverged model's huge parameters overflow to inf or nan here,
+    # which the check below reports as an error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores, _ = forward(model.params, model.arch, model.tasks, user_rows, video_rows, bin_rows)
+    for t in model.tasks:
+        if not np.isfinite(scores[t.name]).all():
+            raise NonFiniteLoss(
+                f"task {t.name!r} scores are not finite: the model diverged in training"
+            )
     out: dict[str, np.ndarray] = {}
     ranking = []
     for t in model.tasks:

@@ -110,7 +110,14 @@ def regression_metrics(predicted, actual) -> RegressionMetrics:
         raise EmptyInput("need aligned non-empty prediction and actual arrays")
     err = predicted - actual
     mae = float(np.mean(np.abs(err)))
-    rmse = float(np.sqrt(np.mean(err * err)))
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(err * err)))
+    if np.isinf(rmse):
+        # the squares of errors past ~1e154 overflow; scaled by the
+        # largest error they do not (an infinite error keeps rmse inf)
+        top = np.max(np.abs(err))
+        if np.isfinite(top):
+            rmse = float(top * np.sqrt(np.mean(np.square(err / top))))
     mask = actual > 0
     skipped = int((~mask).sum())
     if mask.any():

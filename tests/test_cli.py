@@ -6,11 +6,14 @@ import contextlib
 import csv
 import dataclasses
 import io
+import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wtlabel
+import wtlabel.cli as cli
 from wtlabel.cli import (
+    ABLATE_VARIANTS,
     PipelineConfig,
+    build_label_config,
     build_parser,
     evaluate_model,
     main,
     parse_tasks,
     resolve_config,
+    run_ablation,
 )
 from wtlabel.core import InteractionTable, make_partition
 from wtlabel.datagen import SyntheticConfig, generate, oracle_rank_quality
@@ -33,11 +40,12 @@ from wtlabel.dataio import (
     INTERACTION_HEADER,
     read_interactions,
     read_labeled,
+    read_truth,
     split_mask,
     write_interactions,
 )
-from wtlabel.errors import ConfigInvalid
-from wtlabel.labeling import LabelConfig, label_all, load_grouped_summaries
+from wtlabel.errors import ConfigInvalid, NoEligibleUsers
+from wtlabel.labeling import LabelConfig, label_all, label_all_detailed, load_grouped_summaries
 from wtlabel.learner import (
     ModelArch,
     OptimizerConfig,
@@ -505,6 +513,26 @@ def test_eval_missing_task_column_exits_2(small_run, trained, tmp_path, capsys):
     assert "ef_wpr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, code", [("lr_embed", 0), ("lr_dense", 2)])
+def test_eval_after_a_huge_learning_rate_exits_0_or_2(small_run, tmp_path, capsys, key, code):
+    # one epoch of one batch: the single update throws the parameters
+    # near 1e299 and no training loss is computed after it. Huge
+    # embeddings overflow only inside the experts' activation, so the
+    # scores stay finite; huge dense weights make them inf or nan
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"epochs = 1\nbatch_size = 2048\n{key} = 1e300\n")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--input", small_run["labeled"], "--model", model,
+                "--config", cfg]) == 0
+    capsys.readouterr()
+    rc = run(["eval", "--input", small_run["labeled"], "--model", model,
+              "--report", tmp_path / "r.csv"])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if code == 2:
+        assert err == "error: task 'wpr_d' scores are not finite: the model diverged in training\n"
+
+
 def test_train_bad_task_specs_exit_2(small_run, tmp_path, capsys):
     model = str(tmp_path / "m.bin")
     base = ["train", "--input", small_run["labeled"], "--model", model]
@@ -554,6 +582,7 @@ def test_ablate_smoke_table(small_run, tmp_path):
     rc = run(["ablate", "--input", small_run["data"], "--truth",
               small_run["truth"], "--out", out, "--config", cfg])
     assert rc == 0
+    assert multiprocessing.active_children() == []
     lines = read_bytes(out / "ablate.csv").decode().splitlines()
     assert lines[0] == "variant,gauc_truth,auc_ev,gauc_ev,mae,rmse,mape"
     names = [line.split(",")[0] for line in lines[1:]]
@@ -562,6 +591,143 @@ def test_ablate_smoke_table(small_run, tmp_path):
     for line in lines[1:]:
         gauc_truth = float(line.split(",")[1])
         assert 0.0 <= gauc_truth <= 1.0
+
+
+# settings for the in-process ablations below: one short epoch
+ABLATE_CFG = {"lr_embed": 1.0, "lr_dense": 0.02, "batch_size": 256, "epochs": 1,
+              "n_groups": 20}
+
+
+@pytest.fixture(scope="module")
+def ablate_inputs(small_run):
+    """run_ablation's arguments on the small dataset, as cmd_ablate builds them."""
+    config = dataclasses.replace(PipelineConfig(**ABLATE_CFG), ablation_labels=True)
+    table = read_interactions(small_run["data"])
+    labels, _, _ = label_all_detailed(table, build_label_config(config))
+    return table, dict(labels.columns), read_truth(small_run["truth"]).m, config
+
+
+def _sequential_ablation(table, columns, truth_m, config):
+    """The rows of run_ablation, computed one recipe after another in
+    this process."""
+    mask = split_mask(table.row_index, config.split_frac, config.split_seed)
+    train_table = table.subset(mask)
+    train_columns = {k: v[mask] for k, v in columns.items()}
+    eval_table = table.subset(~mask)
+    eval_columns = {k: v[~mask] for k, v in columns.items()}
+    rows = []
+    for name, tasks in ABLATE_VARIANTS:
+        model, _ = cli._fit_with_config(train_table, train_columns, tasks, config)
+        r = evaluate_model(model, eval_table, eval_columns, truth_m[eval_table.row_index])
+        rows.append((name, r.gauc_truth, r.auc, r.gauc, r.mae, r.rmse, r.mape))
+    return rows
+
+
+def _bits(rows):
+    return [(row[0], *(struct.pack("<d", v) for v in row[1:])) for row in rows]
+
+
+def _ablate_argv(small_run, tmp_path):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(_config_text(ABLATE_CFG))
+    return ["ablate", "--input", small_run["data"], "--truth", small_run["truth"],
+            "--out", tmp_path / "out", "--config", cfg]
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail the block with TimeoutError rather than hang past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fake_fit(monkeypatch, fit):
+    """Make every recipe call fit(name, *args) in place of _fit_with_config;
+    fork hands the patched module to the worker processes."""
+    names = {id(tasks): name for name, tasks in ABLATE_VARIANTS}
+    monkeypatch.setattr(cli, "_fit_with_config", lambda table, columns, tasks, config:
+                        fit(names[id(tasks)], table, columns, tasks, config))
+
+
+@pytest.mark.parametrize("cpus", [None, {0}], ids=["usable_cpus", "one_cpu"])
+def test_run_ablation_rows_equal_a_sequential_oracle(ablate_inputs, monkeypatch, cpus):
+    want = _bits(_sequential_ablation(*ablate_inputs))
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    rows = run_ablation(*ablate_inputs)
+    assert [row[0] for row in rows] == [name for name, _ in ABLATE_VARIANTS]
+    assert _bits(rows) == want
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_recipe_raises_the_first_error_in_recipe_order(
+        ablate_inputs, small_run, tmp_path, monkeypatch, capsys):
+    real_fit = cli._fit_with_config
+
+    def fit(name, *args):
+        if name == "ew_wpr":
+            time.sleep(0.3)  # so a later recipe fails first in time
+        if name in ("ew_wpr", "tr", "d2q"):
+            raise NoEligibleUsers(f"recipe {name}: no eligible users")
+        return real_fit(*args)
+
+    _fake_fit(monkeypatch, fit)
+    with pytest.raises(NoEligibleUsers) as sequential:
+        _sequential_ablation(*ablate_inputs)
+    with pytest.raises(NoEligibleUsers) as pooled:
+        run_ablation(*ablate_inputs)
+    assert str(pooled.value) == str(sequential.value) == "recipe ew_wpr: no eligible users"
+    assert multiprocessing.active_children() == []
+    capsys.readouterr()
+    assert run(_ablate_argv(small_run, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {sequential.value}\n"
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out" / "ablate.csv").exists()
+
+
+def test_a_failing_recipe_cancels_the_recipes_not_yet_started(
+        small_run, tmp_path, monkeypatch, capsys):
+    started = tmp_path / "started"
+    started.mkdir()
+
+    def fit(name, *args):
+        (started / name).touch()
+        if name == "dml":
+            raise NoEligibleUsers("recipe dml: no eligible users")
+        time.sleep(0.5)
+        raise AssertionError(f"recipe {name} was read after dml failed")
+
+    _fake_fit(monkeypatch, fit)
+    assert run(_ablate_argv(small_run, tmp_path)) == 2
+    assert capsys.readouterr().err == "error: recipe dml: no eligible users\n"
+    assert multiprocessing.active_children() == []
+    assert "dml" in os.listdir(started)
+    assert len(os.listdir(started)) < len(ABLATE_VARIANTS)
+
+
+def test_a_killed_ablate_worker_ends_the_command(small_run, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    real_fit = cli._fit_with_config
+
+    def fit(name, *args):
+        if name == "wo_dg" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_fit(*args)
+
+    _fake_fit(monkeypatch, fit)
+    with _deadline(120):
+        rc = run(_ablate_argv(small_run, tmp_path))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("internal error: BrokenProcessPool")
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------- exit codes

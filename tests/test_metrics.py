@@ -336,6 +336,29 @@ def test_regression_matches_direct_formulas():
     assert r.mape == pytest.approx((err[pos] / actual[pos]).mean(), abs=1e-12)
 
 
+def test_rmse_of_errors_whose_squares_overflow_is_finite():
+    # watch times near 1e300 s are valid input; their squared errors are not
+    # representable, but the root mean square is
+    assert regression_metrics([1e300, 0.0], [0.0, 1e300]).rmse == 1e300
+    rng = np.random.default_rng(5)
+    actual = rng.uniform(0, 600, 200)
+    pred = actual + rng.normal(0, 20, 200)
+    small = regression_metrics(pred, actual)
+    big = regression_metrics(pred * 1e250, actual * 1e250)
+    assert np.isfinite(big.rmse)
+    assert big.rmse == pytest.approx(small.rmse * 1e250, rel=1e-12)
+    # an error that is itself infinite keeps rmse infinite, without a warning
+    assert regression_metrics([np.inf, 1.0], [0.0, 1.0]).rmse == np.inf
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=1, max_size=50))
+def test_rmse_is_the_plain_formula_when_squares_fit(errors):
+    err = np.array(errors)
+    r = regression_metrics(err, np.zeros_like(err))
+    assert r.rmse == float(np.sqrt(np.mean(err * err)))
+
+
 # ----------------------------------------------------------------------- ks
 
 
