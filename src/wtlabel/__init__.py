@@ -37,7 +37,6 @@ from .errors import (
     MissingInverseMap,
     MissingLabelColumn,
     MissingTruthFile,
-    ModeMismatch,
     NegativeValue,
     NegativeWatchTime,
     NoEligibleUsers,

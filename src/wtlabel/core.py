@@ -353,9 +353,9 @@ def make_duration_bins(dataset, b: int, min_bin_size: int = 20) -> DurationBins:
 
     Boundaries sit at nearest-rank quantiles of the duration multiset,
     deduplicated so point masses collapse. Any bin smaller than
-    min_bin_size is merged into its right neighbor (leftmost first, the
-    last bin merges left) until every remaining bin is large enough or
-    one bin is left.
+    min_bin_size is joined to its right neighbor (leftmost first, the
+    last bin joins its left one) until every remaining bin is large
+    enough or one bin is left.
     """
     check_value("bins_b", b)
     if isinstance(dataset, np.ndarray):

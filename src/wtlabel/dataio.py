@@ -153,6 +153,9 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
             f"{path}: header must {'start with' if labeled else 'be'} "
             f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
         )
+    twice = [name for i, name in enumerate(header) if name in header[:i]]
+    if twice:
+        raise MissingField(f"{path}: header names column {twice[0]} twice")
     users, videos, dur_text, watch_text = cols[:4]
     valid = all(map(str.strip, users)) and all(map(str.strip, videos))
     try:
@@ -252,20 +255,29 @@ def read_truth(path: str) -> SyntheticTruth:
     header, cols, fault = _read_columns(path)
     if header is None or tuple(header) != TRUTH_HEADER:
         raise SerializationError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
-    ms, fs = [], []
-    for i, row in enumerate(zip(*cols)):
-        try:
-            if int(row[0]) != i:
-                raise SerializationError(f"{path} row {i}: row_index out of order")
-            ms.append(float(row[1]))
-            fs.append(float(row[2]))
-        except ValueError:
-            raise SerializationError(f"{path} row {i}: not a number in {list(row)!r}") from None
+    index, m_text, f_text = cols
+    try:
+        m, f_mean = _floats(m_text), _floats(f_text)
+        valid = (np.array_equal(np.fromiter(map(int, index), np.int64, len(index)),
+                                np.arange(len(index))) and np.all(np.isfinite(m)))
+    except (ValueError, OverflowError):  # an index past int64 is out of order too
+        valid = False
+    if not valid:
+        for i, row in enumerate(zip(*cols)):  # name the first bad row
+            try:
+                if int(row[0]) != i:
+                    raise SerializationError(f"{path} row {i}: row_index out of order")
+                m_i, _ = float(row[1]), float(row[2])
+            except ValueError:
+                raise SerializationError(f"{path} row {i}: not a number in {list(row)!r}") from None
+            if not np.isfinite(m_i):
+                raise SerializationError(f"{path} row {i}: m {row[1]!r} is not finite")
+        raise AssertionError("the column checks rejected rows the row checks accept")
     if fault is not None:
-        raise SerializationError(f"{path} row {len(ms)}: {fault}")
-    if not ms:
+        raise SerializationError(f"{path} row {len(index)}: {fault}")
+    if not index:
         raise EmptyInput(f"{path}: no data rows")
-    return SyntheticTruth(m=np.asarray(ms), f_mean=np.asarray(fs))
+    return SyntheticTruth(m=m, f_mean=f_mean)
 
 
 def labeled_header(columns: Mapping[str, np.ndarray]) -> list[str]:

@@ -65,10 +65,6 @@ class NegativeValue(PipelineError):
     """Summaries accept non-negative finite values only."""
 
 
-class ModeMismatch(PipelineError):
-    """Merge attempted between summaries of different mode or accuracy."""
-
-
 class EmptySummary(PipelineError):
     pass
 

@@ -543,8 +543,8 @@ def load_grouped_summaries(path: str) -> GroupedSummaries:
             if not (max(sketches, default=-1) < i < n and sizes[i] == 0):
                 raise r.fail(f"sketch at {kind} group {i}, not an empty group after the last")
             at = r.pos
-            s = read_summary(r)[0]
-            if s is None or s.eps != eps:
+            s = read_summary(r)
+            if s.eps != eps:
                 raise r.fail(f"{kind} group {i} holds no sketch of the file's eps {eps}", at)
             sketches[i] = s
         raw = r.raw(8 * int(sizes.sum()))

@@ -1,30 +1,31 @@
 """Rank and quantile summaries over non-negative watch times.
 
-Two interchangeable implementations sit behind one interface:
+Two summaries answer the same nearest-rank queries:
 
-* ExactSummary keeps every inserted value. Queries answer from the
-  sorted multiset, so threshold, rank and rank_many are exact under
-  the nearest-rank convention.
+* SketchSummary is a compactor sketch, which sketch-mode rank labels
+  and every group that reaches the sketch capacity use. Values live in
+  level buffers where an item at level h stands for 2**h original
+  values. When a level exceeds its capacity the buffer is sorted and
+  every second element is promoted one level up, alternating the
+  starting offset between compactions so successive rank errors cancel
+  instead of accumulating. The compaction is deterministic: no randomness is
+  involved, so identical extend sequences always produce identical
+  state. With per-level capacity k and L live levels the worst-case
+  rank error is bounded by roughly L/k of the stream, far inside the
+  configured eps; capacity is sized from eps with a wide safety factor
+  so that labels derived from sketch ranks rarely move across group
+  boundaries.
 
-* SketchSummary is a mergeable compactor sketch. Values live in level
-  buffers where an item at level h stands for 2**h original values.
-  When a level exceeds its capacity the buffer is sorted and every
-  second element is promoted one level up, alternating the starting
-  offset between compactions so successive rank errors cancel instead
-  of accumulating. The compaction is deterministic: no randomness is
-  involved, so identical insert and merge sequences always produce
-  identical state. With per-level capacity k and L live levels the
-  worst-case rank error is bounded by roughly L/k of the stream, far
-  inside the configured eps; capacity is sized from eps with a wide
-  safety factor so that labels derived from sketch ranks rarely move
-  across group boundaries.
+* ExactSummary keeps every value, sorted, in memory; threshold, rank
+  and rank_many are exact. It is the reference the sketch is measured
+  against.
 
 Thresholds follow the nearest-rank convention throughout: the p-th
 percentile is the smallest value w with count(x <= w) >= p/100 * n.
 Counts are tracked exactly in both modes.
 
-Summaries serialize to a small versioned binary format (magic WLQS) so
-grouped summaries can be persisted and reused across runs.
+A sketch serializes to a small versioned binary format (magic WLQS),
+which appears only inside grouped-summary (WLGS) files.
 """
 
 from __future__ import annotations
@@ -40,15 +41,13 @@ from .dataio import Reader
 from .errors import (
     ConfigInvalid,
     EmptySummary,
-    ModeMismatch,
     NegativeValue,
     PercentileOutOfRange,
 )
 
 SERIAL_MAGIC = b"WLQS"
 SERIAL_VERSION = 1
-_MODE_EXACT = 0
-_MODE_SKETCH = 1
+_MODE_SKETCH = 1  # the only mode byte a WLQS header may hold
 
 DEFAULT_EPS = 0.005
 
@@ -91,7 +90,7 @@ def _nearest_rank(n, p: float):
 
 class QuantileSummary:
     """Interface shared by both summary modes. Each defines count,
-    insert, extend, merge, threshold, rank_many and to_bytes."""
+    extend, threshold and rank_many; the sketch also to_bytes."""
 
     mode: str
 
@@ -103,67 +102,42 @@ class ExactSummary(QuantileSummary):
     """Sorted-multiset summary with exact answers."""
 
     mode = "exact"
-    __slots__ = ("_chunks", "_n", "_sorted")
+    __slots__ = ("_sorted",)
 
     def __init__(self) -> None:
-        self._chunks: list[np.ndarray] = []
-        self._n = 0
-        self._sorted: Optional[np.ndarray] = None
+        self._sorted = np.empty(0, dtype=np.float64)
 
     @property
     def count(self) -> int:
-        return self._n
-
-    def insert(self, value: float) -> None:
-        self.extend((value,))
+        return self._sorted.size
 
     def extend(self, values: Iterable[float]) -> None:
         arr = _validate_values(values if isinstance(values, np.ndarray) else list(values))
-        if arr.size == 0:
-            return
-        self._chunks.append(arr)
-        self._n += arr.size
-        self._sorted = None
-
-    def merge(self, other: QuantileSummary) -> "ExactSummary":
-        if not isinstance(other, ExactSummary):
-            raise ModeMismatch("cannot merge exact with sketch summaries")
-        out = ExactSummary()
-        out._chunks = [self.values(), other.values()]
-        out._n = self._n + other._n
-        return out
+        if arr.size:
+            self._sorted = np.sort(np.concatenate([self._sorted, arr]))
 
     def values(self) -> np.ndarray:
-        """Sorted array of everything inserted so far (cached)."""
-        if self._sorted is None:
-            parts = self._chunks or [np.empty(0, dtype=np.float64)]
-            self._sorted = np.sort(parts[0] if len(parts) == 1 else np.concatenate(parts))
-            self._chunks = [self._sorted]
+        """Sorted array of everything extended so far."""
         return self._sorted
 
     def threshold(self, p: float) -> float:
-        k = _nearest_rank(self._n, p)
-        if self._n == 0:
+        k = _nearest_rank(self.count, p)
+        if self.count == 0:
             raise EmptySummary("threshold query on an empty summary")
-        return float(self.values()[k - 1])
+        return float(self._sorted[k - 1])
 
     def rank_many(self, values: np.ndarray) -> np.ndarray:
-        if self._n == 0:
+        if self.count == 0:
             raise EmptySummary("rank query on an empty summary")
-        return np.searchsorted(self.values(), np.asarray(values, dtype=np.float64),
-                               side="right") / self._n
-
-    def to_bytes(self) -> bytes:
-        v = self.values()
-        return struct.pack("<4sHBQQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_EXACT, v.size,
-                           v.size) + v.tobytes()
+        return np.searchsorted(self._sorted, np.asarray(values, dtype=np.float64),
+                               side="right") / self.count
 
 
 class SketchSummary(QuantileSummary):
-    """Deterministic mergeable compactor sketch."""
+    """Deterministic compactor sketch."""
 
     mode = "sketch"
-    __slots__ = ("eps", "capacity", "_levels", "_parity", "_pending", "_n", "_mat")
+    __slots__ = ("eps", "capacity", "_levels", "_parity", "_n", "_mat")
 
     def __init__(self, eps: float = DEFAULT_EPS, capacity: Optional[int] = None) -> None:
         default = sketch_capacity(eps)
@@ -175,22 +149,12 @@ class SketchSummary(QuantileSummary):
         self.capacity = capacity + (capacity % 2)
         self._levels: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
         self._parity: list[int] = [0]
-        self._pending: list[float] = []
         self._n = 0
         self._mat: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def count(self) -> int:
         return self._n
-
-    def insert(self, value: float) -> None:
-        (v,) = _validate_values(value)
-        self._pending.append(float(v))
-        self._n += 1
-        self._mat = None
-        if len(self._pending) + self._levels[0].size >= self.capacity:
-            self._flush_pending()
-            self._compact_cascade()
 
     def extend(self, values: Iterable[float]) -> None:
         arr = _validate_values(values if isinstance(values, np.ndarray) else list(values))
@@ -200,17 +164,9 @@ class SketchSummary(QuantileSummary):
         # feed in capacity-sized pieces so level 0 never balloons
         for start in range(0, arr.size, self.capacity):
             piece = arr[start : start + self.capacity]
-            self._flush_pending()
             self._levels[0] = np.concatenate([self._levels[0], piece])
             self._n += piece.size
             self._compact_cascade()
-
-    def _flush_pending(self) -> None:
-        if self._pending:
-            self._levels[0] = np.concatenate(
-                [self._levels[0], np.asarray(self._pending, dtype=np.float64)]
-            )
-            self._pending = []
 
     def _compact_cascade(self) -> None:
         h = 0
@@ -231,39 +187,9 @@ class SketchSummary(QuantileSummary):
             self._parity.append(0)
         self._levels[h + 1] = np.concatenate([self._levels[h + 1], promoted])
 
-    def merge(self, other: QuantileSummary) -> "SketchSummary":
-        if not isinstance(other, SketchSummary):
-            raise ModeMismatch("cannot merge sketch with exact summaries")
-        if other.eps != self.eps or other.capacity != self.capacity:
-            raise ModeMismatch(
-                f"sketch accuracy differs: eps {self.eps} vs {other.eps}"
-            )
-        out = SketchSummary(self.eps, self.capacity)
-        self._flush_pending()
-        other_levels = list(other._levels)
-        if other._pending:
-            other_levels[0] = np.concatenate(
-                [other_levels[0], np.asarray(other._pending, dtype=np.float64)]
-            )
-        depth = max(len(self._levels), len(other_levels))
-        out._levels = []
-        out._parity = []
-        for h in range(depth):
-            parts = []
-            if h < len(self._levels):
-                parts.append(self._levels[h])
-            if h < len(other_levels):
-                parts.append(other_levels[h])
-            out._levels.append(np.concatenate(parts) if parts else np.empty(0))
-            out._parity.append(self._parity[h] if h < len(self._parity) else 0)
-        out._n = self._n + other._n
-        out._compact_cascade()
-        return out
-
     def _materialize(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted (values, cumulative weight ending at each value)."""
         if self._mat is None:
-            self._flush_pending()
             vals = []
             weights = []
             for h, level in enumerate(self._levels):
@@ -297,7 +223,6 @@ class SketchSummary(QuantileSummary):
         return prefixed[idx] / self._n
 
     def to_bytes(self) -> bytes:
-        self._flush_pending()
         head = struct.pack(
             "<4sHBQ", SERIAL_MAGIC, SERIAL_VERSION, _MODE_SKETCH, self._n
         )
@@ -313,12 +238,9 @@ def make_summary(mode: str = "exact", eps: float = DEFAULT_EPS) -> QuantileSumma
     return ExactSummary() if mode == "exact" else SketchSummary(eps)
 
 
-def summary_from_bytes(blob: bytes) -> QuantileSummary:
+def summary_from_bytes(blob: bytes) -> SketchSummary:
     r = Reader(blob, "WLQS summary")
-    s, raw, at = read_summary(r)
-    if s is None:
-        s = ExactSummary()
-        s.extend(checked_values(r, raw, at))
+    s = read_summary(r)
     r.end()
     return s
 
@@ -335,20 +257,13 @@ def checked_values(r: Reader, raw: bytes, at: int) -> np.ndarray:
     return values
 
 
-def read_summary(r: Reader) -> tuple[Optional[SketchSummary], bytes, int]:
-    """Decode one WLQS summary at the cursor as (sketch, raw, at): an exact
-    one as sketch None and its values unchecked in raw, stored from byte
-    at; a sketch decoded and checked."""
+def read_summary(r: Reader) -> SketchSummary:
+    """Decode and check one WLQS sketch at the cursor."""
     magic, version, mode, n = r.take("<4sHBQ")
     if magic != SERIAL_MAGIC:
         raise r.fail(f"bad summary magic {magic!r}")
     if version != SERIAL_VERSION:
         raise r.fail(f"unsupported summary version {version}")
-    if mode == _MODE_EXACT:
-        (size,) = r.take("<Q")
-        if size != n:
-            raise r.fail(f"exact summary header counts {n} values, payload holds {size}")
-        return None, r.raw(8 * size), r.start
     if mode != _MODE_SKETCH:
         raise r.fail(f"unknown summary mode byte {mode}")
     eps, capacity, n_levels = r.take("<dII")
@@ -372,4 +287,4 @@ def read_summary(r: Reader) -> tuple[Optional[SketchSummary], bytes, int]:
     s = SketchSummary(eps, capacity)
     s._levels = [checked_values(r, raw, at) for _, raw, at in levels] or [np.empty(0)]
     s._parity, s._n = [parity for parity, _, _ in levels] or [0], n
-    return s, b"", r.pos
+    return s

@@ -843,9 +843,16 @@ def _eval(s, d, labeled, *extra):
      "label column 'wpr_d' has empty cells"),
     (lambda s, d: _eval(s, d, _without_column(s["labeled"], d / "no_ev.csv", "ev")),
      "evaluation needs the 'ev' label column"),
+    (lambda s, d: _eval(s, d, s["labeled"], "--truth",
+                        _with_cell(s["truth"], d / "nan_m.csv", 3, "m", "nan")),
+     "nan_m.csv row 3: m 'nan' is not finite"),
+    (lambda s, d: ["ablate", "--input", s["data"], "--out", d, "--truth",
+                   _with_cell(s["truth"], d / "nan_m.csv", 3, "m", "nan")],
+     "nan_m.csv row 3: m 'nan' is not finite"),
 ], ids=["no_config_file", "config_line_without_eq", "bad_bool", "bad_ratios",
         "empty_train_split", "empty_eval_split", "short_truth_eval", "short_truth_ablate",
-        "no_truth_file_ablate", "no_truth_flag_ablate", "empty_label_cell", "no_ev_column"])
+        "no_truth_file_ablate", "no_truth_flag_ablate", "empty_label_cell", "no_ev_column",
+        "nan_m_eval", "nan_m_ablate"])
 def test_cli_input_and_config_errors_exit_2(small_run, trained, tmp_path, capsys, argv, message):
     assert run(argv({**small_run, "model": trained["model"]}, tmp_path)) == 2
     assert message in capsys.readouterr().err

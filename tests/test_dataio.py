@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,9 @@ def _reference_records(path: str, labeled: bool):
                 f"{path}: header must {'start with' if labeled else 'be'} "
                 f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
             )
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise MissingField(f"{path}: header names column {name} twice")
         for i, row in enumerate(reader):
             if len(row) != len(header):
                 raise MissingField(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
@@ -96,7 +100,7 @@ def _reference_records(path: str, labeled: bool):
 
 def _reference_truth(path: str) -> SyntheticTruth:
     """The truth reader as one row loop (a short or long row is named with
-    the width found, as in the interaction reader)."""
+    the width found, as in the interaction reader); m must be finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -113,6 +117,8 @@ def _reference_truth(path: str) -> SyntheticTruth:
                 fs.append(float(row[2]))
             except ValueError:
                 raise SerializationError(f"{path} row {i}: not a number in {row!r}") from None
+            if not math.isfinite(ms[-1]):
+                raise SerializationError(f"{path} row {i}: m {row[1]!r} is not finite")
     if not ms:
         raise EmptyInput(f"{path}: no data rows")
     return SyntheticTruth(m=np.asarray(ms), f_mean=np.asarray(fs))
@@ -182,9 +188,13 @@ def csv_files(draw, labeled: bool):
         + [draw(BINARY_CELLS if name in BINARY_LABELS else REAL_CELLS) for name in labels]
         for _ in range(draw(st.integers(0, 6)))
     ]
-    damage = draw(st.sampled_from(["none", "cell", "short", "long", "blank", "header"]))
+    damage = draw(st.sampled_from(["none", "cell", "short", "long", "blank", "header", "twice"]))
     if damage == "header":
         header[draw(st.integers(0, len(header) - 1))] = "other"
+    elif damage == "twice":  # a column named a second time, with cells of its own
+        header.append(header[draw(st.integers(0, len(header) - 1))])
+        for row in rows:
+            row.append("0")
     elif damage == "blank":
         rows.insert(draw(st.integers(0, len(rows))), [])
     elif rows and damage != "none":
@@ -325,3 +335,30 @@ def test_read_truth_names_the_first_unreadable_row(tmp_path):
     path.write_bytes(b"".join(row + b"\n" for row in rows))
     with pytest.raises(SerializationError, match=r"truth\.csv row 2: not a number in \['2', 'x'"):
         read_truth(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_read_truth_rejects_a_non_finite_m(tmp_path, cell):
+    path = tmp_path / "truth.csv"
+    rows = ["row_index,m,f_mean"] + [f"{i},0.5,1.5" for i in range(5)]
+    rows[3] = f"2,{cell},1.5"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SerializationError, match=rf"truth\.csv row 2: m '{cell}' is not finite$"):
+        read_truth(str(path))
+
+
+def test_read_truth_index_past_int64_is_out_of_order(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("row_index,m,f_mean\n0,0.5,1.5\n99999999999999999999,0.5,1.5\n")
+    with pytest.raises(SerializationError, match=r"truth\.csv row 1: row_index out of order$"):
+        read_truth(str(path))
+
+
+def test_read_labeled_rejects_a_column_named_twice(tmp_path):
+    # a second, all-zero ev column would otherwise replace the first
+    path = tmp_path / "labeled.csv"
+    rows = [list(INTERACTION_HEADER) + ["ev", "wpr", "ev"]]
+    rows += [[f"u{i}", f"v{i}", "60", str(i), str(i % 2), "0.5", "0"] for i in range(4)]
+    _write_csv(str(path), rows[0], rows[1:])
+    with pytest.raises(MissingField, match=r"labeled\.csv: header names column ev twice$"):
+        read_labeled(str(path))

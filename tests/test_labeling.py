@@ -44,7 +44,7 @@ from wtlabel.labeling import (
     save_grouped_summaries,
 )
 from wtlabel.metrics import ks_distance
-from wtlabel.quantile import SketchSummary
+from wtlabel.quantile import SketchSummary, summary_from_bytes
 
 
 def table_of(watch, durations=None, users=None, videos=None) -> InteractionTable:
@@ -793,6 +793,45 @@ def test_grouped_summaries_reject_sketches_outside_the_contract(tmp_path, edit, 
     save_grouped_summaries(gs, str(path))
     with pytest.raises(SerializationError, match=f"^{path}: {message}"):
         load_grouped_summaries(str(path))
+
+
+def test_grouped_summaries_reject_a_sketch_entry_of_mode_0(tmp_path):
+    t, _ = small_synthetic(40, 20)
+    gs = _compacting(t)
+    path = tmp_path / "s.bin"
+    save_grouped_summaries(gs, str(path))
+    blob = bytearray(path.read_bytes())
+    at = bytes(blob).index(gs.groups["global"].sketches[0].to_bytes())
+    blob[at + 6] = 0  # the WLQS mode byte, after its magic and version
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SerializationError,
+                       match=f"^{path}: unknown summary mode byte 0 at byte {at}$"):
+        load_grouped_summaries(str(path))
+
+
+@pytest.mark.parametrize("mode,eps", [("exact", 0.005), ("sketch", 0.45)])
+def test_summaries_view_holds_each_group(mode, eps):
+    # perfbench/layers.py reads labeling.n_summaries and quantile.values_*
+    # from this view. Two users of 600 records: at eps 0.45 (a capacity
+    # of 570) the global, bin and user groups are real sketches and the
+    # videos stay below capacity
+    t, _ = generate(SyntheticConfig(n_users=2, n_videos=700, interactions_per_user=600, seed=3))
+    gs = build_grouped_summaries(t, bins=make_duration_bins(t, 2, 5),
+                                 kinds=("duration_bin", "video", "user"), mode=mode, eps=eps)
+    view = gs.summaries
+    assert len(view) == sum(len(g.keys) for g in gs.groups.values())
+    for kind, g in gs.groups.items():
+        for i, key in enumerate(g.keys.tolist()):
+            s = view[GroupKey(kind, key)]
+            assert s.count == g.counts[i]
+            if mode == "sketch":
+                blob = s.to_bytes()
+                assert summary_from_bytes(blob).to_bytes() == blob
+            else:
+                assert np.array_equal(s.values(), g.values[g.bounds[i] : g.bounds[i + 1]])
+    if mode == "sketch":
+        real = {kind for kind, g in gs.groups.items() if g.sketches}
+        assert real == {"global", "duration_bin", "user"}
 
 
 def test_grouped_summaries_reject_truncation_and_trailing_bytes(tmp_path):

@@ -1,4 +1,5 @@
-"""Exact and sketch watch-time summaries: thresholds, ranks, merging."""
+"""Exact and sketch watch-time summaries: thresholds, ranks, the sketch's
+rank error against the exact reference, and the WLQS sketch encoding."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from wtlabel.errors import (
     ConfigInvalid,
     EmptySummary,
-    ModeMismatch,
     NegativeValue,
     PercentileOutOfRange,
     SerializationError,
@@ -31,18 +31,22 @@ def exact_of(values) -> ExactSummary:
     return s
 
 
-# ------------------------------------------------------------------ insert
+# ------------------------------------------------------------------ extend
 
 
 def test_insert_counts():
     s = ExactSummary()
-    s.insert(5.0)
+    s.extend([5.0])
+    assert s.count == 1
+    s.extend([])
     assert s.count == 1
 
 
 def test_duplicates_preserved():
-    s = exact_of([1.0, 1.0, 2.0])
+    s = exact_of([2.0, 1.0])
+    s.extend([1.0])  # a later extend joins the sorted multiset
     assert s.count == 3
+    assert s.values().tolist() == [1.0, 1.0, 2.0]
     # multiset semantics: two thirds of the mass sits at 1.0
     assert s.rank(1.0) == pytest.approx(2 / 3)
 
@@ -50,10 +54,10 @@ def test_duplicates_preserved():
 def test_negative_insert_rejected():
     s = ExactSummary()
     with pytest.raises(NegativeValue):
-        s.insert(-0.5)
+        s.extend([-0.5])
     sk = SketchSummary(0.01)
     with pytest.raises(NegativeValue):
-        sk.insert(-1.0)
+        sk.extend([1.0, -1.0])
 
 
 # --------------------------------------------------------------- threshold
@@ -120,45 +124,6 @@ def test_threshold_is_inserted_value_reaching_p(values, p):
     assert s.rank(t) >= p / 100.0
 
 
-# -------------------------------------------------------------------- merge
-
-
-def test_exact_merge_is_multiset_union():
-    merged = exact_of([1.0, 3.0]).merge(exact_of([2.0]))
-    one = exact_of([1.0, 2.0, 3.0])
-    assert merged.count == 3
-    for p in (10, 34, 50, 66.7, 100):
-        assert merged.threshold(p) == one.threshold(p)
-
-
-def test_exact_merge_commutes():
-    a, b = exact_of([1.0, 5.0, 9.0]), exact_of([2.0, 2.0])
-    ab, ba = a.merge(b), b.merge(a)
-    for p in np.linspace(1, 100, 23):
-        assert ab.threshold(p) == ba.threshold(p)
-
-
-def test_exact_merge_associates():
-    a, b, c = exact_of([1.0, 4.0]), exact_of([2.0]), exact_of([3.0, 5.0])
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    for p in np.linspace(1, 100, 23):
-        assert left.threshold(p) == right.threshold(p)
-
-
-def test_mode_mismatch_rejected():
-    with pytest.raises(ModeMismatch):
-        exact_of([1.0]).merge(SketchSummary(0.01))
-
-
-def test_eps_mismatch_rejected():
-    a, b = SketchSummary(0.01), SketchSummary(0.02)
-    a.insert(1.0)
-    b.insert(2.0)
-    with pytest.raises(ModeMismatch):
-        a.merge(b)
-
-
 # ------------------------------------------------------------------- sketch
 
 
@@ -177,21 +142,6 @@ def test_sketch_rank_error_within_budget():
     ex.extend(values)
     probes = rng.uniform(values.min(), values.max(), 500)
     err = np.abs(sk.rank_many(probes) - ex.rank_many(probes))
-    assert err.max() <= 0.005
-
-
-def test_sketch_merge_keeps_rank_error():
-    rng = np.random.default_rng(5)
-    half_a = np.exp(rng.normal(2.5, 1.0, 50_000))
-    half_b = np.exp(rng.normal(3.5, 0.8, 50_000))
-    a, b = SketchSummary(0.005), SketchSummary(0.005)
-    a.extend(half_a)
-    b.extend(half_b)
-    merged = a.merge(b)
-    ex = exact_of(np.concatenate([half_a, half_b]))
-    assert merged.count == 100_000
-    probes = rng.uniform(0.1, 200.0, 1000)
-    err = np.abs(merged.rank_many(probes) - ex.rank_many(probes))
     assert err.max() <= 0.005
 
 
@@ -221,15 +171,6 @@ def test_sketch_threshold_close_to_exact():
 # ------------------------------------------------------------ serialization
 
 
-def test_exact_roundtrip():
-    s = exact_of([3.0, 1.0, 2.0, 2.0])
-    back = summary_from_bytes(s.to_bytes())
-    assert isinstance(back, ExactSummary)
-    assert back.count == 4
-    for p in (25, 50, 75, 100):
-        assert back.threshold(p) == s.threshold(p)
-
-
 def test_sketch_roundtrip():
     rng = np.random.default_rng(21)
     sk = SketchSummary(0.005)
@@ -242,18 +183,29 @@ def test_sketch_roundtrip():
 
 
 def test_bad_magic_rejected():
-    blob = exact_of([1.0]).to_bytes()
-    with pytest.raises(SerializationError):
+    sketch = SketchSummary(0.005)
+    sketch.extend([1.0])
+    blob = sketch.to_bytes()
+    with pytest.raises(SerializationError, match="bad summary magic b'XXXX' at byte 0"):
         summary_from_bytes(b"XXXX" + blob[4:])
 
 
+@pytest.mark.parametrize("mode", [0, 2])
+def test_mode_byte_other_than_sketch_rejected(mode):
+    sketch = SketchSummary(0.005)
+    sketch.extend([1.0, 2.0, 3.0])
+    blob = bytearray(sketch.to_bytes())
+    blob[6] = mode  # after the magic and the version
+    with pytest.raises(SerializationError, match=f"unknown summary mode byte {mode} at byte 0"):
+        summary_from_bytes(bytes(blob))
+
+
 def test_truncated_payload_rejected():
-    blob = exact_of([1.0, 2.0, 3.0]).to_bytes()
-    with pytest.raises(SerializationError):
-        summary_from_bytes(blob[: len(blob) - 4])
-    sketch = SketchSummary(0.005, capacity=16)
-    sketch.extend(np.arange(100.0))
-    for blob in (blob, sketch.to_bytes()):
+    one = SketchSummary(0.005)
+    one.extend([1.0, 2.0, 3.0])
+    many = SketchSummary(0.005, capacity=16)
+    many.extend(np.arange(100.0))
+    for blob in (one.to_bytes(), many.to_bytes()):
         for n in range(len(blob)):
             with pytest.raises(SerializationError, match="WLQS summary: truncated"):
                 summary_from_bytes(blob[:n])
@@ -274,12 +226,11 @@ def test_sketch_parity_must_be_0_or_1():
 
 @pytest.mark.parametrize("bad", [float("nan"), -5.0, float("inf")])
 def test_summary_values_must_be_finite_and_non_negative(bad):
-    exact = exact_of(np.arange(10.0))  # values from byte 23
     one = SketchSummary(0.005, capacity=16)
     one.extend(np.arange(10.0))  # one level, values from byte 40
     many = SketchSummary(0.005, capacity=16)
     many.extend(np.arange(100.0))  # the last value of the top level ends the blob
-    for s, at in ((exact, 23 + 8 * 3), (one, 40 + 8 * 3), (many, len(many.to_bytes()) - 8)):
+    for s, at in ((one, 40 + 8 * 3), (many, len(many.to_bytes()) - 8)):
         blob = bytearray(s.to_bytes())
         blob[at : at + 8] = np.float64(bad).tobytes()
         message = f"value {bad} is not finite and >= 0 at byte {at}"
@@ -307,25 +258,18 @@ def test_sketch_odd_capacity_rejected():
         summary_from_bytes(bytes(blob))
 
 
-def test_exact_count_must_match_payload():
-    blob = bytearray(exact_of([1.0, 2.0, 3.0]).to_bytes())
-    blob[7:15] = (10).to_bytes(8, "little")  # header count, payload of 3
-    with pytest.raises(SerializationError, match="counts 10 values"):
-        summary_from_bytes(bytes(blob))
-
-
 @pytest.mark.parametrize("n", [37, 51_201, 333_370])
 def test_sketch_count_must_match_level_weight(n):
     rng = np.random.default_rng(n)
-    a = SketchSummary(0.005)
-    a.extend(rng.uniform(0, 100, n // 2))
-    b = SketchSummary(0.005)
-    for v in rng.uniform(0, 100, n - n // 2):
-        b.insert(v)
-    merged = a.merge(b)
-    for s in (a, b, merged):
-        assert summary_from_bytes(s.to_bytes()).count == s.count
-    blob = bytearray(merged.to_bytes())
+    s = SketchSummary(0.005)
+    s.extend(rng.uniform(0, 100, n // 2))
+    s.extend(rng.uniform(0, 100, n - n // 2))
+    # 37 values stay in level 0; 51,201 and 333,370 compact into 2 and 4 levels
+    assert len(s._levels) == {37: 1, 51_201: 2, 333_370: 4}[n]
+    back = summary_from_bytes(s.to_bytes())
+    assert back.count == s.count == n
+    assert back.to_bytes() == s.to_bytes()
+    blob = bytearray(s.to_bytes())
     blob[7:15] = (n + 1).to_bytes(8, "little")
     with pytest.raises(SerializationError, match="levels hold weight"):
         summary_from_bytes(bytes(blob))

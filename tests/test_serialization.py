@@ -20,7 +20,7 @@ from wtlabel.labeling import (
     save_grouped_summaries,
 )
 from wtlabel.learner import ModelArch, OptimizerConfig, TaskConfig, fit, load_model, save_model
-from wtlabel.quantile import ExactSummary, SketchSummary, summary_from_bytes
+from wtlabel.quantile import SketchSummary, summary_from_bytes
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +31,9 @@ def artifacts(tmp_path_factory):
     cfg = SyntheticConfig(n_users=20, n_videos=60, interactions_per_user=15, seed=3)
     table, _ = generate(cfg)
     rng = np.random.default_rng(3)
-    exact = ExactSummary()
-    exact.extend(rng.uniform(0, 100, 40))
     sketch = SketchSummary(0.005, capacity=16)
     sketch.extend(rng.uniform(0, 100, 150))
-    for v in rng.uniform(0, 100, 7):
-        sketch.insert(v)
+    sketch.extend(rng.uniform(0, 100, 7))
     grouped = build_grouped_summaries(
         table, bins=make_duration_bins(table, 4, 5), kinds=("duration_bin", "video", "user")
     )
@@ -85,7 +82,6 @@ def artifacts(tmp_path_factory):
     wlgs = through_file(load_grouped_summaries, save_grouped_summaries)
     wlmd = through_file(load_model, save_model)
     return {
-        "wlqs_exact": (wlqs[1](exact), *wlqs),
         "wlqs_sketch": (wlqs[1](sketch), *wlqs),
         "wlgs": (wlgs[1](grouped), *wlgs),
         "wlgs_sketch": (wlgs[1](compacting), *wlgs),
@@ -94,7 +90,7 @@ def artifacts(tmp_path_factory):
     }
 
 
-FORMATS = ("wlqs_exact", "wlqs_sketch", "wlgs", "wlgs_sketch", "wlgs_keys", "wlmd")
+FORMATS = ("wlqs_sketch", "wlgs", "wlgs_sketch", "wlgs_keys", "wlmd")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
