@@ -7,7 +7,9 @@ observe a half-written file. All text files are UTF-8 with a header row.
 CSV goes a column at a time. Readers tokenise once with csv.reader
 (quoted fields, LF or CRLF line ends); the interaction readers check whole
 columns and re-scan rows only to name the first bad one. Writers join
-whole columns once, with LF line ends, quoting as csv.writer's default does.
+whole columns once, with LF line ends, quoting as csv.writer's default does;
+each column of reals is formatted through its distinct values, and each run
+of adjacent binary labels is written as one pre-joined cell per row.
 
 Formats:
   interactions  user_id,video_id,duration_s,watch_time_s
@@ -22,6 +24,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import struct
 import tempfile
@@ -225,7 +228,10 @@ def _text_cells(cells: list[str]) -> list[str]:
 
 
 def _real_cells(values: np.ndarray, decimals: int) -> list[str]:
-    return list(map(f"{{:.{decimals}f}}".format, np.asarray(values).tolist()))
+    """Each distinct bit pattern (-0.0 apart from 0.0) formatted once, gathered by row."""
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64), return_inverse=True)
+    text = map(f"{{:.{decimals}f}}".format, bits.view(np.float64).tolist())
+    return np.array(list(text), dtype=object)[inverse].tolist()
 
 
 def _write_rows(path: str, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
@@ -259,7 +265,8 @@ def read_truth(path: str) -> SyntheticTruth:
     try:
         m, f_mean = _floats(m_text), _floats(f_text)
         valid = (np.array_equal(np.fromiter(map(int, index), np.int64, len(index)),
-                                np.arange(len(index))) and np.all(np.isfinite(m)))
+                                np.arange(len(index)))
+                 and np.isfinite(m).all() and np.isfinite(f_mean).all())
     except (ValueError, OverflowError):  # an index past int64 is out of order too
         valid = False
     if not valid:
@@ -267,11 +274,12 @@ def read_truth(path: str) -> SyntheticTruth:
             try:
                 if int(row[0]) != i:
                     raise SerializationError(f"{path} row {i}: row_index out of order")
-                m_i, _ = float(row[1]), float(row[2])
+                values = float(row[1]), float(row[2])
             except ValueError:
                 raise SerializationError(f"{path} row {i}: not a number in {list(row)!r}") from None
-            if not np.isfinite(m_i):
-                raise SerializationError(f"{path} row {i}: m {row[1]!r} is not finite")
+            for name, text, value in zip(TRUTH_HEADER[1:], row[1:], values):
+                if not np.isfinite(value):
+                    raise SerializationError(f"{path} row {i}: {name} {text!r} is not finite")
         raise AssertionError("the column checks rejected rows the row checks accept")
     if fault is not None:
         raise SerializationError(f"{path} row {len(index)}: {fault}")
@@ -287,20 +295,31 @@ def labeled_header(columns: Mapping[str, np.ndarray]) -> list[str]:
     return list(INTERACTION_HEADER) + labels
 
 
-_BINARY_CELLS = np.array(["0", "1"], dtype=object)  # two shared strings for every row
+def _binary_cells(path: str, run: Sequence[str], columns: Mapping[str, np.ndarray]) -> list[str]:
+    """A run of adjacent binary columns as one cell per row: the bits, first
+    column highest, index a table of the 2^k joined strings "0,1,…"."""
+    code = 0
+    for name in run:
+        bits = np.asarray(columns[name])
+        bad = np.flatnonzero((bits != 0) & (bits != 1))
+        if bad.size:  # a stray value would spill into its neighbour's bit
+            raise LabelOutOfRange(f"{path} row {bad[0]}: column {name} must lie in {{0, 1}}, "
+                                  f"got {bits[bad[0]].item()!r}")
+        code = 2 * code + (bits == 1)
+    joined = [",".join(cells) for cells in itertools.product("01", repeat=len(run))]
+    return np.array(joined, dtype=object)[code].tolist()
 
 
 def write_labeled(path: str, table: InteractionTable, columns: Mapping[str, np.ndarray]) -> None:
     header = labeled_header(columns)
     cells = _interaction_columns(table)
-    for name in header[len(INTERACTION_HEADER) :]:
-        col = columns.get(name)
-        if col is None:
-            cells.append([""] * table.n)
-        elif name in BINARY_LABELS:
-            cells.append(_BINARY_CELLS[np.asarray(col).astype(np.intp)].tolist())
+    present_binary = lambda name: name in BINARY_LABELS and name in columns  # noqa: E731
+    for binary, run in itertools.groupby(header[len(INTERACTION_HEADER) :], present_binary):
+        if binary:
+            cells.append(_binary_cells(path, list(run), columns))
         else:
-            cells.append(_real_cells(col, 6))
+            cells += ([""] * table.n if name not in columns else _real_cells(columns[name], 6)
+                      for name in run)
     _write_rows(path, header, zip(*cells))
 
 

@@ -34,7 +34,7 @@ from wtlabel.cli import (
     resolve_config,
     run_ablation,
 )
-from wtlabel.core import InteractionTable, make_partition
+from wtlabel.core import BINARY_LABELS, InteractionTable, make_partition
 from wtlabel.datagen import SyntheticConfig, generate, oracle_rank_quality
 from wtlabel.dataio import (
     INTERACTION_HEADER,
@@ -328,6 +328,18 @@ def test_label_ablation_columns_appended(small_run, tmp_path):
                 "--ablation-labels"]) == 0
     header = read_bytes(path).decode().splitlines()[0]
     assert header.endswith(",playing_rate,ef_wpr,ew_wpr")
+    # every byte as csv.writer writes label_all's columns after the input rows
+    config = dataclasses.replace(PipelineConfig(), ablation_labels=True)
+    columns = label_all(read_interactions(small_run["data"]), build_label_config(config)).columns
+    with open(small_run["data"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(rows[0] + list(columns))
+    for i, row in enumerate(rows[1:]):
+        writer.writerow(row + [str(int(col[i])) if name in BINARY_LABELS else f"{col[i]:.6f}"
+                               for name, col in columns.items()])
+    assert read_bytes(path) == want.getvalue().encode()
 
 
 def test_label_sketch_mode_rarely_flips_binaries(small_run, tmp_path):

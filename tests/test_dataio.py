@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtlabel.core import (
+    ABLATION_LABELS,
     BINARY_LABELS,
     STANDARD_LABELS,
     InteractionTable,
@@ -100,7 +101,7 @@ def _reference_records(path: str, labeled: bool):
 
 def _reference_truth(path: str) -> SyntheticTruth:
     """The truth reader as one row loop (a short or long row is named with
-    the width found, as in the interaction reader); m must be finite."""
+    the width found, as in the interaction reader); m and f_mean must be finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -117,8 +118,9 @@ def _reference_truth(path: str) -> SyntheticTruth:
                 fs.append(float(row[2]))
             except ValueError:
                 raise SerializationError(f"{path} row {i}: not a number in {row!r}") from None
-            if not math.isfinite(ms[-1]):
-                raise SerializationError(f"{path} row {i}: m {row[1]!r} is not finite")
+            for name, text, value in (("m", row[1], ms[-1]), ("f_mean", row[2], fs[-1])):
+                if not math.isfinite(value):
+                    raise SerializationError(f"{path} row {i}: {name} {text!r} is not finite")
     if not ms:
         raise EmptyInput(f"{path}: no data rows")
     return SyntheticTruth(m=np.asarray(ms), f_mean=np.asarray(fs))
@@ -270,17 +272,34 @@ def _table(users, videos, durations, watches, with_text):
                             duration_text=text(durations), watch_text=text(watches))
 
 
+# small pools that give columns few distinct values: 0.0 beside -0.0, and
+# pairs that print alike (0.0021/0.0024 at 3 decimals, 0.1234561/0.1234564
+# at 6, 0.5/0.5 + 1e-12 at 9)
+DURATION_POOL = [60.0, 15.5, 0.0021, 0.0024, 240.0]
+WATCH_POOL = [0.0, -0.0, 30.0, 0.0021, 0.0024]
+LABEL_POOL = [0.0, -0.0, 0.25, 1.0, 0.1234561, 0.1234564]
+TRUTH_POOL = [0.0, -0.0, -2.25, 0.5, 0.5 + 1e-12]
+
+
+def _pooled(lo: float, hi: float, pool: list[float]):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(pool))
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
-    st.lists(IDS, min_size=n, max_size=n),
-    st.lists(IDS, min_size=n, max_size=n),
-    st.lists(st.floats(0.001, 1e4), min_size=n, max_size=n),
-    st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n),
-    st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n),
-    st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
-)), st.booleans())
-def test_writers_match_csv_writer(tmp_path_factory, case, with_text):
-    users, videos, durations, watches, binary, real = case
+@given(st.data(), st.booleans())
+def test_writers_match_csv_writer(tmp_path_factory, data, with_text):
+    n = data.draw(st.integers(0, 6))
+    draw_rows = lambda cells: data.draw(st.lists(cells, min_size=n, max_size=n))  # noqa: E731
+    users, videos = draw_rows(IDS), draw_rows(IDS)
+    durations = draw_rows(_pooled(0.001, 1e4, DURATION_POOL))
+    watches = draw_rows(_pooled(0.0, 1e4, WATCH_POOL))
+    names = [*STANDARD_LABELS, *data.draw(st.lists(st.sampled_from(ABLATION_LABELS), unique=True))]
+    absent = data.draw(st.sampled_from([None, *names]))  # a binary one splits the binary run
+    columns = {
+        name: np.asarray(draw_rows(st.sampled_from([0.0, -0.0, 1.0]) if name in BINARY_LABELS
+                                   else _pooled(0.0, 1.0, LABEL_POOL)), float)
+        for name in names if name != absent
+    }
     table = _table(users, videos, durations, watches, with_text)
     root = tmp_path_factory.mktemp("out")
 
@@ -293,7 +312,6 @@ def test_writers_match_csv_writer(tmp_path_factory, case, with_text):
     want = _csv_line(INTERACTION_HEADER) + "".join(_csv_line(fields(i)) for i in range(table.n))
     assert (root / "i.csv").read_bytes() == want.encode()
 
-    columns = {"ev": np.asarray(binary), "wpr": np.asarray(real)}
     write_labeled(str(root / "l.csv"), table, columns)
     header = labeled_header(columns)
     want = _csv_line(header) + "".join(
@@ -309,11 +327,30 @@ def test_writers_match_csv_writer(tmp_path_factory, case, with_text):
     if table.n:
         got_table, got_columns = read_labeled(str(root / "l.csv"))
         assert got_table.user_id == list(users) and got_table.video_id == list(videos)
-        assert np.array_equal(got_columns["ev"], columns["ev"])
+        assert set(got_columns) == set(columns)
+        for name in set(columns) & set(BINARY_LABELS):
+            assert np.array_equal(got_columns[name], columns[name])
+
+
+@pytest.mark.parametrize("column, values, row, got", [
+    ("ev", [-1.0, 0.5, 1.0], 0, "-1.0"),
+    ("ev", [0.0, 1.0, 0.5], 2, "0.5"),
+    ("lv_u", [0.0, np.nan, 1.0], 1, "nan"),
+    ("lv_u", [1.0, 0.0, 2.0], 2, "2.0"),
+])
+def test_write_labeled_rejects_a_binary_value_outside_0_1(tmp_path, column, values, row, got):
+    table = _table(["u1", "u2", "u3"], ["v1", "v2", "v3"], [60.0] * 3, [30.0] * 3, False)
+    columns = {"ev": np.asarray([1.0, 0.0, 1.0]), column: np.asarray(values)}
+    path = tmp_path / "l.csv"
+    want = rf"l\.csv row {row}: column {column} must lie in \{{0, 1\}}, got {got}$"
+    with pytest.raises(LabelOutOfRange, match=want):
+        write_labeled(str(path), table, columns)
+    assert not path.exists()
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1.0)), max_size=6))
+@given(st.lists(st.tuples(_pooled(-1e6, 1e6, TRUTH_POOL), _pooled(0.0, 1.0, TRUTH_POOL)),
+                max_size=6))
 def test_write_truth_matches_row_loop(tmp_path_factory, values):
     truth = SyntheticTruth(m=np.asarray([m for m, _ in values], float),
                            f_mean=np.asarray([f for _, f in values], float))
@@ -337,13 +374,18 @@ def test_read_truth_names_the_first_unreadable_row(tmp_path):
         read_truth(str(path))
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
-def test_read_truth_rejects_a_non_finite_m(tmp_path, cell):
+NON_FINITE = [(col, cell) for col in ("m", "f_mean") for cell in ("nan", "inf", "-inf", "1e400")]
+
+
+@pytest.mark.parametrize("column, cell", NON_FINITE,  # the m cases keep their ids
+                         ids=[c if col == "m" else f"{col}-{c}" for col, c in NON_FINITE])
+def test_read_truth_rejects_a_non_finite_m(tmp_path, column, cell):
     path = tmp_path / "truth.csv"
     rows = ["row_index,m,f_mean"] + [f"{i},0.5,1.5" for i in range(5)]
-    rows[3] = f"2,{cell},1.5"
+    rows[3] = f"2,{cell},1.5" if column == "m" else f"2,0.5,{cell}"
     path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(SerializationError, match=rf"truth\.csv row 2: m '{cell}' is not finite$"):
+    with pytest.raises(SerializationError,
+                       match=rf"truth\.csv row 2: {column} '{cell}' is not finite$"):
         read_truth(str(path))
 
 
