@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -157,19 +158,30 @@ def as_table(dataset) -> InteractionTable:
     return dataset
 
 
+def id_index(ids) -> dict:
+    """Each distinct id mapped to its position among them in sorted order.
+    Ids are compared exactly as given, a trailing NUL included."""
+    return {key: i for i, key in enumerate(sorted(set(ids)))}
+
+
+def id_rows(index: dict, ids, unseen: int) -> np.ndarray:
+    """index[id] for each of ids, unseen for an id that index does not hold."""
+    return np.fromiter(map(index.get, ids, repeat(unseen)), np.int64, len(ids))
+
+
 def segments(keys, n_keys: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group record positions by key: (keys, order, bounds).
 
     The records of keys[i] are order[bounds[i]:bounds[i + 1]], in their
-    original order. Without n_keys the keys are the sorted distinct
-    values; with it they are the integers 0..n_keys-1 and a key that no
-    record carries gets an empty segment.
+    original order. Without n_keys the keys are the sorted distinct ids
+    of id_index, as an object array; with it they are the integers
+    0..n_keys-1 and a key that no record carries gets an empty segment.
     """
-    keys = np.asarray(keys)
     if n_keys is None:
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        index = id_index(keys)
+        uniq, inverse = np.fromiter(index, object, len(index)), id_rows(index, keys, -1)
     else:
-        uniq, inverse = np.arange(n_keys), keys
+        uniq, inverse = np.arange(n_keys), np.asarray(keys)
     # a stable sort of 16-bit keys is a radix sort
     order = np.argsort(inverse.astype(np.uint16) if len(uniq) <= 1 << 16 else inverse,
                        kind="stable")

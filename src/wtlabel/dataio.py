@@ -311,6 +311,9 @@ def _binary_cells(path: str, run: Sequence[str], columns: Mapping[str, np.ndarra
 
 
 def write_labeled(path: str, table: InteractionTable, columns: Mapping[str, np.ndarray]) -> None:
+    for name, values in columns.items():
+        if len(values) != table.n:
+            raise EmptyInput(f"{path}: column {name} holds {len(values)} values for {table.n} rows")
     header = labeled_header(columns)
     cells = _interaction_columns(table)
     present_binary = lambda name: name in BINARY_LABELS and name in columns  # noqa: E731

@@ -47,6 +47,8 @@ from .core import (
     check_config,
     check_value,
     group_index,
+    id_index,
+    id_rows,
     make_duration_bins,
     make_partition,
     segments,
@@ -124,13 +126,12 @@ class GroupedSummaries:
         the last table asked about, at first the one summarized, are kept."""
         if self._rows[0] is not table:
             self._rows = (table, {})
-        rows, keys = self._rows[1], self.groups[kind].keys
-        if kind not in rows and len(keys):
-            ids = np.asarray(self.bins.bin_of_many(table.duration_s) if kind == "duration_bin"
-                             else table.video_id if kind == "video" else table.user_id)
-            at = rows[kind] = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
-            at[keys[at] != ids] = -1
-        return rows.get(kind, np.full(table.n, -1))
+        rows = self._rows[1]
+        if kind not in rows:
+            rows[kind] = (self.bins.bin_of_many(table.duration_s) if kind == "duration_bin" else
+                          id_rows(id_index(self.groups[kind].keys.tolist()),
+                                  table.video_id if kind == "video" else table.user_id, -1))
+        return rows[kind]
 
     @cached_property
     def summaries(self) -> Mapping[GroupKey, QuantileSummary]:
@@ -177,24 +178,24 @@ def build_grouped_summaries(
     capacity = sketch_capacity(eps) if mode == "sketch" else table.n + 1
 
     wt = _validate_values(table.watch_time_s)
-    groupings = [("global", np.zeros(table.n, dtype=np.int64), 1)]
+    # each kind's group keys and each record's group among them
+    groupings = {"global": (np.array([None]), np.zeros(table.n, dtype=np.int64))}
     if kinds:
         # every bin gets a summary, an empty one included
-        groupings.append(("duration_bin", bins.bin_of_many(table.duration_s), bins.n_bins))
+        groupings["duration_bin"] = (np.arange(bins.n_bins), bins.bin_of_many(table.duration_s))
     for kind, ids in (("video", table.video_id), ("user", table.user_id)):
         if kind in kinds:
-            groupings.append((kind, ids, None))
+            index = id_index(ids)
+            groupings[kind] = (np.fromiter(index, object, len(index)), id_rows(index, ids, -1))
     # grouping records taken in watch-time order leaves each exact group
     # sorted; a sketch group keeps row order, which a real sketch's
     # compactions depend on, and _Groups sorts the others
     sort = np.argsort(wt) if mode == "exact" else np.arange(table.n)
     groups, rows = {}, {}
-    for kind, keys, n_keys in groupings:
-        uniq, order, bounds = segments(np.asarray(keys)[sort], n_keys)
+    for kind, (keys, rows[kind]) in groupings.items():
+        _, order, bounds = segments(rows[kind][sort], len(keys))
         order = sort[order]
         sizes = np.diff(bounds)
-        rows[kind] = np.empty(table.n, dtype=np.int64)
-        rows[kind][order] = np.repeat(np.arange(len(sizes)), sizes)
         big = sizes >= capacity
         sketches = {}
         for i in np.flatnonzero(big).tolist():
@@ -202,7 +203,6 @@ def build_grouped_summaries(
             s.extend(wt[order[bounds[i] : bounds[i + 1]]])
         order = order[np.repeat(~big, sizes)]
         sizes[big] = 0
-        keys = np.array([None]) if kind == "global" else uniq
         groups[kind] = _Groups(keys, sizes, wt[order], sketches)
     gs = GroupedSummaries(groups, bins, mode, eps)
     gs._rows = (table, rows)
@@ -273,8 +273,8 @@ def _rank_labels(
     if bins is None:
         parts = [slice(None)]
     else:
-        _, order, bounds = segments(bins.bin_of_many(table.duration_s))
-        parts = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        _, order, bounds = segments(bins.bin_of_many(table.duration_s), bins.n_bins)
+        parts = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     out = np.empty(table.n, dtype=np.float64)
     for idx in parts:
         r = _rank_fractions(
@@ -567,7 +567,7 @@ def _read_keys(r: Reader, n: int, kind: str) -> np.ndarray:
     they must ascend strictly."""
     lengths = _read_counts(r, n, f"{kind} key length")
     at = r.pos
-    keys = np.array([r.utf8(k) for k in lengths.tolist()], dtype=str)
+    keys = np.array([r.utf8(k) for k in lengths.tolist()], dtype=object)
     bad = np.flatnonzero(keys[1:] <= keys[:-1])
     if bad.size:
         i = bad[0] + 1

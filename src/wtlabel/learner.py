@@ -34,7 +34,7 @@ from scipy.special import ndtr
 
 from .core import (
     LABELS, DurationBins, InteractionTable, as_table, check_config, group_index,
-    make_duration_bins, sigmoid,
+    id_index, id_rows, make_duration_bins, sigmoid,
 )
 from .dataio import Reader, atomic_write_bytes
 from .errors import (
@@ -389,12 +389,6 @@ def _prepare_targets(
     return targets, weights
 
 
-def _embedding_rows(index: Mapping[str, int], ids: Sequence[str]) -> np.ndarray:
-    """Embedding row of each id; ids outside the index share the last row."""
-    n = len(index)
-    return np.asarray([index.get(i, n) for i in ids], dtype=np.int64)
-
-
 def build_train_data(
     table: InteractionTable,
     columns: Mapping[str, np.ndarray],
@@ -404,9 +398,10 @@ def build_train_data(
     bins: DurationBins,
 ) -> TrainData:
     targets, weights = _prepare_targets(tasks, columns, table.watch_time_s)
+    # ids outside an index share its last embedding row
     return TrainData(
-        _embedding_rows(user_index, table.user_id),
-        _embedding_rows(video_index, table.video_id),
+        id_rows(user_index, table.user_id, len(user_index)),
+        id_rows(video_index, table.video_id, len(video_index)),
         bins.bin_of_many(table.duration_s),
         targets,
         weights,
@@ -580,8 +575,7 @@ def fit(
     full_columns.setdefault("watch_time_s", table.watch_time_s)
     resolved = resolve_tasks(tasks, full_columns)
     bins = make_duration_bins(table, bins_b, bins_min_size)
-    user_index = {u: i for i, u in enumerate(sorted(set(table.user_id)))}
-    video_index = {v: i for i, v in enumerate(sorted(set(table.video_id)))}
+    user_index, video_index = id_index(table.user_id), id_index(table.video_id)
     rng = np.random.Generator(np.random.PCG64(opt.seed))
     params = init_model(
         arch, resolved, len(user_index), len(video_index), bins.n_bins, rng
@@ -639,8 +633,8 @@ def score_and_predict(
     tasks = {t.name: t for t in model.tasks}
     if task_name is not None and task_name not in tasks:
         raise ConfigInvalid(f"no task named {task_name!r}")
-    user_rows = _embedding_rows(model.user_index, table.user_id)
-    video_rows = _embedding_rows(model.video_index, table.video_id)
+    user_rows = id_rows(model.user_index, table.user_id, len(model.user_index))
+    video_rows = id_rows(model.video_index, table.video_id, len(model.video_index))
     bin_rows = model.bins.bin_of_many(table.duration_s)
     # a diverged model's huge parameters overflow to inf or nan here,
     # which the check below reports as an error rather than a warning

@@ -45,7 +45,7 @@ def _auc_terms(scores, labels, group: np.ndarray, n_groups: int):
 
 def user_segments(user_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """core.segments' order of the records, each one's user and each user's record count."""
-    _, order, bounds = segments(np.asarray(user_ids))
+    _, order, bounds = segments(user_ids)
     sizes = np.diff(bounds)
     return order, np.repeat(np.arange(len(sizes)), sizes), sizes
 

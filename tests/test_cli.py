@@ -416,6 +416,25 @@ def test_label_summaries_reuse_keeps_awkward_ids(tmp_path, summary):
     assert read_bytes(first) == read_bytes(second)
 
 
+def test_label_keeps_ids_that_differ_by_a_trailing_nul_apart(tmp_path):
+    # "a" and "a\x00" each reach their own median in 11 of 20 records;
+    # grouped as one user they would split 1 and 20
+    users = ["a"] * 20 + ["a\x00"] * 20
+    watch = np.concatenate([np.arange(1.0, 21.0), np.arange(101.0, 121.0)])
+    data = str(tmp_path / "in.csv")
+    write_interactions(data, InteractionTable(users, [f"v{i}" for i in range(40)],
+                                              np.full(40, 600.0), watch))
+    first, second, store = (str(tmp_path / n) for n in ("one.csv", "two.csv", "sums.bin"))
+    assert run(["label", "--input", data, "--output", first, "--summaries-out", store]) == 0
+    assert load_grouped_summaries(store).groups["user"].keys.tolist() == ["a", "a\x00"]
+    assert run(["label", "--input", data, "--output", second, "--summaries-in", store]) == 0
+    assert read_bytes(first) == read_bytes(second)
+    table, columns = read_labeled(first)
+    assert table.user_id == users
+    assert [int(columns["ev_u"][:20].sum()), int(columns["ev_u"][20:].sum())] == [11, 11]
+    assert gauc_detail(watch, np.tile([0, 1], 20), table.user_id).n_users_used == 2
+
+
 @pytest.mark.parametrize("flag", [["--no-debias"], ["--bins", "5"]], ids=["no_debias", "bins"])
 def test_label_summaries_in_rejects_bin_flags(small_run, tmp_path, capsys, flag):
     store = str(tmp_path / "sums.bin")
@@ -823,6 +842,25 @@ def _without_column(src, dest, column):
     return dest
 
 
+def _empty_global_summaries(d):
+    """An exact WLGS file of one duration bin whose global and bin groups hold no values."""
+    (d / "empty.wlgs").write_bytes(struct.pack("<4sHBdBI", b"WLGS", 2, 0, 0.0, 0b11, 1)
+                                   + struct.pack("<dq", 1e9, 0) + struct.pack("<QQq", 1, 0, 0) * 2)
+    return d / "empty.wlgs"
+
+
+def _sketch_eps_summaries(s, d, eps):
+    """The small run's sketch WLGS file (eps 0.45) with its first sketch's eps replaced."""
+    store = d / "sketch.wlgs"
+    assert run(["label", "--input", s["data"], "--output", d / "a.csv", "--summary", "sketch",
+                "--eps", "0.45", "--summaries-out", store]) == 0
+    blob = bytearray(read_bytes(store))
+    at = blob.index(b"WLQS") + 15  # the sketch's magic, version, mode byte and count
+    blob[at : at + 8] = struct.pack("<d", eps)
+    store.write_bytes(bytes(blob))
+    return store
+
+
 def _eval(s, d, labeled, *extra):
     return ["eval", "--input", labeled, "--model", s["model"], "--report", d / "r.csv", *extra]
 
@@ -861,10 +899,16 @@ def _eval(s, d, labeled, *extra):
     (lambda s, d: ["ablate", "--input", s["data"], "--out", d, "--truth",
                    _with_cell(s["truth"], d / "nan_m.csv", 3, "m", "nan")],
      "nan_m.csv row 3: m 'nan' is not finite"),
+    (lambda s, d: ["label", "--input", s["data"], "--output", d / "o.csv",
+                   "--summaries-in", _empty_global_summaries(d)],
+     "threshold query on an empty summary"),
+    (lambda s, d: ["label", "--input", s["data"], "--output", d / "o.csv", "--summary", "sketch",
+                   "--eps", "0.45", "--summaries-in", _sketch_eps_summaries(s, d, 0.7)],
+     "sketch eps 0.7 outside (0, 0.5) at byte"),
 ], ids=["no_config_file", "config_line_without_eq", "bad_bool", "bad_ratios",
         "empty_train_split", "empty_eval_split", "short_truth_eval", "short_truth_ablate",
         "no_truth_file_ablate", "no_truth_flag_ablate", "empty_label_cell", "no_ev_column",
-        "nan_m_eval", "nan_m_ablate"])
+        "nan_m_eval", "nan_m_ablate", "empty_global_summary", "sketch_eps_out_of_range"])
 def test_cli_input_and_config_errors_exit_2(small_run, trained, tmp_path, capsys, argv, message):
     assert run(argv({**small_run, "model": trained["model"]}, tmp_path)) == 2
     assert message in capsys.readouterr().err

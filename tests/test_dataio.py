@@ -348,6 +348,19 @@ def test_write_labeled_rejects_a_binary_value_outside_0_1(tmp_path, column, valu
     assert not path.exists()
 
 
+@pytest.mark.parametrize("columns, name, size", [
+    ({"wpr": [0.5, 1.0]}, "wpr", 2),
+    ({"ev": [1.0, 0.0, 1.0], "ev_d": [0.0, 1.0]}, "ev_d", 2),
+    ({"ev": [1.0, 0.0, 1.0, 0.0]}, "ev", 4),
+], ids=["short_real", "unequal_binary", "long_binary"])
+def test_write_labeled_rejects_a_column_of_the_wrong_length(tmp_path, columns, name, size):
+    table = _table(["u1", "u2", "u3"], ["v1", "v2", "v3"], [60.0] * 3, [30.0] * 3, False)
+    path = tmp_path / "l.csv"
+    with pytest.raises(EmptyInput, match=rf"l\.csv: column {name} holds {size} values for 3 rows$"):
+        write_labeled(str(path), table, {k: np.asarray(v) for k, v in columns.items()})
+    assert not path.exists()
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(_pooled(-1e6, 1e6, TRUTH_POOL), _pooled(0.0, 1.0, TRUTH_POOL)),
                 max_size=6))

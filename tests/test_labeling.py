@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -728,6 +729,25 @@ def test_grouped_summaries_name_a_key_that_is_not_utf8(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(SerializationError, match=f"^{path}: text is not UTF-8 at byte {at}$"):
         load_grouped_summaries(str(path))
+
+
+def test_grouped_summaries_hold_a_long_key_at_the_cost_of_its_text(tmp_path):
+    # one 20,000-character video among 2,000: a fixed-width key array would
+    # take 4 bytes per character of the longest key for every key, 160 MB
+    videos = [f"v{i:04d}" for i in range(1999)] + ["w" * 20_000]
+    t = table_of(np.arange(2000.0), videos=videos)
+    path = tmp_path / "s.bin"
+    tracemalloc.start()
+    try:
+        gs = build_grouped_summaries(t, bins=make_duration_bins(t, 1),
+                                     kinds=("duration_bin", "video"))
+        save_grouped_summaries(gs, str(path))
+        back = load_grouped_summaries(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.groups["video"].keys.tolist() == videos
+    assert peak < 8_000_000
 
 
 def test_grouped_summaries_reject_a_huge_entity_count_before_allocating(tmp_path):
