@@ -57,6 +57,7 @@ from .learner import (
     TaskConfig,
     fit,
     load_model,
+    resolve_tasks,
     save_model,
     score_and_predict,
 )
@@ -503,6 +504,16 @@ def _ablate_row(variant: int) -> tuple[str, float, float, float, float, float, f
             report.mae, report.rmse, report.mape)
 
 
+def _recipe_width(tasks: list[TaskConfig], columns: dict[str, np.ndarray]) -> int:
+    """Outputs over a recipe's heads, which its fit time grows with:
+    n_groups - 1 for an ordinal head, 1 for any other. A recipe whose
+    tasks do not resolve counts 0; its worker raises the error."""
+    try:
+        return sum(t.n_out for t in resolve_tasks(tasks, columns))
+    except PipelineError:
+        return 0
+
+
 def run_ablation(
     table,
     columns: dict[str, np.ndarray],
@@ -513,20 +524,30 @@ def run_ablation(
 
     The recipes are independent and each is deterministic from its
     seed, so they run in one forked worker process per usable CPU; the
-    rows are the same at any worker count. Results are read in recipe
-    order, so a failure raises the error of the first failing recipe,
-    and the recipes not yet started are cancelled."""
+    rows are the same at any worker count. The widest recipes start
+    first, so the slowest fit does not run alone at the end. Results
+    are read in recipe order, so a failure raises the error of the
+    first failing recipe, and the recipes not yet started are
+    cancelled."""
     mask = split_mask(table.row_index, config.split_frac, config.split_seed)
     train_table, train_columns = _subset(table, columns, mask)
     eval_table, eval_columns = _subset(table, columns, ~mask)
     eval_truth = truth_m[eval_table.row_index]
     inputs = (train_table, train_columns, eval_table, eval_columns, eval_truth, config)
+    # the columns fit resolves a recipe's tasks against
+    fit_columns = {"watch_time_s": train_table.watch_time_s, **train_columns}
+    widths = [_recipe_width(tasks, fit_columns) for _, tasks in ABLATE_VARIANTS]
+    order = sorted(range(len(ABLATE_VARIANTS)), key=lambda i: -widths[i])
     workers = min(len(os.sched_getaffinity(0)), len(ABLATE_VARIANTS))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_ablate_worker_init, initargs=inputs) as pool:
-        # map's iterator cancels the futures it has not yielded when one
-        # raises; leaving the block then waits for the running ones
-        return list(pool.map(_ablate_row, range(len(ABLATE_VARIANTS))))
+        futures = {i: pool.submit(_ablate_row, i) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(ABLATE_VARIANTS))]
+        except BaseException:
+            # cancel the recipes not yet started, wait for the running ones
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def format_ablation(rows) -> str:

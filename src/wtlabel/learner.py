@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -232,10 +232,18 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _gelu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative of a * Phi(a) with the exact gaussian CDF."""
+    """Value and derivative of a * Phi(a) with the exact gaussian CDF;
+    the value overwrites a."""
     cdf = ndtr(a)
-    pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
-    return a * cdf, cdf + a * pdf
+    # exp(-0.5 * a * a) in that order, then the derivative cdf + a * pdf
+    dh = np.multiply(-0.5, a)
+    dh *= a
+    np.exp(dh, out=dh)
+    dh *= _INV_SQRT_2PI
+    dh *= a
+    dh += cdf
+    a *= cdf
+    return a, dh
 
 
 def forward(
@@ -251,27 +259,30 @@ def forward(
     x = np.concatenate([params[k][r] for k, r in zip(EMBEDDINGS, rows)], axis=1)
     hs = []
     dacts = []
-    outs = []
+    expert_out = np.empty((arch.n_experts, x.shape[0], arch.hidden))  # (E, B, hidden)
     for e in range(arch.n_experts):
-        a = x @ params[f"expert{e}_w1"].T + params[f"expert{e}_b1"]
+        a = x @ params[f"expert{e}_w1"].T
+        a += params[f"expert{e}_b1"]
         # a gaussian-gated unit; its curvature at the origin lets the
         # experts pick up embedding cross terms from the first step,
         # which an odd nonlinearity like tanh cannot do
         h, dh = _gelu(a)
         hs.append(h)
         dacts.append(dh)
-        outs.append(h @ params[f"expert{e}_w2"].T + params[f"expert{e}_b2"])
-    expert_out = np.stack(outs, axis=0)  # (E, B, hidden)
+        np.matmul(h, params[f"expert{e}_w2"].T, out=expert_out[e])
+        expert_out[e] += params[f"expert{e}_b2"]
     scores = {}
     gates = {}
     mixed = {}
     for t in tasks:
-        logits = x @ params[f"gate_{t.name}_w"].T + params[f"gate_{t.name}_b"]
-        logits = logits - logits.max(axis=1, keepdims=True)
-        ex = np.exp(logits)
-        p = ex / ex.sum(axis=1, keepdims=True)
+        p = x @ params[f"gate_{t.name}_w"].T
+        p += params[f"gate_{t.name}_b"]
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
         mix = np.einsum("be,ebh->bh", p, expert_out)
-        scores[t.name] = mix @ params[f"head_{t.name}_w"].T + params[f"head_{t.name}_b"]
+        scores[t.name] = mix @ params[f"head_{t.name}_w"].T
+        scores[t.name] += params[f"head_{t.name}_b"]
         gates[t.name] = p
         mixed[t.name] = mix
     cache = (x, hs, dacts, expert_out, gates, mixed, user_rows, video_rows, bin_rows)
@@ -297,17 +308,25 @@ def _task_loss(
         pos = targets[:, None] > np.arange(task.n_out)
     else:
         pos = (targets == 1.0)[:, None]
-    z = pos.astype(np.float64)
-    # with e = exp(-|s|) <= 1 nothing overflows: max(+-s, 0) + log1p(e) is
-    # softplus(+-s), the loss of a negative (+) or positive (-) target, and
-    # max(e, s >= 0) / (1 + e) is core.sigmoid(s), reusing e
-    e = np.exp(-np.abs(s))
-    terms = np.maximum(s * (1.0 - 2.0 * z), 0.0) + np.log1p(e)
-    sig = np.maximum(e, s >= 0) / (1.0 + e)
-    # positives weigh w, negatives 1
-    w = 1.0 if weights is None else np.where(pos, weights[:, None], 1.0)
-    loss = float(np.mean(np.sum(w * terms, axis=1)))
-    return loss, w * (sig - z) / b
+    # with e = exp(-|s|) <= 1 nothing overflows: max(-s, 0) + log1p(e) for
+    # a positive target and max(s, 0) + log1p(e) for a negative one are
+    # softplus(-s) and softplus(s), and max(e, s >= 0) / (1 + e) is
+    # core.sigmoid(s), reusing e (copysign(s, -1) is -|s|)
+    e = np.copysign(s, -1.0)
+    np.exp(e, out=e)
+    sig = np.maximum(e, s >= 0)
+    sig /= np.add(1.0, e)
+    terms = np.negative(s, out=s.copy(), where=pos)
+    np.maximum(terms, 0.0, out=terms)
+    terms += np.log1p(e, out=e)
+    ds = np.subtract(sig, pos, out=sig)
+    if weights is not None:
+        # positives weigh w, negatives 1
+        w = np.where(pos, weights[:, None], 1.0)
+        terms *= w
+        ds *= w
+    ds /= b
+    return float(np.mean(np.sum(terms, axis=1))), ds
 
 
 def _backward(
@@ -332,6 +351,8 @@ def _backward(
             # one expert at a time: broadcasting p.T over the whole
             # (E, B, H) block reads p with a stride, several times slower
             d_expert_out[e] += p[:, e, None] * dmix
+        # a fresh C-contiguous array: updating the einsum output dp in
+        # place changes the bits of the gate-bias sum below
         dlogits = p * (dp - (dp * p).sum(axis=1, keepdims=True))
         grads[f"gate_{t.name}_w"] = dlogits.T @ x
         grads[f"gate_{t.name}_b"] = dlogits.sum(axis=0)
@@ -340,7 +361,8 @@ def _backward(
         doe = d_expert_out[e]
         grads[f"expert{e}_w2"] = doe.T @ hs[e]
         grads[f"expert{e}_b2"] = doe.sum(axis=0)
-        da = (doe @ params[f"expert{e}_w2"]) * dacts[e]
+        da = doe @ params[f"expert{e}_w2"]
+        da *= dacts[e]
         grads[f"expert{e}_w1"] = da.T @ x
         grads[f"expert{e}_b1"] = da.sum(axis=0)
         dx += da @ params[f"expert{e}_w1"]
@@ -409,7 +431,8 @@ def build_train_data(
 
 
 # a huge learning rate overflows in an update or the forward pass after it,
-# which the next batch's loss check or the final parameter check reports
+# which the next batch's loss check or, after the last update, the final
+# parameter and forward checks report
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Model,
@@ -440,13 +463,38 @@ def train(
                 )
             grads = _backward(model.params, model.arch, model.tasks, cache, dscores)
             for k, g in grads.items():
-                model.params[k] -= (opt.lr_embed if k.startswith("emb_") else opt.lr_dense) * g
+                g *= opt.lr_embed if k.startswith("emb_") else opt.lr_dense
+                model.params[k] -= g
         for t in model.tasks:
             trace.append((epoch, t.name, sums[t.name] / data.n))
     bad = [k for k, p in model.params.items() if not np.isfinite(p).all()]
     if bad:
         raise NonFiniteLoss(f"parameter {bad[0]} became non-finite in the last update")
+    _check_forward(model, (data.user_rows[take], data.video_rows[take], data.bin_rows[take]))
     return trace
+
+
+def _check_forward(model: Model, rows: tuple[np.ndarray, ...]) -> None:
+    """Raise NonFiniteLoss if a forward pass over rows overflows: finite
+    parameters near the float limit give no meaningful scores either.
+    The layer is named by rerunning the experts one more at a time, then
+    each task's gate and head over all of them."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            forward(model.params, model.arch, model.tasks, *rows)
+            return
+        except FloatingPointError as exc:
+            layer, error = "one of its layers", exc
+        arch = model.arch
+        probes = [(f"expert{e}", replace(arch, n_experts=e + 1), ()) for e in range(arch.n_experts)]
+        probes += [(f"the gate or head of task {t.name!r}", arch, (t,)) for t in model.tasks]
+        for name, probe_arch, tasks in probes:
+            try:
+                forward(model.params, probe_arch, tasks, *rows)
+            except FloatingPointError as exc:
+                layer, error = name, exc
+                break
+    raise NonFiniteLoss(f"the forward pass after the last update overflows in {layer}: {error}")
 
 
 def _batch_loss(
@@ -470,7 +518,8 @@ def _batch_loss(
         )
         total += t.weight * loss
         losses[t.name] = loss
-        dscores[t.name] = ds * t.weight
+        ds *= t.weight
+        dscores[t.name] = ds
     return total, losses, dscores, cache
 
 
@@ -750,6 +799,14 @@ def load_model(path: str) -> Model:
         arch = ModelArch(**meta["arch"])
         tasks = tuple(ResolvedTask(**t) for t in meta["tasks"])
         users, videos = meta["users"], meta["videos"]
+        # save_model writes each id list in id_index order: sorted, no repeats
+        for key, ids in (("users", users), ("videos", videos)):
+            at = next((i for i in range(1, len(ids)) if not ids[i - 1] < ids[i]), None)
+            if at is not None:
+                raise SerializationError(
+                    f"{path}: checkpoint {key} list is not strictly ascending at "
+                    f"entry {at} ({ids[at - 1]!r}, then {ids[at]!r})"
+                )
         bins = DurationBins(arrays["bins_boundaries"], arrays["bins_counts"])
         params = {k.removeprefix("param:"): v for k, v in arrays.items() if k.startswith("param:")}
         inverses = {

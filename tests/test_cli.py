@@ -51,7 +51,10 @@ from wtlabel.learner import (
     OptimizerConfig,
     TaskConfig,
     fit,
+    load_model,
     predict_watch_time,
+    resolve_tasks,
+    save_model,
     score_records,
 )
 from wtlabel.metrics import EvalReport, auc, gauc_detail, regression_metrics
@@ -544,24 +547,36 @@ def test_eval_missing_task_column_exits_2(small_run, trained, tmp_path, capsys):
     assert "ef_wpr" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, code", [("lr_embed", 0), ("lr_dense", 2)])
-def test_eval_after_a_huge_learning_rate_exits_0_or_2(small_run, tmp_path, capsys, key, code):
+@pytest.mark.parametrize("key", ["lr_embed", "lr_dense"])
+def test_train_after_a_huge_learning_rate_exits_2(small_run, tmp_path, capsys, key):
     # one epoch of one batch: the single update throws the parameters
     # near 1e299 and no training loss is computed after it. Huge
-    # embeddings overflow only inside the experts' activation, so the
-    # scores stay finite; huge dense weights make them inf or nan
+    # embeddings overflow only inside the experts' activation, where the
+    # scores stay finite; the forward pass after the last update reports
+    # the overflow either way, and no checkpoint is written
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"epochs = 1\nbatch_size = 2048\n{key} = 1e300\n")
     model = tmp_path / "m.bin"
     assert run(["train", "--input", small_run["labeled"], "--model", model,
-                "--config", cfg]) == 0
-    capsys.readouterr()
-    rc = run(["eval", "--input", small_run["labeled"], "--model", model,
+                "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: the forward pass after the last update overflows in expert0: "
+        "overflow encountered in multiply\n")
+    assert not model.exists()
+
+
+def test_eval_of_a_diverged_checkpoint_exits_2(small_run, trained, tmp_path, capsys):
+    # finite parameters whose products overflow to inf or nan scores
+    model = load_model(trained["model"])
+    for name in ("expert0_w2", "head_wpr_d_w"):
+        model.params[name] *= 1e300
+    path = str(tmp_path / "diverged.bin")
+    save_model(model, path)
+    rc = run(["eval", "--input", small_run["labeled"], "--model", path,
               "--report", tmp_path / "r.csv"])
-    err = capsys.readouterr().err
-    assert rc == code, err
-    if code == 2:
-        assert err == "error: task 'wpr_d' scores are not finite: the model diverged in training\n"
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: task 'wpr_d' scores are not finite: the model diverged in training\n")
 
 
 def test_train_bad_task_specs_exit_2(small_run, tmp_path, capsys):
@@ -695,6 +710,36 @@ def test_run_ablation_rows_equal_a_sequential_oracle(ablate_inputs, monkeypatch,
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     rows = run_ablation(*ablate_inputs)
     assert [row[0] for row in rows] == [name for name, _ in ABLATE_VARIANTS]
+    assert _bits(rows) == want
+    assert multiprocessing.active_children() == []
+
+
+def test_run_ablation_starts_the_widest_recipe_first(ablate_inputs, tmp_path, monkeypatch):
+    table, columns, _, config = ablate_inputs
+    want = _bits(_sequential_ablation(*ablate_inputs))
+    mask = split_mask(table.row_index, config.split_frac, config.split_seed)
+    fit_columns = {"watch_time_s": table.watch_time_s[mask],
+                   **{k: v[mask] for k, v in columns.items()}}
+    widths = {name: sum(t.n_out for t in resolve_tasks(tasks, fit_columns))
+              for name, tasks in ABLATE_VARIANTS}
+    log = tmp_path / "started"
+    real_fit = cli._fit_with_config
+
+    def fit(name, *args):
+        with open(log, "a") as fh:
+            fh.write(name + "\n")
+        return real_fit(*args)
+
+    _fake_fit(monkeypatch, fit)
+    # one worker starts the recipes in the order they were submitted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rows = run_ablation(*ablate_inputs)
+    started = log.read_text().split()
+    names = [name for name, _ in ABLATE_VARIANTS]
+    # the ordinal head has one output per group boundary, every other one
+    assert started[0] == "or" and widths["or"] > max(w for n, w in widths.items() if n != "or")
+    assert started == sorted(names, key=lambda n: -widths[n])
+    assert [row[0] for row in rows] == names
     assert _bits(rows) == want
     assert multiprocessing.active_children() == []
 

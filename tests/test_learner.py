@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtlabel.core import DurationBins, InteractionTable, make_duration_bins, make_partition
+from wtlabel.cli import main as cli_main
 from wtlabel.datagen import SyntheticConfig, generate
+from wtlabel.dataio import write_labeled
 from wtlabel.errors import (
     ConfigInvalid,
     DegenerateLabels,
@@ -396,6 +398,8 @@ def test_runaway_learning_rate_raises():
     (1e10, 1, r"^parameter emb_user became non-finite in the last update$"),
     # the update stays finite and the next forward pass overflows
     (1.0, 2, r"^epoch 2, batch at 0: loss became inf "),
+    # the same with no batch after the update: the forward pass after it
+    (1.0, 1, r"^the forward pass after the last update overflows in expert0: overflow "),
 ])
 def test_huge_learning_rate_raises_without_a_warning(weight, epochs, message):
     t = table_of(np.linspace(1.0, 50.0, 32), durations=np.full(32, 60.0))
@@ -609,6 +613,157 @@ def test_embedding_gradients_match_add_at(seed, n):
         assert grads[k].shape == params[k].shape
         if k not in EMBEDDINGS:
             assert np.array_equal(_bits(grads[k]), _bits(per_record[k]))
+
+
+# ------------------------------------------------------ bitwise step oracle
+# The forward, loss and backward bodies the preallocated, in-place
+# training step replaced, kept verbatim. Every parameter and every trace
+# loss of train must match them to the bit.
+
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _reference_gelu(a):
+    from scipy.special import ndtr
+    cdf = ndtr(a)
+    pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
+    return a * cdf, cdf + a * pdf
+
+
+def _reference_forward(params, arch, tasks, user_rows, video_rows, bin_rows):
+    rows = (user_rows, video_rows, bin_rows)
+    x = np.concatenate([params[k][r] for k, r in zip(EMBEDDINGS, rows)], axis=1)
+    hs = []
+    dacts = []
+    outs = []
+    for e in range(arch.n_experts):
+        a = x @ params[f"expert{e}_w1"].T + params[f"expert{e}_b1"]
+        h, dh = _reference_gelu(a)
+        hs.append(h)
+        dacts.append(dh)
+        outs.append(h @ params[f"expert{e}_w2"].T + params[f"expert{e}_b2"])
+    expert_out = np.stack(outs, axis=0)
+    scores = {}
+    gates = {}
+    mixed = {}
+    for t in tasks:
+        logits = x @ params[f"gate_{t.name}_w"].T + params[f"gate_{t.name}_b"]
+        logits = logits - logits.max(axis=1, keepdims=True)
+        ex = np.exp(logits)
+        p = ex / ex.sum(axis=1, keepdims=True)
+        mix = np.einsum("be,ebh->bh", p, expert_out)
+        scores[t.name] = mix @ params[f"head_{t.name}_w"].T + params[f"head_{t.name}_b"]
+        gates[t.name] = p
+        mixed[t.name] = mix
+    cache = (x, hs, dacts, expert_out, gates, mixed, user_rows, video_rows, bin_rows)
+    return scores, cache
+
+
+def _reference_task_loss(task, s, targets, weights):
+    b = s.shape[0]
+    if task.loss == "squared_error":
+        diff = s[:, 0] - targets
+        loss = float(np.mean(diff * diff))
+        ds = (2.0 / b) * diff[:, None]
+        return loss, ds
+    if task.loss == "ordinal_cumulative":
+        pos = targets[:, None] > np.arange(task.n_out)
+    else:
+        pos = (targets == 1.0)[:, None]
+    z = pos.astype(np.float64)
+    e = np.exp(-np.abs(s))
+    terms = np.maximum(s * (1.0 - 2.0 * z), 0.0) + np.log1p(e)
+    sig = np.maximum(e, s >= 0) / (1.0 + e)
+    w = 1.0 if weights is None else np.where(pos, weights[:, None], 1.0)
+    loss = float(np.mean(np.sum(w * terms, axis=1)))
+    return loss, w * (sig - z) / b
+
+
+def _reference_backward(params, arch, tasks, cache, dscores):
+    x, hs, dacts, expert_out, gates, mixed, user_rows, video_rows, bin_rows = cache
+    grads = {}
+    d_expert_out = np.zeros_like(expert_out)
+    dx = np.zeros_like(x)
+    for t in tasks:
+        ds = dscores[t.name]
+        grads[f"head_{t.name}_w"] = ds.T @ mixed[t.name]
+        grads[f"head_{t.name}_b"] = ds.sum(axis=0)
+        dmix = ds @ params[f"head_{t.name}_w"]
+        p = gates[t.name]
+        dp = np.einsum("bh,ebh->be", dmix, expert_out)
+        for e in range(arch.n_experts):
+            d_expert_out[e] += p[:, e, None] * dmix
+        dlogits = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+        grads[f"gate_{t.name}_w"] = dlogits.T @ x
+        grads[f"gate_{t.name}_b"] = dlogits.sum(axis=0)
+        dx += dlogits @ params[f"gate_{t.name}_w"]
+    for e in range(arch.n_experts):
+        doe = d_expert_out[e]
+        grads[f"expert{e}_w2"] = doe.T @ hs[e]
+        grads[f"expert{e}_b2"] = doe.sum(axis=0)
+        da = (doe @ params[f"expert{e}_w2"]) * dacts[e]
+        grads[f"expert{e}_w1"] = da.T @ x
+        grads[f"expert{e}_b1"] = da.sum(axis=0)
+        dx += da @ params[f"expert{e}_w1"]
+    d = arch.d_embed
+    for j, (name, rows) in enumerate(zip(EMBEDDINGS, (user_rows, video_rows, bin_rows))):
+        cells = (rows[:, None] * d + np.arange(d)).ravel()
+        flat = np.bincount(cells, dx[:, j * d : (j + 1) * d].ravel(), params[name].size)
+        grads[name] = flat.reshape(params[name].shape)
+    return grads
+
+
+def _reference_train(params, arch, tasks, data, opt, rng):
+    """The SGD loop of train over the reference bodies: its trace rows."""
+    trace = []
+    for epoch in range(1, opt.epochs + 1):
+        perm = rng.permutation(data.n)
+        sums = {t.name: 0.0 for t in tasks}
+        for start in range(0, data.n, opt.batch_size):
+            take = perm[start : start + opt.batch_size]
+            scores, cache = _reference_forward(
+                params, arch, tasks, data.user_rows[take], data.video_rows[take],
+                data.bin_rows[take])
+            dscores = {}
+            for t in tasks:
+                w = data.wlr_weights.get(t.name)
+                loss, ds = _reference_task_loss(
+                    t, scores[t.name], data.targets[t.name][take], None if w is None else w[take])
+                sums[t.name] += loss * len(take)
+                dscores[t.name] = ds * t.weight
+            grads = _reference_backward(params, arch, tasks, cache, dscores)
+            for k, g in grads.items():
+                params[k] -= (opt.lr_embed if k.startswith("emb_") else opt.lr_dense) * g
+        trace.extend((epoch, t.name, sums[t.name] / data.n) for t in tasks)
+    return trace
+
+
+@pytest.mark.parametrize("tasks,arch", [
+    ([TaskConfig("wpr_d", "squared_error"), TaskConfig("ev_d", "logistic"),
+      TaskConfig("lv_d", "logistic")], ModelArch(4, 3, 6)),
+    ([TaskConfig("wpr", "ordinal_cumulative", weight=0.1)], ModelArch(4, 3, 6)),
+    ([TaskConfig("ev", "weighted_logistic", weight=0.05)], ModelArch(4, 3, 6)),
+    ([TaskConfig("wpr_d", "squared_error"), TaskConfig("ev_d", "logistic")], ModelArch(4, 1, 6)),
+], ids=["default_tasks", "ordinal", "weighted_logistic", "one_expert"])
+def test_train_steps_match_the_reference_bitwise(tasks, arch):
+    table, cols = small_labeled(seed=13)
+    # 800 records in batches of 96: eight full batches and a tail of 32
+    opt = OptimizerConfig(lr_embed=0.5, lr_dense=0.05, batch_size=96, epochs=2, seed=4)
+    model, trace = fit(table, cols, tasks, arch, opt, bins_b=4, bins_min_size=20)
+    columns = dict(cols, watch_time_s=table.watch_time_s)
+    data = build_train_data(table, columns, model.tasks, model.user_index,
+                            model.video_index, model.bins)
+    if tasks[0].loss == "weighted_logistic":
+        assert len(np.unique(data.wlr_weights["ev"])) > 2
+    rng = np.random.Generator(np.random.PCG64(opt.seed))
+    params = init_model(arch, model.tasks, len(model.user_index), len(model.video_index),
+                        model.bins.n_bins, rng)
+    want_trace = _reference_train(params, arch, model.tasks, data, opt, rng)
+    assert [(e, n, struct.pack("<d", v)) for e, n, v in trace] == [
+        (e, n, struct.pack("<d", v)) for e, n, v in want_trace]
+    assert params.keys() == model.params.keys()
+    for k, p in params.items():
+        assert p.tobytes() == model.params[k].tobytes(), k
 
 
 # ------------------------------------------------------- watch-time decode
@@ -901,6 +1056,32 @@ def test_checkpoint_rejects_bins_outside_their_domain(tmp_path, name, edit, mess
         warnings.simplefilter("error")
         with pytest.raises(SerializationError, match=f"{path}: .*duration-bin {message} must be"):
             load_model(str(path))
+
+
+@pytest.mark.parametrize("key,old,new", [
+    ("users", '"u01"', '"u00"'),
+    ("users", '"u01"', '"u39"'),
+    ("videos", '"v001"', '"v000"'),
+], ids=["users-repeat", "users-out-of-order", "videos-repeat"])
+def test_checkpoint_rejects_id_lists_that_are_not_strictly_ascending(tmp_path, key, old, new):
+    # a repeated id would leave the index one entry short of the embedding
+    # rows and score the dropped id with another id's row
+    table, cols = small_labeled(seed=21, users=40, videos=120, per_user=5)
+    model, _ = fit(table, cols, [TaskConfig("ev_d", "logistic")], ModelArch(2, 2, 3),
+                   OptimizerConfig(epochs=1, batch_size=64), bins_b=3, bins_min_size=5)
+    assert len(model.user_index) == 40 and {"v000", "v001"} <= model.video_index.keys()
+    good = tmp_path / "good.bin"
+    save_model(model, str(good))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_with_meta(good.read_bytes(), lambda m: m.replace(old, new, 1)))
+    with pytest.raises(SerializationError,
+                       match=f"^{path}: checkpoint {key} list is not strictly ascending at "):
+        load_model(str(path))
+    labeled = tmp_path / "labeled.csv"
+    write_labeled(str(labeled), table, cols)
+    argv = ["eval", "--input", str(labeled), "--report", str(tmp_path / "r.csv")]
+    assert cli_main([*argv, "--model", str(good)]) == 0
+    assert cli_main([*argv, "--model", str(path)]) == 2
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
