@@ -61,7 +61,7 @@ from .learner import (
     save_model,
     score_and_predict,
 )
-from .metrics import EvalReport, auc, gauc_detail, regression_metrics
+from .metrics import EvalReport, auc, gauc_detail, regression_metrics, user_segments
 
 
 @dataclass
@@ -379,8 +379,9 @@ def evaluate_model(
     scores = scored["fused"]
     ev = columns["ev"]
     lv = columns["lv"]
-    g_ev = gauc_detail(scores, ev, table.user_id)
-    g_lv = gauc_detail(scores, lv, table.user_id)
+    groups = user_segments(table.user_id)
+    g_ev = gauc_detail(scores, ev, table.user_id, groups)
+    g_lv = gauc_detail(scores, lv, table.user_id, groups)
     if predicted is not None:
         reg = regression_metrics(predicted, table.watch_time_s)
         mae, rmse, mape = reg.mae, reg.rmse, reg.mape
@@ -390,7 +391,7 @@ def evaluate_model(
         n_mape_skipped = 0
     gauc_truth = None
     if truth_m is not None:
-        gauc_truth = oracle_rank_quality(scores, truth_m, table.user_id)
+        gauc_truth = oracle_rank_quality(scores, truth_m, table.user_id, groups)
     return EvalReport(
         auc=auc(scores, ev),
         gauc=g_ev.value,

@@ -122,16 +122,17 @@ def generate(config: SyntheticConfig) -> tuple[InteractionTable, SyntheticTruth]
     return table, SyntheticTruth(m=m, f_mean=f_mean)
 
 
-def oracle_rank_quality(scores, truth_m, user_ids) -> float:
+def oracle_rank_quality(scores, truth_m, user_ids, groups=None) -> float:
     """Impression-weighted per-user concordance of scores with m.
 
     Pairs with equal m are uninformative and dropped; pairs with equal
     scores count half. Users contribute when they have at least two
     records and a non-constant m, weighted by their record count.
+    groups is metrics.user_segments(user_ids), when the caller has it already.
     """
     if not (len(scores) == len(truth_m) == len(user_ids)):
         raise ConfigInvalid("scores, truth, and user ids must align")
-    order, user, sizes = user_segments(user_ids)
+    order, user, sizes = user_segments(user_ids) if groups is None else groups
     # largest users first: step k counts at i the pairs (i, i + k) within
     # the prefix that holds the users with more than k records
     by = np.argsort(-sizes[user], kind="stable")

@@ -470,19 +470,24 @@ def train(
     bad = [k for k, p in model.params.items() if not np.isfinite(p).all()]
     if bad:
         raise NonFiniteLoss(f"parameter {bad[0]} became non-finite in the last update")
-    _check_forward(model, (data.user_rows[take], data.video_rows[take], data.bin_rows[take]))
+    overflow = _forward_overflow(
+        model, (data.user_rows[take], data.video_rows[take], data.bin_rows[take])
+    )
+    if overflow is not None:
+        raise NonFiniteLoss(f"the forward pass after the last update overflows in {overflow}")
     return trace
 
 
-def _check_forward(model: Model, rows: tuple[np.ndarray, ...]) -> None:
-    """Raise NonFiniteLoss if a forward pass over rows overflows: finite
-    parameters near the float limit give no meaningful scores either.
-    The layer is named by rerunning the experts one more at a time, then
-    each task's gate and head over all of them."""
+def _forward_overflow(model: Model, rows: tuple[np.ndarray, ...]) -> Optional[str]:
+    """None if a forward pass over rows runs without overflow, else the
+    layer where it overflows and the error ("expert0: overflow encountered
+    in multiply"): finite parameters near the float limit give no
+    meaningful scores either. The layer is named by rerunning the experts
+    one more at a time, then each task's gate and head over all of them."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             forward(model.params, model.arch, model.tasks, *rows)
-            return
+            return None
         except FloatingPointError as exc:
             layer, error = "one of its layers", exc
         arch = model.arch
@@ -494,7 +499,7 @@ def _check_forward(model: Model, rows: tuple[np.ndarray, ...]) -> None:
             except FloatingPointError as exc:
                 layer, error = name, exc
                 break
-    raise NonFiniteLoss(f"the forward pass after the last update overflows in {layer}: {error}")
+    return f"{layer}: {error}"
 
 
 def _batch_loss(
@@ -685,15 +690,26 @@ def score_and_predict(
     user_rows = id_rows(model.user_index, table.user_id, len(model.user_index))
     video_rows = id_rows(model.video_index, table.video_id, len(model.video_index))
     bin_rows = model.bins.bin_of_many(table.duration_s)
-    # a diverged model's huge parameters overflow to inf or nan here,
-    # which the check below reports as an error rather than a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores, _ = forward(model.params, model.arch, model.tasks, user_rows, video_rows, bin_rows)
+    rows = (user_rows, video_rows, bin_rows)
+    # a diverged model's huge parameters overflow here, to scores that are
+    # inf or nan, or finite but meaningless; the checks below report both
+    # as errors rather than warnings
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            scores, _ = forward(model.params, model.arch, model.tasks, *rows)
+        overflowed = False
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores, _ = forward(model.params, model.arch, model.tasks, *rows)
+        overflowed = True
     for t in model.tasks:
         if not np.isfinite(scores[t.name]).all():
             raise NonFiniteLoss(
                 f"task {t.name!r} scores are not finite: the model diverged in training"
             )
+    if overflowed:
+        raise NonFiniteLoss(f"the forward pass overflows in {_forward_overflow(model, rows)}: "
+                            "the model diverged in training")
     out: dict[str, np.ndarray] = {}
     ranking = []
     for t in model.tasks:

@@ -79,10 +79,12 @@ class GaucDetail:
     n_records_used: int
 
 
-def gauc_detail(scores, labels, user_ids) -> GaucDetail:
+def gauc_detail(scores, labels, user_ids, groups=None) -> GaucDetail:
+    """gauc with its user counts; groups is user_segments(user_ids), when
+    the caller has it already."""
     if not (len(scores) == len(labels) == len(user_ids)):
         raise EmptyInput("scores, labels, and user ids must align")
-    order, user, sizes = user_segments(user_ids)
+    order, user, sizes = user_segments(user_ids) if groups is None else groups
     num, den = _auc_terms(np.asarray(scores)[order], np.asarray(labels)[order], user, len(sizes))
     value, used = eligible_user_mean(num, den, sizes, "no user carries both label classes")
     return GaucDetail(value, int(used.sum()), int((~used).sum()), int(sizes[used].sum()))

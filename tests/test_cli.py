@@ -579,6 +579,23 @@ def test_eval_of_a_diverged_checkpoint_exits_2(small_run, trained, tmp_path, cap
         "error: task 'wpr_d' scores are not finite: the model diverged in training\n")
 
 
+def test_eval_of_a_checkpoint_that_overflows_to_finite_scores_exits_2(
+        small_run, trained, tmp_path, capsys):
+    # huge first-layer weights overflow inside the expert, yet every score
+    # comes out finite; the metrics of such a model would mean nothing
+    model = load_model(trained["model"])
+    model.params["expert0_w1"] *= 1e300
+    path = str(tmp_path / "diverged.bin")
+    save_model(model, path)
+    rc = run(["eval", "--input", small_run["labeled"], "--model", path,
+              "--report", tmp_path / "r.csv"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the forward pass overflows in expert0: overflow encountered in multiply: "
+        "the model diverged in training\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_train_bad_task_specs_exit_2(small_run, tmp_path, capsys):
     model = str(tmp_path / "m.bin")
     base = ["train", "--input", small_run["labeled"], "--model", model]

@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wtlabel import dataio
 from wtlabel.core import (
     ABLATION_LABELS,
     BINARY_LABELS,
@@ -28,7 +30,10 @@ from wtlabel.dataio import (
     read_truth,
     write_interactions,
     write_labeled,
+    write_report,
+    write_trace,
     write_truth,
+    write_variant_table,
 )
 from wtlabel.errors import (
     EmptyInput,
@@ -285,9 +290,14 @@ def _pooled(lo: float, hi: float, pool: list[float]):
     return st.one_of(st.floats(lo, hi), st.sampled_from(pool))
 
 
+# rows per write block in the writer tests, so that files of up to 6 rows
+# cross block boundaries
+BLOCK_ROWS = st.sampled_from([1, 2, 3])
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.data(), st.booleans())
-def test_writers_match_csv_writer(tmp_path_factory, data, with_text):
+@given(st.data(), st.booleans(), BLOCK_ROWS)
+def test_writers_match_csv_writer(tmp_path_factory, data, with_text, block_rows):
     n = data.draw(st.integers(0, 6))
     draw_rows = lambda cells: data.draw(st.lists(cells, min_size=n, max_size=n))  # noqa: E731
     users, videos = draw_rows(IDS), draw_rows(IDS)
@@ -308,11 +318,13 @@ def test_writers_match_csv_writer(tmp_path_factory, data, with_text):
             return [users[i], videos[i], table.duration_text[i], table.watch_text[i]]
         return [users[i], videos[i], f"{durations[i]:.3f}", f"{watches[i]:.3f}"]
 
-    write_interactions(str(root / "i.csv"), table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_ROWS", block_rows)
+        write_interactions(str(root / "i.csv"), table)
+        write_labeled(str(root / "l.csv"), table, columns)
     want = _csv_line(INTERACTION_HEADER) + "".join(_csv_line(fields(i)) for i in range(table.n))
     assert (root / "i.csv").read_bytes() == want.encode()
 
-    write_labeled(str(root / "l.csv"), table, columns)
     header = labeled_header(columns)
     want = _csv_line(header) + "".join(
         _csv_line(fields(i) + [
@@ -363,12 +375,14 @@ def test_write_labeled_rejects_a_column_of_the_wrong_length(tmp_path, columns, n
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(_pooled(-1e6, 1e6, TRUTH_POOL), _pooled(0.0, 1.0, TRUTH_POOL)),
-                max_size=6))
-def test_write_truth_matches_row_loop(tmp_path_factory, values):
+                max_size=6), BLOCK_ROWS)
+def test_write_truth_matches_row_loop(tmp_path_factory, values, block_rows):
     truth = SyntheticTruth(m=np.asarray([m for m, _ in values], float),
                            f_mean=np.asarray([f for _, f in values], float))
     path = tmp_path_factory.mktemp("out") / "truth.csv"
-    write_truth(str(path), truth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_ROWS", block_rows)
+        write_truth(str(path), truth)
     want = ",".join(TRUTH_HEADER) + "\n" + "".join(
         f"{i},{m:.9f},{f:.9f}\n" for i, (m, f) in enumerate(values))
     assert path.read_text() == want
@@ -417,3 +431,104 @@ def test_read_labeled_rejects_a_column_named_twice(tmp_path):
     _write_csv(str(path), rows[0], rows[1:])
     with pytest.raises(MissingField, match=r"labeled\.csv: header names column ev twice$"):
         read_labeled(str(path))
+
+
+# ------------------------------------------------------------ write blocks
+
+
+def _labeled_input(n: int, seed: int = 0):
+    """A table of n records read in from text, with every standard label column."""
+    rng = np.random.default_rng(seed)
+    table = _table([f"u{i % 97}" for i in range(n)], [f"v{i % 1009}" for i in range(n)],
+                   rng.uniform(1, 300, n).round(1), rng.uniform(0, 300, n).round(1), True)
+    columns = {name: (rng.random(n) < 0.5).astype(float) if name in BINARY_LABELS
+               else rng.random(n) for name in STANDARD_LABELS}
+    return table, columns
+
+
+@pytest.mark.parametrize("first, first_row, second, second_row", [
+    ("ev", 5, "lv_u", 0),   # the header's earlier column is bad only in the last block
+    ("ev_d", 4, "lv", 1),
+    ("ev", 2, "ev_u", 5),
+], ids=["later_block_first", "later_block_run", "both_later"])
+def test_write_labeled_names_the_first_bad_binary_column_across_blocks(
+        tmp_path, monkeypatch, first, first_row, second, second_row):
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 2)
+    table, columns = _labeled_input(6)
+    columns[first][[first_row, 5]] = 0.5
+    columns[second][second_row] = 2.0
+    path = tmp_path / "l.csv"
+    want = rf"l\.csv row {first_row}: column {first} must lie in \{{0, 1\}}, got 0\.5$"
+    with pytest.raises(LabelOutOfRange, match=want):
+        write_labeled(str(path), table, columns)
+    assert not path.exists() and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("writer", ["labeled", "truth"])
+def test_a_write_failing_in_a_later_block_leaves_the_target_unchanged(
+        tmp_path, monkeypatch, writer):
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 2)
+    table, columns = _labeled_input(5)
+    truth = SyntheticTruth(m=np.linspace(0, 1, 5), f_mean=np.linspace(1, 2, 5))
+    per_block = 2 if writer == "truth" else sum(n not in BINARY_LABELS for n in columns)
+    real_cells, calls = dataio._real_cells, []
+
+    def failing(values, decimals):  # after the first block's columns
+        calls.append(len(values))
+        if len(calls) > per_block:
+            assert len(list(tmp_path.glob(".tmp-*~"))) == 1
+            raise RuntimeError("disk gone")
+        return real_cells(values, decimals)
+
+    monkeypatch.setattr(dataio, "_real_cells", failing)
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"before\n")
+    with pytest.raises(RuntimeError, match="disk gone"):
+        if writer == "truth":
+            write_truth(str(path), truth)
+        else:
+            write_labeled(str(path), table, columns)
+    assert calls[:per_block] == [2] * per_block
+    assert path.read_bytes() == b"before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_write_labeled_holds_one_block_beyond_its_input(tmp_path, monkeypatch):
+    # the extra traced peak of a 16-block write stays within a bound that
+    # is one block's size plus a constant, not the file's size
+    block_rows = 2048
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", block_rows)
+    table, columns = _labeled_input(16 * block_rows)
+    path = tmp_path / "l.csv"
+    write_labeled(str(path), table, columns)
+    block_bytes = path.stat().st_size / 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_labeled(str(path), table, columns)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < 1e6 + 16 * block_bytes, (extra, block_bytes)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_row_writers_write_every_block(tmp_path, monkeypatch, block_rows, n):
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", block_rows)
+    trace = [(i // 2 + 1, "ev" if i % 2 else "wpr_d", 0.1 * i) for i in range(n)]
+    write_trace(str(tmp_path / "trace.csv"), iter(trace))
+    assert (tmp_path / "trace.csv").read_text() == "epoch,task,loss\n" + "".join(
+        f"{epoch},{task},{loss:.9f}\n" for epoch, task, loss in trace)
+    report = [(f"m{i}", [0.5, None, np.nan][i % 3], [7, None][i % 2], [None, 0][i % 2])
+              for i in range(n)]
+    write_report(str(tmp_path / "report.csv"), report)
+    header = "metric,value,n_evaluated,n_skipped\n"
+    assert (tmp_path / "report.csv").read_text() == header + "".join(
+        f"{name},{'' if value is None or value != value else f'{value:.9f}'},"
+        f"{'' if n_eval is None else n_eval},{'' if n_skip is None else n_skip}\n"
+        for name, value, n_eval, n_skip in report)
+    rows = [(f"r{i}", i, 0.25 * i, np.nan) for i in range(n)]
+    write_variant_table(str(tmp_path / "table.csv"), ("name", "k", "x", "y"), rows)
+    assert (tmp_path / "table.csv").read_text() == "name,k,x,y\n" + "".join(
+        f"r{i},{i},{0.25 * i:.6f},\n" for i in range(n))
