@@ -57,36 +57,21 @@ from .learner import (
     TaskConfig,
     fit,
     load_model,
-    resolve_tasks,
     save_model,
     score_and_predict,
 )
 from .metrics import EvalReport, auc, gauc_detail, regression_metrics, user_segments
 
 
-@dataclass
-class PipelineConfig:
-    """Every tunable of the pipeline as a flat key set.
+@dataclass(frozen=True)
+class PipelineConfig(SyntheticConfig):
+    """Every tunable of the pipeline as a flat key set: the generator's
+    keys and defaults of SyntheticConfig, then the rest.
 
     Field names double as config-file keys; unknown keys are rejected
     rather than ignored so typos cannot silently change a run.
     """
 
-    # synthetic data
-    n_users: int = 500
-    n_videos: int = 2000
-    interactions_per_user: int = 200
-    latent_dim: int = 8
-    mu_d: float = 3.5
-    s_d: float = 1.0
-    sigma_d: float = 0.3
-    d_min: float = 5.0
-    d_max: float = 600.0
-    alpha: float = 2.0
-    beta: float = -0.5
-    sigma_y: float = 0.5
-    confound_sign: float = 1.0
-    seed: int = 42
     # labeling
     partition_kind: str = "power_decay"
     n_groups: int = 300
@@ -266,14 +251,12 @@ def cmd_gen(args: argparse.Namespace, config: PipelineConfig) -> int:
             )
         per_user = args.records // n_users
     off = args.confound == "off"
-    syn = dataclasses.replace(
-        SyntheticConfig(**{f.name: getattr(config, f.name)
-                           for f in dataclasses.fields(SyntheticConfig)}),
+    table, truth = generate(dataclasses.replace(
+        config,
         interactions_per_user=per_user,
         s_d=0.0 if off else config.s_d,
         sigma_d=0.0 if off else config.sigma_d,
-    )
-    table, truth = generate(syn)
+    ))
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "interactions.csv")
     truth_path = os.path.join(args.out, "truth.csv")
@@ -337,19 +320,31 @@ def _fit_with_config(
     return fit(table, columns, tasks, arch, opt, config.bins_b, config.bins_min_size)
 
 
-def _subset(table, columns: dict[str, np.ndarray], keep: np.ndarray):
-    """The records where keep is set, and their label columns."""
-    return table.subset(keep), {k: v[keep] for k, v in columns.items()}
+def _split(table, columns: dict[str, np.ndarray], config: PipelineConfig, part: str):
+    """The records of one part of the split, "train", "eval" or "all",
+    and their label columns; an empty part is a config error."""
+    mask = split_mask(table.row_index, config.split_frac, config.split_seed)
+    keep = {"train": mask, "eval": ~mask, "all": mask | ~mask}[part]
+    sub = table.subset(keep)
+    if sub.n == 0:
+        raise ConfigInvalid("training split is empty; raise split_frac" if part == "train"
+                            else "eval split is empty; lower split_frac")
+    return sub, {k: v[keep] for k, v in columns.items()}
+
+
+def _truth_m(path: str, n: int) -> np.ndarray:
+    """The latent interest m of the truth file, which must cover n records."""
+    m = read_truth(path).m
+    if len(m) < n:
+        raise MissingTruthFile(f"{path}: {len(m)} truth rows for {n} records")
+    return m
 
 
 def cmd_train(args: argparse.Namespace, config: PipelineConfig) -> int:
     tasks = parse_tasks(config.tasks)
     table, columns = read_labeled(args.input)
     _training_columns(columns, tasks, args.input)
-    mask = split_mask(table.row_index, config.split_frac, config.split_seed)
-    train_table, train_columns = _subset(table, columns, mask)
-    if train_table.n == 0:
-        raise ConfigInvalid("training split is empty; raise split_frac")
+    train_table, train_columns = _split(table, columns, config, "train")
     model, trace = _fit_with_config(train_table, train_columns, tasks, config)
     save_model(model, args.model)
     if args.trace:
@@ -419,24 +414,8 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
                 f"{args.input}: checkpoint task {task.name!r} was trained on "
                 f"column {task.target!r}, absent here"
             )
-    mask = split_mask(table.row_index, config.split_frac, config.split_seed)
-    if args.split == "train":
-        keep = mask
-    elif args.split == "all":
-        keep = np.ones(table.n, dtype=bool)
-    else:
-        keep = ~mask
-    sub, sub_columns = _subset(table, columns, keep)
-    if sub.n == 0:
-        raise ConfigInvalid(f"{args.split} split is empty")
-    truth_m = None
-    if args.truth:
-        truth = read_truth(args.truth)
-        if len(truth.m) < table.n:
-            raise MissingTruthFile(
-                f"{args.truth}: {len(truth.m)} truth rows for {table.n} records"
-            )
-        truth_m = truth.m[sub.row_index]
+    sub, sub_columns = _split(table, columns, config, args.split)
+    truth_m = _truth_m(args.truth, table.n)[sub.row_index] if args.truth else None
     report = evaluate_model(model, sub, sub_columns, truth_m)
     write_report(args.report, report.rows())
     print(f"split={args.split} records={sub.n}")
@@ -505,16 +484,6 @@ def _ablate_row(variant: int) -> tuple[str, float, float, float, float, float, f
             report.mae, report.rmse, report.mape)
 
 
-def _recipe_width(tasks: list[TaskConfig], columns: dict[str, np.ndarray]) -> int:
-    """Outputs over a recipe's heads, which its fit time grows with:
-    n_groups - 1 for an ordinal head, 1 for any other. A recipe whose
-    tasks do not resolve counts 0; its worker raises the error."""
-    try:
-        return sum(t.n_out for t in resolve_tasks(tasks, columns))
-    except PipelineError:
-        return 0
-
-
 def run_ablation(
     table,
     columns: dict[str, np.ndarray],
@@ -525,20 +494,18 @@ def run_ablation(
 
     The recipes are independent and each is deterministic from its
     seed, so they run in one forked worker process per usable CPU; the
-    rows are the same at any worker count. The widest recipes start
-    first, so the slowest fit does not run alone at the end. Results
-    are read in recipe order, so a failure raises the error of the
-    first failing recipe, and the recipes not yet started are
-    cancelled."""
-    mask = split_mask(table.row_index, config.split_frac, config.split_seed)
-    train_table, train_columns = _subset(table, columns, mask)
-    eval_table, eval_columns = _subset(table, columns, ~mask)
+    rows are the same at any worker count. The ordinal recipe, whose
+    head has one output per group boundary, starts first, so the
+    slowest fit does not run alone at the end; the rest start in recipe
+    order. Results are read in recipe order, so a failure raises the
+    error of the first failing recipe, and the recipes not yet started
+    are cancelled."""
+    train_table, train_columns = _split(table, columns, config, "train")
+    eval_table, eval_columns = _split(table, columns, config, "eval")
     eval_truth = truth_m[eval_table.row_index]
     inputs = (train_table, train_columns, eval_table, eval_columns, eval_truth, config)
-    # the columns fit resolves a recipe's tasks against
-    fit_columns = {"watch_time_s": train_table.watch_time_s, **train_columns}
-    widths = [_recipe_width(tasks, fit_columns) for _, tasks in ABLATE_VARIANTS]
-    order = sorted(range(len(ABLATE_VARIANTS)), key=lambda i: -widths[i])
+    order = sorted(range(len(ABLATE_VARIANTS)), key=lambda i: not any(
+        t.loss == "ordinal_cumulative" for t in ABLATE_VARIANTS[i][1]))
     workers = min(len(os.sched_getaffinity(0)), len(ABLATE_VARIANTS))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_ablate_worker_init, initargs=inputs) as pool:
@@ -567,14 +534,9 @@ def cmd_ablate(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not os.path.exists(args.truth):
         raise MissingTruthFile(f"truth file not found: {args.truth}")
     table = read_interactions(args.input)
-    truth = read_truth(args.truth)
-    if len(truth.m) < table.n:
-        raise MissingTruthFile(
-            f"{args.truth}: {len(truth.m)} truth rows for {table.n} records"
-        )
+    truth_m = _truth_m(args.truth, table.n)
     labels, _, _ = label_all_detailed(table, label_config)
-    columns = dict(labels.columns)
-    rows = run_ablation(table, columns, truth.m, config)
+    rows = run_ablation(table, dict(labels.columns), truth_m, config)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "ablate.csv")
     write_variant_table(out_path, ABLATE_HEADER, rows)

@@ -692,22 +692,17 @@ def score_and_predict(
     bin_rows = model.bins.bin_of_many(table.duration_s)
     rows = (user_rows, video_rows, bin_rows)
     # a diverged model's huge parameters overflow here, to scores that are
-    # inf or nan, or finite but meaningless; the checks below report both
-    # as errors rather than warnings
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            scores, _ = forward(model.params, model.arch, model.tasks, *rows)
-        overflowed = False
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores, _ = forward(model.params, model.arch, model.tasks, *rows)
-        overflowed = True
+    # inf or nan, or finite but meaningless; the pass records each overflow,
+    # and the checks below report both as errors rather than warnings
+    overflows = []
+    with np.errstate(over="call", invalid="call", call=lambda err, flag: overflows.append(err)):
+        scores, _ = forward(model.params, model.arch, model.tasks, *rows)
     for t in model.tasks:
         if not np.isfinite(scores[t.name]).all():
             raise NonFiniteLoss(
                 f"task {t.name!r} scores are not finite: the model diverged in training"
             )
-    if overflowed:
+    if overflows:
         raise NonFiniteLoss(f"the forward pass overflows in {_forward_overflow(model, rows)}: "
                             "the model diverged in training")
     out: dict[str, np.ndarray] = {}

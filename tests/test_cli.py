@@ -168,6 +168,63 @@ def test_print_config_reports_resolved_values(tmp_path, capsys):
     assert "seed=42" in lines
 
 
+# every key of a plain gen's --print-config, with its default value
+DEFAULT_CONFIG_LINES = [
+    "ablation_labels=False",
+    "alpha=2.0",
+    "batch_size=2048",
+    "beta=-0.5",
+    "bins_b=30",
+    "bins_min_size=20",
+    "coeff_a=0.01",
+    "coeff_b=-0.2",
+    "coeff_c=2.0",
+    "confound_sign=1.0",
+    "curve_hi=3600.0",
+    "curve_lo=1.0",
+    "d_embed=16",
+    "d_max=600.0",
+    "d_min=5.0",
+    "epochs=50",
+    "eps_sketch=0.005",
+    "ew_cap_percentile=99.0",
+    "gamma=0.5",
+    "hidden=32",
+    "interactions_per_user=200",
+    "latent_dim=8",
+    "lr_dense=0.08",
+    "lr_embed=64.0",
+    "min_group_size=10",
+    "mu_d=3.5",
+    "n_experts=3",
+    "n_groups=300",
+    "n_users=500",
+    "n_videos=2000",
+    "partition_kind=power_decay",
+    "progressive=False",
+    "ratios=",
+    "s_d=1.0",
+    "seed=42",
+    "sigma_d=0.3",
+    "sigma_y=0.5",
+    "split_frac=0.9",
+    "split_seed=1",
+    "summary_mode=exact",
+    "tasks=wpr_d:squared_error,ev_d:logistic,lv_d:logistic",
+    "tie_mode=distinct",
+    "train_seed=0",
+]
+
+
+def test_print_config_reports_every_key_and_default(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run(["gen", "--out", out, "--print-config"]) == 0
+    assert capsys.readouterr().out.splitlines() == DEFAULT_CONFIG_LINES + [
+        f"wrote 100000 records to {out}/interactions.csv",
+        f"wrote ground truth to {out}/truth.csv",
+    ]
+
+
 def test_global_flags_accepted_before_subcommand(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -820,6 +877,29 @@ def test_a_killed_ablate_worker_ends_the_command(small_run, tmp_path, monkeypatc
         rc = run(_ablate_argv(small_run, tmp_path))
     assert rc == 1
     assert capsys.readouterr().err.startswith("internal error: BrokenProcessPool")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("split_frac,message", [
+    (0, "error: training split is empty; raise split_frac\n"),
+    (1, "error: eval split is empty; lower split_frac\n"),
+], ids=["split_frac_0", "split_frac_1"])
+def test_ablate_with_an_empty_split_exits_2_before_any_fit(
+        small_run, tmp_path, monkeypatch, capsys, split_frac, message):
+    fitted = tmp_path / "fitted"
+
+    def fit(name, *args):
+        with open(fitted, "a") as fh:
+            fh.write(name + "\n")
+
+    _fake_fit(monkeypatch, fit)
+    argv = _ablate_argv(small_run, tmp_path)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(cfg.read_text() + f"split_frac = {split_frac}\n")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == message
+    assert not fitted.exists()
+    assert not (tmp_path / "out" / "ablate.csv").exists()
     assert multiprocessing.active_children() == []
 
 

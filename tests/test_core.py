@@ -410,6 +410,30 @@ def test_segments_with_n_keys_cover_every_key(args):
         assert got[k] == brute.get(k, [])
 
 
+# past 1 << 16 keys, segments sorts the key codes as int64, not uint16
+WIDE_N_KEYS = 70_000
+
+
+def _wide_codes():
+    """Every code below WIDE_N_KEYS once, in shuffled order, then 30,000 repeats."""
+    rng = np.random.default_rng(7)
+    return np.concatenate([rng.permutation(WIDE_N_KEYS), rng.integers(0, WIDE_N_KEYS, 30_000)])
+
+
+def test_segments_with_more_keys_than_uint16_holds():
+    codes = _wide_codes()
+    got = _segment_lists(codes, WIDE_N_KEYS)
+    assert list(got) == list(range(WIDE_N_KEYS))
+    assert got == _brute_groups(codes.tolist())
+
+
+def test_segments_with_more_distinct_ids_than_uint16_holds():
+    keys = [f"v{c}" for c in _wide_codes()]
+    got = _segment_lists(keys)
+    assert list(got) == sorted(set(keys)) and len(got) == WIDE_N_KEYS
+    assert got == _brute_groups(keys)
+
+
 # ---------------------------------------------------------------- sigmoid
 
 # magnitudes where exp over- or underflows, or 1 + exp(-x) rounds to 1
