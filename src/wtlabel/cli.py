@@ -269,16 +269,16 @@ def cmd_gen(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_label(args: argparse.Namespace, config: PipelineConfig) -> int:
     label_config = build_label_config(config, no_debias=args.no_debias)
+    # a --summaries-in file fixes the duration bins; bins_b from a config
+    # file stays allowed, since train reads it too
+    if args.summaries_in and (args.no_debias or args.cfg_bins_b is not None):
+        flag = "--no-debias" if args.no_debias else "--bins"
+        raise ConfigInvalid(
+            f"{flag} conflicts with --summaries-in, whose file fixes the duration bins"
+        )
     table = read_interactions(args.input)
     summaries = None
     if args.summaries_in:
-        # the file fixes the duration bins; bins_b from a config file stays
-        # allowed, since train reads it too
-        if args.no_debias or args.cfg_bins_b is not None:
-            flag = "--no-debias" if args.no_debias else "--bins"
-            raise ConfigInvalid(
-                f"{flag} conflicts with --summaries-in, whose file fixes the duration bins"
-            )
         summaries = load_grouped_summaries(args.summaries_in)
     labels, summaries, _bins = label_all_detailed(table, label_config, summaries)
     write_labeled(args.output, table, labels.columns)
@@ -330,6 +330,12 @@ def _split(table, columns: dict[str, np.ndarray], config: PipelineConfig, part: 
         raise ConfigInvalid("training split is empty; raise split_frac" if part == "train"
                             else "eval split is empty; lower split_frac")
     return sub, {k: v[keep] for k, v in columns.items()}
+
+
+def _check_truth_file(path: str) -> None:
+    """Fail on a missing truth file before any input is parsed."""
+    if not os.path.exists(path):
+        raise MissingTruthFile(f"truth file not found: {path}")
 
 
 def _truth_m(path: str, n: int) -> np.ndarray:
@@ -406,6 +412,8 @@ def evaluate_model(
 
 
 def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
+    if args.truth:
+        _check_truth_file(args.truth)
     table, columns = read_labeled(args.input)
     model = load_model(args.model)
     for task in model.tasks:
@@ -531,8 +539,7 @@ def cmd_ablate(args: argparse.Namespace, config: PipelineConfig) -> int:
     label_config = build_label_config(config)
     if not args.truth:
         raise MissingTruthFile("ablation scoring needs --truth")
-    if not os.path.exists(args.truth):
-        raise MissingTruthFile(f"truth file not found: {args.truth}")
+    _check_truth_file(args.truth)
     table = read_interactions(args.input)
     truth_m = _truth_m(args.truth, table.n)
     labels, _, _ = label_all_detailed(table, label_config)

@@ -5,15 +5,21 @@ directory and is moved into place with os.replace, so readers never
 observe a half-written file; a write that fails deletes its temp file and
 leaves the target as it was. All text files are UTF-8 with a header row.
 
-CSV reads go a column at a time. Readers tokenise once with csv.reader
-(quoted fields, LF or CRLF line ends); the interaction readers check whole
-columns and re-scan rows only to name the first bad one. CSV writes go a
-block of rows at a time, so a writer holds one block's text beyond its
-input: each block's cells are built by column, joined with LF line ends and
-quoted as csv.writer's default does, encoded and written. A column of reals
-is formatted through its distinct values in the block, and each run of
-adjacent binary labels is written as one pre-joined cell per row. Inputs
-are checked whole before the temp file is opened.
+CSV reads go a block of rows at a time, so a reader holds one block's
+cells beyond what it returns. Readers tokenise with csv.reader (quoted
+fields, LF or CRLF line ends) and parse each numeric column of a block to
+float64 before the next block is read, through a dict of its distinct
+cells when the block's first cells repeat. Only the ids and the
+interaction fields' numeric text stay strings. Block columns are checked
+whole, and rows re-scanned only to name the first bad one; a label fault
+is held to the end, so which fault is raised does not depend on the block
+size. CSV writes go a block of rows at a time too, so a writer holds one
+block's text beyond its input: each block's cells are built by column,
+joined with LF line ends and quoted as csv.writer's default does, encoded
+and written. A column of reals is formatted through its distinct values in
+the block, and each run of adjacent binary labels is written as one
+pre-joined cell per row. Inputs are checked whole before the temp file is
+opened.
 
 Formats:
   interactions  user_id,video_id,duration_s,watch_time_s
@@ -57,6 +63,22 @@ TRUTH_HEADER = ("row_index", "m", "f_mean")
 # smaller blocks format gen's repeated video durations more often: gen's two
 # writers take 221 ms on the whole file, 232 ms here and 240 ms at 16,384.
 _BLOCK_ROWS = 65536
+
+# rows per CSV read block. A reader holds one block's cells beyond what it
+# returns: read_labeled's traced peak on the 200k-record label_wide output
+# is 1.9 MB above its result at this size, against 20 MB at the writers'
+# 65,536 rows and 55 MB for the whole file; 2,048 to 65,536 rows read
+# equally fast.
+_READ_ROWS = 8192
+
+# a numeric column of a read block is parsed through a dict of its distinct
+# cells when its first _SAMPLE_CELLS cells hold at most 1/_REPEATS as many
+# distinct ones. On 8,192 cells of the reference labeled CSV that takes a
+# binary column from 0.6-0.7 ms to 0.45 ms, but playing_rate (8,156
+# distinct cells) from 0.9 ms to 2.7 ms; wpr (300 distinct) breaks even.
+# Cutoffs from 1/2 to 1/16 of the sample read equally fast.
+_SAMPLE_CELLS = 1024
+_REPEATS = 8
 
 
 @contextlib.contextmanager
@@ -126,37 +148,68 @@ class Reader:
             raise self.fail(f"{len(self.blob) - self.pos} trailing bytes")
 
 
-def _read_columns(
-    path: str, decode: str = "strict"
-) -> tuple[Optional[list[str]], list[list[str]], Optional[str]]:
-    """The header (None for an empty file) and the columns of a CSV, as
-    strided slices of one flat cell list. The columns end before the first
-    row that is not as wide as the header, not UTF-8 or not CSV, and what is
-    wrong with it is returned (None if no row is); an unreadable header raises."""
-    header, cells, fault = None, [], None
-    try:
-        with open(path, "r", encoding="utf-8", errors=decode, newline="") as fh:
-            rows = csv.reader(fh)
-            if decode != "strict":  # encoding raises at the lone surrogate read for a bad byte
-                rows = (row for row in rows if ",".join(row).encode("utf-8") is not None)
-            header = next(rows, None)
-            width = len(header or ())
-            for row in rows:
-                if len(row) != width:
-                    fault = f"expected {width} fields, got {len(row)}"
-                    break
-                cells.extend(row)
-    except UnicodeDecodeError:  # raised for a block of text read ahead of its rows
-        return _read_columns(path, "surrogateescape")
-    except (csv.Error, UnicodeEncodeError) as exc:
-        fault = "text is not UTF-8" if isinstance(exc, UnicodeEncodeError) else str(exc)
-        if header is None:
-            raise MissingField(f"{path} header: {fault}") from None
-    return header, [cells[j::width] for j in range(width)], fault
+def _csv_blocks(path: str) -> Iterator:
+    """The header of a CSV file (None for an empty file), then (columns,
+    fault) for each block of up to _READ_ROWS rows: the block's cells by
+    column, and what is wrong with the row after them, which is not as wide
+    as the header, not UTF-8 or not CSV (None if no row is). A block with a
+    fault is the last, and an unreadable header raises MissingField. The
+    list of columns is emptied when the next block is asked for."""
+    # done counts the header and the rows yielded, cells the rows since;
+    # cells stays empty while width is 0
+    header, width, decode, done, cells = None, 0, "strict", 0, []
+    while True:  # after a UTF-8 error, again from the first row not yet taken
+        try:
+            with open(path, "r", encoding="utf-8", errors=decode, newline="") as fh:
+                rows = csv.reader(fh)
+                if decode != "strict":  # encoding raises at the lone surrogate read for a bad byte
+                    rows = (row for row in rows if ",".join(row).encode("utf-8") is not None)
+                rows = itertools.islice(rows, done + len(cells) // (width or 1), None)
+                if not done:
+                    try:
+                        header = next(rows, None)
+                    except (csv.Error, UnicodeEncodeError) as exc:
+                        raise MissingField(f"{path} header: {_fault(exc)}") from None
+                    done, width = 1, len(header or ())
+                    yield header
+                while True:
+                    fault = None
+                    try:
+                        for row in itertools.islice(rows, _READ_ROWS - len(cells) // (width or 1)):
+                            if len(row) != width:
+                                fault = f"expected {width} fields, got {len(row)}"
+                                break
+                            cells.extend(row)
+                    except (csv.Error, UnicodeEncodeError) as exc:
+                        fault = _fault(exc)
+                    n = len(cells) // (width or 1)
+                    if n or fault is not None:
+                        done += n
+                        columns = [cells[j::width] for j in range(width)]
+                        cells = []
+                        yield columns, fault
+                        columns.clear()
+                    if fault is not None or n < _READ_ROWS:
+                        return
+        except UnicodeDecodeError:  # raised for a block of text read ahead of its rows
+            decode = "surrogateescape"
 
 
-def _floats(cells: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, cells), np.float64, len(cells))
+def _fault(exc: Exception) -> str:
+    return "text is not UTF-8" if isinstance(exc, UnicodeEncodeError) else str(exc)
+
+
+def _floats(cells: list[str], empty: bool = False) -> np.ndarray:
+    """Cells as float64; with empty, an empty cell is NaN. When the first
+    _SAMPLE_CELLS hold few distinct cells, each distinct cell is parsed once.
+    A cell that is not a number raises ValueError."""
+    sample = cells[:_SAMPLE_CELLS]
+    if len(set(sample)) * _REPEATS <= len(sample):
+        parse = (lambda c: float(c or "nan")) if empty else float
+        values = map({c: parse(c) for c in set(cells)}.__getitem__, cells)
+    else:
+        values = map(float, [c or "nan" for c in cells] if empty and "" in cells else cells)
+    return np.fromiter(values, np.float64, len(cells))
 
 
 def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str, np.ndarray]]:
@@ -164,19 +217,75 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
 
     A labeled file carries label columns after them; empty label cells
     become NaN. The original numeric field text is kept on the table so
-    later writers can echo input columns byte for byte."""
-    header, cols, fault = _read_columns(path)
-    if header is None:
-        raise EmptyInput(f"{path}: empty file")
-    if tuple(header[:4]) != INTERACTION_HEADER or not (labeled or len(header) == 4):
-        raise MissingField(
-            f"{path}: header must {'start with' if labeled else 'be'} "
-            f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
-        )
-    twice = [name for i, name in enumerate(header) if name in header[:i]]
-    if twice:
-        raise MissingField(f"{path}: header names column {twice[0]} twice")
-    users, videos, dur_text, watch_text = cols[:4]
+    later writers can echo input columns byte for byte. Of several faults
+    the first raised is the header's, then the first bad interaction row's,
+    an unreadable row's, a file without rows', then the label columns' in
+    header order."""
+    with contextlib.closing(_csv_blocks(path)) as blocks:
+        header = next(blocks)
+        if header is None:
+            raise EmptyInput(f"{path}: empty file")
+        if tuple(header[:4]) != INTERACTION_HEADER or not (labeled or len(header) == 4):
+            raise MissingField(
+                f"{path}: header must {'start with' if labeled else 'be'} "
+                f"{','.join(INTERACTION_HEADER)}, got {','.join(header)}"
+            )
+        twice = [name for i, name in enumerate(header) if name in header[:i]]
+        if twice:
+            raise MissingField(f"{path}: header names column {twice[0]} twice")
+        labels = header[4:]
+        users, videos, dur_text, watch_text, durations, watches = [], [], [], [], [], []
+        parts: dict[str, list[np.ndarray]] = {name: [] for name in labels}
+        errors: dict[str, PipelineError] = {}  # the first in each label column
+        fault = None
+        for cols, fault in blocks:
+            row0 = len(users)
+            duration, watch = _interaction_block(path, *cols[:4], row0)
+            durations.append(duration)
+            watches.append(watch)
+            for kept, cells in zip((users, videos, dur_text, watch_text), cols):
+                kept += cells
+            for name, cells in zip(labels, cols[4:]):
+                if isinstance(errors.get(name), MissingField):  # a non-number ranks first
+                    continue
+                try:
+                    values, bad = _label_block(path, name, cells, row0)
+                except MissingField as exc:
+                    errors[name] = exc
+                    continue
+                parts[name].append(values)
+                if bad is not None:
+                    errors.setdefault(name, bad)
+    if fault is not None:
+        raise MissingField(f"{path} row {len(users)}: {fault}")
+    if not users:
+        raise EmptyInput(f"{path}: no data rows")
+    for name in labels:
+        if name in errors:
+            raise errors[name]
+    table = InteractionTable(users, videos, _joined(durations), _joined(watches),
+                             duration_text=dur_text, watch_text=watch_text)
+    columns: dict[str, np.ndarray] = {}
+    for name in labels:
+        values = _joined(parts[name])
+        if not np.all(np.isnan(values)):
+            columns[name] = values
+    return table, columns
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The blocks of a column as one array; the list is emptied."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _interaction_block(
+    path: str, users: list[str], videos: list[str], dur_text: list[str], watch_text: list[str],
+    row0: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The durations and watch times of a block of rows from row row0. The
+    first bad row raises as validate_interaction does, naming path."""
     valid = all(map(str.strip, users)) and all(map(str.strip, videos))
     try:
         durations, watches = _floats(dur_text), _floats(watch_text)
@@ -184,49 +293,43 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
         valid = False
     if not valid or not np.all((durations > 0) & (durations < np.inf)
                                & (watches >= 0) & (watches < np.inf)):
-        for i, fields in enumerate(zip(*cols[:4])):  # name the first bad row
+        for i, fields in enumerate(zip(users, videos, dur_text, watch_text), row0):
             try:
                 validate_interaction(*fields, i)
             except PipelineError as exc:
                 raise type(exc)(f"{path} {exc}") from None
         raise AssertionError("the column checks rejected rows validate_interaction accepts")
-    if fault is not None:
-        raise MissingField(f"{path} row {len(users)}: {fault}")
-    if not users:
-        raise EmptyInput(f"{path}: no data rows")
-    table = InteractionTable(users, videos, durations, watches,
-                             duration_text=dur_text, watch_text=watch_text)
-    columns: dict[str, np.ndarray] = {}
-    for name, cells in zip(header[4:], cols[4:]):
-        arr = _label_column(path, name, cells)
-        if not np.all(np.isnan(arr)):
-            columns[name] = arr
-    return table, columns
+    return durations, watches
 
 
-def _label_column(path: str, name: str, cells: list[str]) -> np.ndarray:
-    """A label column of floats. Empty cells, and only they, become NaN;
-    every other cell lies in [0, 1], and is 0 or 1 in a binary column."""
+def _label_block(
+    path: str, name: str, cells: list[str], row0: int
+) -> tuple[np.ndarray, Optional[LabelOutOfRange]]:
+    """A block of a label column from row row0 as floats, NaN for empty
+    cells, and the error naming its first other cell outside [0, 1], or
+    outside {0, 1} in a binary column (None if there is none). A cell that
+    is not a number raises MissingField."""
     try:
-        arr = _floats([c or "nan" for c in cells])
+        values = _floats(cells, empty=True)
     except ValueError:
-        for i, cell in enumerate(cells):
+        for i, cell in enumerate(cells, row0):
             try:
                 float(cell or 0)
             except ValueError:
                 msg = f"{path} row {i}: column {name} is not a number: {cell!r}"
                 raise MissingField(msg) from None
         raise
-    empty = np.isnan(arr)
-    empty[empty] = np.asarray(cells, dtype=object)[empty] == ""  # "nan" is not empty
     binary = name in BINARY_LABELS
-    bad = np.flatnonzero(~(empty | (np.isin(arr, (0, 1)) if binary else (arr >= 0) & (arr <= 1))))
+    bad = np.flatnonzero(~((values == 0) | (values == 1) if binary
+                           else (values >= 0) & (values <= 1)))
     if bad.size:
-        raise LabelOutOfRange(
-            f"{path} row {bad[0]}: column {name} must lie in "
-            f"{'{0, 1}' if binary else '[0, 1]'}, got {cells[bad[0]]!r}"
-        )
-    return arr
+        bad = bad[np.asarray(cells, dtype=object)[bad] != ""]
+    if not bad.size:
+        return values, None
+    return values, LabelOutOfRange(
+        f"{path} row {row0 + bad[0]}: column {name} must lie in "
+        f"{'{0, 1}' if binary else '[0, 1]'}, got {cells[bad[0]]!r}"
+    )
 
 
 def read_interactions(path: str) -> InteractionTable:
@@ -298,19 +401,36 @@ def write_truth(path: str, truth: SyntheticTruth) -> None:
 
 
 def read_truth(path: str) -> SyntheticTruth:
-    header, cols, fault = _read_columns(path)
-    if header is None or tuple(header) != TRUTH_HEADER:
-        raise SerializationError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
-    index, m_text, f_text = cols
+    with contextlib.closing(_csv_blocks(path)) as blocks:
+        header = next(blocks)
+        if header is None or tuple(header) != TRUTH_HEADER:
+            raise SerializationError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
+        ms, fs, n, fault = [], [], 0, None
+        for cols, fault in blocks:
+            m, f_mean = _truth_block(path, *cols, n)
+            ms.append(m)
+            fs.append(f_mean)
+            n += len(m)
+    if fault is not None:
+        raise SerializationError(f"{path} row {n}: {fault}")
+    if not n:
+        raise EmptyInput(f"{path}: no data rows")
+    return SyntheticTruth(m=_joined(ms), f_mean=_joined(fs))
+
+
+def _truth_block(
+    path: str, index: list[str], m_text: list[str], f_text: list[str], row0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """m and f_mean of a block of truth rows from row row0; the first bad row raises."""
     try:
         m, f_mean = _floats(m_text), _floats(f_text)
         valid = (np.array_equal(np.fromiter(map(int, index), np.int64, len(index)),
-                                np.arange(len(index)))
+                                np.arange(row0, row0 + len(index)))
                  and np.isfinite(m).all() and np.isfinite(f_mean).all())
     except (ValueError, OverflowError):  # an index past int64 is out of order too
         valid = False
     if not valid:
-        for i, row in enumerate(zip(*cols)):  # name the first bad row
+        for i, row in enumerate(zip(index, m_text, f_text), row0):  # name the first bad row
             try:
                 if int(row[0]) != i:
                     raise SerializationError(f"{path} row {i}: row_index out of order")
@@ -321,11 +441,7 @@ def read_truth(path: str) -> SyntheticTruth:
                 if not np.isfinite(value):
                     raise SerializationError(f"{path} row {i}: {name} {text!r} is not finite")
         raise AssertionError("the column checks rejected rows the row checks accept")
-    if fault is not None:
-        raise SerializationError(f"{path} row {len(index)}: {fault}")
-    if not index:
-        raise EmptyInput(f"{path}: no data rows")
-    return SyntheticTruth(m=m, f_mean=f_mean)
+    return m, f_mean
 
 
 def labeled_header(columns: Mapping[str, np.ndarray]) -> list[str]:

@@ -1028,6 +1028,9 @@ def _eval(s, d, labeled, *extra):
      "2 truth rows for 1000 records"),
     (lambda s, d: ["ablate", "--input", s["data"], "--out", d, "--truth", d / "none.csv"],
      "truth file not found"),
+    # the labeled file is not read: a missing truth file fails first
+    (lambda s, d: _eval(s, d, d / "no_input.csv", "--truth", d / "none.csv"),
+     "truth file not found: "),
     (lambda s, d: ["ablate", "--input", s["data"], "--out", d, "--truth", ""],
      "ablation scoring needs --truth"),
     (lambda s, d: ["train", "--input", _with_cell(s["labeled"], d / "e.csv", 2, "wpr_d", ""),
@@ -1047,10 +1050,15 @@ def _eval(s, d, labeled, *extra):
     (lambda s, d: ["label", "--input", s["data"], "--output", d / "o.csv", "--summary", "sketch",
                    "--eps", "0.45", "--summaries-in", _sketch_eps_summaries(s, d, 0.7)],
      "sketch eps 0.7 outside (0, 0.5) at byte"),
+    # the flags are checked before the input or the summaries file is read
+    (lambda s, d: ["label", "--input", d / "none.csv", "--output", d / "o.csv",
+                   "--summaries-in", d / "none.wlgs", "--bins", "5"],
+     "--bins conflicts with --summaries-in"),
 ], ids=["no_config_file", "config_line_without_eq", "bad_bool", "bad_ratios",
         "empty_train_split", "empty_eval_split", "short_truth_eval", "short_truth_ablate",
-        "no_truth_file_ablate", "no_truth_flag_ablate", "empty_label_cell", "no_ev_column",
-        "nan_m_eval", "nan_m_ablate", "empty_global_summary", "sketch_eps_out_of_range"])
+        "no_truth_file_ablate", "no_truth_file_eval", "no_truth_flag_ablate",
+        "empty_label_cell", "no_ev_column", "nan_m_eval", "nan_m_ablate", "empty_global_summary",
+        "sketch_eps_out_of_range", "summaries_in_conflict_before_input"])
 def test_cli_input_and_config_errors_exit_2(small_run, trained, tmp_path, capsys, argv, message):
     assert run(argv({**small_run, "model": trained["model"]}, tmp_path)) == 2
     assert message in capsys.readouterr().err

@@ -187,7 +187,7 @@ DAMAGE = st.sampled_from(["", " ", "abc", "0", "-1", "-0.0", "nan", "inf", "-inf
 @st.composite
 def csv_files(draw, labeled: bool):
     """(header, rows) of an interaction or labeled CSV, with at most one
-    damaged cell, row or header."""
+    damaged row or header and up to two damaged cells."""
     labels = draw(st.lists(st.sampled_from(STANDARD_LABELS), unique=True, max_size=4 * labeled))
     header = list(INTERACTION_HEADER) + labels
     rows = [
@@ -195,7 +195,10 @@ def csv_files(draw, labeled: bool):
         + [draw(BINARY_CELLS if name in BINARY_LABELS else REAL_CELLS) for name in labels]
         for _ in range(draw(st.integers(0, 6)))
     ]
-    damage = draw(st.sampled_from(["none", "cell", "short", "long", "blank", "header", "twice"]))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(DAMAGE)
+    damage = draw(st.sampled_from(["none", "short", "long", "blank", "header", "twice"]))
     if damage == "header":
         header[draw(st.integers(0, len(header) - 1))] = "other"
     elif damage == "twice":  # a column named a second time, with cells of its own
@@ -206,9 +209,7 @@ def csv_files(draw, labeled: bool):
         rows.insert(draw(st.integers(0, len(rows))), [])
     elif rows and damage != "none":
         row = rows[draw(st.integers(0, len(rows) - 1))]
-        if damage == "cell":
-            row[draw(st.integers(0, len(row) - 1))] = draw(DAMAGE)
-        elif damage == "short":
+        if damage == "short":
             del row[draw(st.integers(0, len(row) - 1))]
         else:
             row.append(draw(DAMAGE))
@@ -222,23 +223,96 @@ def _write_csv(path, header, rows, terminator="\n"):
 
 # ------------------------------------------------------------ readers
 
+# rows per block in the reader and writer tests, so that files of up to 6
+# rows cross block boundaries
+BLOCK_ROWS = st.sampled_from([1, 2, 3])
+
+
+def _read_in_blocks(read, path, block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_READ_ROWS", block_rows)
+        return _outcome(read, path)
+
 
 @settings(deadline=None, max_examples=300)
-@given(csv_files(labeled=False), st.sampled_from(["\n", "\r\n"]))
-def test_read_interactions_matches_row_loop(tmp_path_factory, file, terminator):
+@given(csv_files(labeled=False), st.sampled_from(["\n", "\r\n"]), BLOCK_ROWS)
+def test_read_interactions_matches_row_loop(tmp_path_factory, file, terminator, block_rows):
     path = str(tmp_path_factory.mktemp("csv") / "in.csv")
     _write_csv(path, *file, terminator)
     want = _outcome(lambda p: _reference_records(p, labeled=False)[0], path)
-    _assert_same_outcome(_outcome(read_interactions, path), want)
+    _assert_same_outcome(_read_in_blocks(read_interactions, path, block_rows), want)
 
 
 @settings(deadline=None, max_examples=300)
-@given(csv_files(labeled=True), st.sampled_from(["\n", "\r\n"]))
-def test_read_labeled_matches_row_loop(tmp_path_factory, file, terminator):
+@given(csv_files(labeled=True), st.sampled_from(["\n", "\r\n"]), BLOCK_ROWS)
+def test_read_labeled_matches_row_loop(tmp_path_factory, file, terminator, block_rows):
     path = str(tmp_path_factory.mktemp("csv") / "in.csv")
     _write_csv(path, *file, terminator)
     want = _outcome(lambda p: _reference_records(p, labeled=True), path)
-    _assert_same_outcome(_outcome(read_labeled, path), want)
+    _assert_same_outcome(_read_in_blocks(read_labeled, path, block_rows), want)
+
+
+# label cells that repeat: each binary column holds two or three distinct
+# cells and each real one a few, so their blocks are parsed through a dict
+# of distinct cells; playing_rate and the watch times stay nearly distinct
+# and are parsed cell by cell
+REPEATED_CELLS = {"binary": ["0", "1", "1.0", ""], "real": ["0.250000", "0.5", "1", "0", ""]}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, 2999), st.integers(0, 14),
+                                                     DAMAGE), min_size=1, max_size=2),
+       st.sampled_from([700, 1024, 8192]))
+def test_read_labeled_matches_row_loop_on_repeated_cells(tmp_path_factory, seed, damage,
+                                                         block_rows):
+    rng = np.random.default_rng(seed)
+    n = 3000
+    header = list(INTERACTION_HEADER) + list(STANDARD_LABELS)
+    cols = [[f"u{i // 200}" for i in range(n)], [f"v{v}" for v in rng.integers(0, 50, n)],
+            [f"{d:.3f}" for d in rng.choice([15.5, 60.0, 240.0], n)],
+            [f"{w:.3f}" for w in rng.uniform(0, 300, n)]]
+    for name in STANDARD_LABELS:
+        if name == "playing_rate":
+            cols.append([f"{v:.6f}" for v in rng.random(n)])
+            continue
+        pool = REPEATED_CELLS["binary" if name in BINARY_LABELS else "real"]
+        # mostly the first two cells, so a sample of the first rows sees few
+        cols.append(list(rng.choice(pool, n, p=[0.48, 0.48] + [0.04 / (len(pool) - 2)] *
+                                    (len(pool) - 2))))
+    cols[header.index("ev_v")] = [""] * n  # an absent column is dropped
+    rows = [list(row) for row in zip(*cols)]
+    for row, col, cell in damage:
+        rows[row][col] = cell
+    path = str(tmp_path_factory.mktemp("csv") / "in.csv")
+    _write_csv(path, header, rows)
+    want = _outcome(lambda p: _reference_records(p, labeled=True), path)
+    _assert_same_outcome(_read_in_blocks(read_labeled, path, block_rows), want)
+
+
+@pytest.mark.parametrize("cells, ragged, want", [
+    ({(1, "ev"): "2", (5, "ev"): "x"}, None, "row 5: column ev is not a number"),
+    ({(0, "ev"): "x", (5, "wpr"): "2"}, None, "row 5: column wpr must lie in"),
+    ({(1, "ev"): "2", (4, "ev"): "0.5"}, None, "row 1: column ev must lie in"),
+    ({(0, "ev"): "x", (5, "watch_time_s"): "-1"}, None, "row 5: watch_time_s=-1.0"),
+    ({(0, "wpr"): "2"}, 5, "row 5: expected 6 fields, got 5"),
+    ({(5, "duration_s"): "0"}, 3, "row 3: expected 6 fields, got 5"),
+    ({(3, "user_id"): ""}, 5, "row 3: field user_id is missing"),
+], ids=["non_number_outranks_range", "header_order", "first_row_in_column",
+        "interaction_outranks_label", "fault_outranks_label", "fault_before_interaction",
+        "interaction_before_fault"])
+def test_read_labeled_ranks_faults_across_blocks(tmp_path, monkeypatch, cells, ragged, want):
+    monkeypatch.setattr(dataio, "_READ_ROWS", 2)
+    header = list(INTERACTION_HEADER) + ["wpr", "ev"]
+    rows = [[f"u{i}", f"v{i}", "60", "30", "0.5", "1"] for i in range(7)]
+    for (i, name), cell in cells.items():
+        rows[i][header.index(name)] = cell
+    if ragged is not None:
+        del rows[ragged][-1]
+    path = str(tmp_path / "l.csv")
+    _write_csv(path, header, rows)
+    got = _outcome(read_labeled, path)
+    assert got == _outcome(lambda p: _reference_records(p, labeled=True), path)
+    assert want in got[1]
 
 
 TRUTH_CELLS = st.sampled_from(["0.5", "-1.25", "1e-3", " 2 ", "nan", "inf", "x", ""])
@@ -249,8 +323,8 @@ TRUTH_CELLS = st.sampled_from(["0.5", "-1.25", "1e-3", " 2 ", "nan", "inf", "x",
     st.lists(st.tuples(TRUTH_CELLS, TRUTH_CELLS), min_size=n, max_size=n),
     st.sampled_from(["none", "index", "short", "long", "header"]),
     st.integers(0, max(n - 1, 0)),
-)))
-def test_read_truth_matches_row_loop(tmp_path_factory, case):
+)), BLOCK_ROWS)
+def test_read_truth_matches_row_loop(tmp_path_factory, case, block_rows):
     cells, damage, at = case
     header = list(TRUTH_HEADER)
     rows = [[str(i), m, f] for i, (m, f) in enumerate(cells)]
@@ -264,7 +338,8 @@ def test_read_truth_matches_row_loop(tmp_path_factory, case):
         rows[at].append("0")
     path = str(tmp_path_factory.mktemp("csv") / "truth.csv")
     _write_csv(path, header, rows)
-    _assert_same_outcome(_outcome(read_truth, path), _outcome(_reference_truth, path))
+    _assert_same_outcome(_read_in_blocks(read_truth, path, block_rows),
+                         _outcome(_reference_truth, path))
 
 
 # ------------------------------------------------------------ writers
@@ -288,11 +363,6 @@ TRUTH_POOL = [0.0, -0.0, -2.25, 0.5, 0.5 + 1e-12]
 
 def _pooled(lo: float, hi: float, pool: list[float]):
     return st.one_of(st.floats(lo, hi), st.sampled_from(pool))
-
-
-# rows per write block in the writer tests, so that files of up to 6 rows
-# cross block boundaries
-BLOCK_ROWS = st.sampled_from([1, 2, 3])
 
 
 @settings(deadline=None, max_examples=150)
@@ -510,6 +580,31 @@ def test_write_labeled_holds_one_block_beyond_its_input(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert extra < 1e6 + 16 * block_bytes, (extra, block_bytes)
+
+
+@pytest.mark.parametrize("reader", ["labeled", "truth"])
+def test_readers_hold_one_block_beyond_their_result(tmp_path, monkeypatch, reader):
+    # the traced peak of a 16-block read, above what the read returns, stays
+    # within a bound that is one block's text plus a constant, not the file's
+    block_rows = 2048
+    monkeypatch.setattr(dataio, "_READ_ROWS", block_rows)
+    path = tmp_path / "in.csv"
+    if reader == "labeled":
+        write_labeled(str(path), *_labeled_input(16 * block_rows))
+        read = read_labeled
+    else:
+        rng = np.random.default_rng(3)
+        write_truth(str(path), SyntheticTruth(m=rng.normal(size=16 * block_rows),
+                                              f_mean=rng.random(16 * block_rows)))
+        read = read_truth
+    block_bytes = path.stat().st_size / 16
+    tracemalloc.start()
+    try:
+        result = read(str(path))  # still referenced, so held counts it
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result and peak - held < 1e6 + 16 * block_bytes, (peak - held, block_bytes)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])

@@ -766,6 +766,37 @@ def test_train_steps_match_the_reference_bitwise(tasks, arch):
         assert p.tobytes() == model.params[k].tobytes(), k
 
 
+@pytest.mark.parametrize("arch", [ModelArch(16, 3, 32), ModelArch(16, 8, 32)],
+                         ids=["three_experts", "eight_experts"])
+def test_forward_and_backward_match_the_reference_bitwise_at_reference_shapes(arch):
+    # the training shapes of the CLI defaults: batch 2048, the dml heads and
+    # the ordinal head, on tables the size of the 100k-record reference
+    tasks = [scalar_task("wpr_d"), scalar_task("ev_d", kind="binary", loss="logistic"),
+             scalar_task("lv_d", kind="binary", loss="logistic"),
+             scalar_task("wpr", kind="ordinal", loss="ordinal_cumulative", n_out=299)]
+    rng = np.random.Generator(np.random.PCG64(21))
+    params = init_model(arch, tasks, 501, 2001, 31, rng)
+    for k, p in params.items():
+        if p.ndim == 1:  # zero at init; random here so every bias term is checked
+            p[:] = rng.normal(0.0, 0.5, p.shape)
+    rows = [rng.integers(0, params[k].shape[0], size=2048) for k in EMBEDDINGS]
+    scores, cache = forward(params, arch, tasks, *rows)
+    want_scores, want_cache = _reference_forward(params, arch, tasks, *rows)
+    x, hs, dacts, expert_out, gates, mixed = cache[:6]
+    want_x, want_hs, want_dacts, want_out, want_gates, want_mixed = want_cache[:6]
+    pairs = [(x, want_x), (expert_out, want_out), *zip(hs, want_hs), *zip(dacts, want_dacts)]
+    for got, want in (scores, want_scores), (gates, want_gates), (mixed, want_mixed):
+        pairs += [(got[t.name], want[t.name]) for t in tasks]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    dscores = {t.name: rng.normal(0.0, 1e-3, (2048, t.n_out)) for t in tasks}
+    grads = _backward(params, arch, tasks, cache, dscores)
+    want = _reference_backward(params, arch, tasks, want_cache, dscores)
+    assert grads.keys() == want.keys() == params.keys()
+    for k in params:
+        assert grads[k].tobytes() == want[k].tobytes(), k
+
+
 # ------------------------------------------------------- watch-time decode
 
 
