@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ABLATION_LABELS, STANDARD_LABELS, check_config, make_partition
+from .core import ABLATION_LABELS, LABELS, STANDARD_LABELS, check_config, make_partition
 from .dataio import (
     read_interactions,
     read_labeled,
@@ -434,39 +434,21 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 # ablation matrix: variant name -> task list
 ABLATE_VARIANTS: list[tuple[str, list[TaskConfig]]] = [
-    ("dml", [
-        TaskConfig("wpr_d", "squared_error"),
-        TaskConfig("ev_d", "logistic"),
-        TaskConfig("lv_d", "logistic"),
-    ]),
-    ("wo_dg", [
-        TaskConfig("wpr", "squared_error"),
-        TaskConfig("ev", "logistic"),
-        TaskConfig("lv", "logistic"),
-    ]),
-    ("wo_wpr", [
-        TaskConfig("playing_rate", "squared_error"),
-        TaskConfig("ev_d", "logistic"),
-        TaskConfig("lv_d", "logistic"),
-    ]),
-    ("ef_wpr", [
-        TaskConfig("ef_wpr", "squared_error"),
-        TaskConfig("ev_d", "logistic"),
-        TaskConfig("lv_d", "logistic"),
-    ]),
-    ("ew_wpr", [
-        TaskConfig("ew_wpr", "squared_error"),
-        TaskConfig("ev_d", "logistic"),
-        TaskConfig("lv_d", "logistic"),
-    ]),
-    # single-task baselines; weights rescale gradients toward the
-    # unit-scale multi-task runs (raw seconds, watch-second sample
-    # weights, and hundreds of summed ordinal terms would otherwise
-    # swamp or starve the shared layers)
-    ("tr", [TaskConfig("watch_time_s", "squared_error", weight=0.02)]),
-    ("wlr", [TaskConfig("ev", "weighted_logistic", weight=0.05)]),
-    ("or", [TaskConfig("wpr", "ordinal_cumulative", weight=0.1)]),
-    ("d2q", [TaskConfig("ef_wpr", "squared_error")]),
+    (name, parse_tasks(spec)) for name, spec in [
+        ("dml", PipelineConfig.tasks),
+        ("wo_dg", "wpr:squared_error,ev:logistic,lv:logistic"),
+        ("wo_wpr", "playing_rate:squared_error,ev_d:logistic,lv_d:logistic"),
+        ("ef_wpr", "ef_wpr:squared_error,ev_d:logistic,lv_d:logistic"),
+        ("ew_wpr", "ew_wpr:squared_error,ev_d:logistic,lv_d:logistic"),
+        # single-task baselines; weights rescale gradients toward the
+        # unit-scale multi-task runs (raw seconds, watch-second sample
+        # weights, and hundreds of summed ordinal terms would otherwise
+        # swamp or starve the shared layers)
+        ("tr", "watch_time_s:squared_error:0.02"),
+        ("wlr", "ev:weighted_logistic:0.05"),
+        ("or", "wpr:ordinal_cumulative:0.1"),
+        ("d2q", "ef_wpr:squared_error"),
+    ]
 ]
 
 ABLATE_HEADER = ("variant", "gauc_truth", "auc_ev", "gauc_ev", "mae", "rmse", "mape")
@@ -535,8 +517,10 @@ def format_ablation(rows) -> str:
 
 
 def cmd_ablate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    config = dataclasses.replace(config, ablation_labels=True)
-    label_config = build_label_config(config)
+    # only the columns the recipes train on, and the ev and lv evaluate_model reads
+    needed = {t.target for _, tasks in ABLATE_VARIANTS for t in tasks} | {"ev", "lv"}
+    label_config = dataclasses.replace(
+        build_label_config(config), enabled=tuple(n for n in LABELS if n in needed))
     if not args.truth:
         raise MissingTruthFile("ablation scoring needs --truth")
     _check_truth_file(args.truth)

@@ -151,10 +151,13 @@ class InteractionTable:
         )
 
 
-def as_table(dataset) -> InteractionTable:
-    """dataset itself; anything but an InteractionTable raises TypeError."""
+def as_table(dataset, empty: Optional[str] = None) -> InteractionTable:
+    """dataset itself; anything but an InteractionTable raises TypeError,
+    and given a message, a table with no records raises EmptyDataset."""
     if not isinstance(dataset, InteractionTable):
         raise TypeError(f"expected an InteractionTable, got {type(dataset).__name__}")
+    if empty is not None and dataset.n == 0:
+        raise EmptyDataset(empty)
     return dataset
 
 
@@ -216,9 +219,6 @@ class PartitionScheme:
     n_groups: int
     ratios: np.ndarray
     prefix: np.ndarray
-
-    def group_of_rank(self, r: float) -> int:
-        return int(group_index(self.prefix, r))
 
 
 def _finish_partition(kind: str, q: np.ndarray, progressive: bool) -> PartitionScheme:
@@ -352,9 +352,6 @@ class DurationBins:
     @property
     def n_bins(self) -> int:
         return len(self.boundaries)
-
-    def bin_of(self, duration_s: float) -> int:
-        return int(self.bin_of_many(np.asarray([duration_s]))[0])
 
     def bin_of_many(self, durations: np.ndarray) -> np.ndarray:
         return group_index(self.boundaries, durations).astype(np.int64)

@@ -56,7 +56,6 @@ from .core import (
 from .dataio import Reader, atomic_write_bytes
 from .errors import (
     ConfigInvalid,
-    EmptyDataset,
     EmptySummary,
     MissingGroupSummary,
     SerializationError,
@@ -165,9 +164,7 @@ def build_grouped_summaries(
     nothing; it stays until the benchmark stops passing it (ROADMAP
     item 1).
     """
-    table = as_table(dataset)
-    if table.n == 0:
-        raise EmptyDataset("cannot summarize an empty dataset")
+    table = as_table(dataset, "cannot summarize an empty dataset")
     kinds = tuple(k for k in kinds if k != "global")
     for k in kinds:
         if k not in GROUP_KINDS:
@@ -267,9 +264,7 @@ def _rank_labels(
     bins the whole dataset is one segment."""
     check_value("tie_mode", tie_mode)
     check_value("summary_mode", mode)
-    table = as_table(dataset)
-    if table.n == 0:
-        raise EmptyDataset("cannot label an empty dataset")
+    table = as_table(dataset, "cannot label an empty dataset")
     if bins is None:
         parts = [slice(None)]
     else:
@@ -298,9 +293,7 @@ def label_binary(
     """
     if group_kind not in GROUP_KINDS:
         raise ConfigInvalid(f"unknown group kind {group_kind!r}")
-    table = as_table(dataset)
-    if table.n == 0:
-        raise EmptyDataset("cannot label an empty dataset")
+    table = as_table(dataset, "cannot label an empty dataset")
     groups = summaries.groups
     if "global" not in groups:
         raise MissingGroupSummary("no global summary present")
@@ -325,10 +318,10 @@ def label_binary(
 
 def label_playing_rate(dataset) -> np.ndarray:
     """watch_time / duration capped at 1."""
-    table = as_table(dataset)
-    if table.n == 0:
-        raise EmptyDataset("cannot label an empty dataset")
-    return np.minimum(table.watch_time_s / table.duration_s, 1.0)
+    table = as_table(dataset, "cannot label an empty dataset")
+    # a ratio that overflows to inf is capped like any other above 1
+    with np.errstate(over="ignore"):
+        return np.minimum(table.watch_time_s / table.duration_s, 1.0)
 
 
 def label_equal_width_wpr(
@@ -342,19 +335,18 @@ def label_equal_width_wpr(
     belongs to group 1 and anything above the cap to group N.
     """
     check_value("n_groups", n_groups)
-    table = as_table(dataset)
-    if table.n == 0:
-        raise EmptyDataset("cannot label an empty dataset")
+    table = as_table(dataset, "cannot label an empty dataset")
     wt = table.watch_time_s
     t_cap = float(np.sort(wt)[_nearest_rank(table.n, cap_percentile) - 1])
-    groups = np.ones(table.n, dtype=np.int64)
-    if t_cap > 0:
-        pos = wt > 0
-        g = np.ceil(wt[pos] * n_groups / t_cap)
-        groups[pos] = np.clip(g, 1, None).astype(np.int64)
-    groups[wt > t_cap] = n_groups
-    groups = np.minimum(groups, n_groups)
-    return groups / float(n_groups)
+    if t_cap == 0:
+        return np.where(wt > 0, n_groups, 1) / float(n_groups)
+    with np.errstate(over="ignore"):
+        g = np.ceil(wt * n_groups / t_cap)
+    # wt * n_groups overflows near the float maximum; dividing first
+    # keeps a watch time within the cap inside its group
+    redo = np.isinf(g) & (wt <= t_cap)
+    g[redo] = np.ceil(wt[redo] / t_cap * n_groups)
+    return np.clip(g, 1, n_groups) / float(n_groups)
 
 
 @dataclass
@@ -400,9 +392,7 @@ def label_all_detailed(
 ) -> tuple[LabelTable, Optional[GroupedSummaries], Optional[DurationBins]]:
     """label_all plus the grouped summaries and duration bins it used,
     so callers can persist them or reuse preloaded ones."""
-    table = as_table(dataset)
-    if table.n == 0:
-        raise EmptyDataset("cannot label an empty dataset")
+    table = as_table(dataset, "cannot label an empty dataset")
     for name in config.enabled:
         if name not in LABELS:
             raise ConfigInvalid(f"unknown label {name!r}")

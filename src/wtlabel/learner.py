@@ -582,7 +582,8 @@ def _cell_medians(values: np.ndarray, cell: np.ndarray, n_cells: int) -> np.ndar
     full = count > 0
     lo_mid = lo[full] + (count[full] - 1) // 2
     hi_mid = lo[full] + count[full] // 2
-    out[full] = (v[lo_mid] + v[hi_mid]) / 2
+    # halving first keeps the sum of two values near the float maximum finite
+    out[full] = v[lo_mid] / 2 + v[hi_mid] / 2
     return out
 
 
@@ -625,9 +626,7 @@ def fit(
     """Train a fresh model on a labeled table. One seed (opt.seed)
     drives initialization and batch shuffling."""
     check_config(opt)
-    table = as_table(table)
-    if table.n == 0:
-        raise EmptyDataset("no training records")
+    table = as_table(table, "no training records")
     full_columns = dict(columns)
     full_columns.setdefault("watch_time_s", table.watch_time_s)
     resolved = resolve_tasks(tasks, full_columns)

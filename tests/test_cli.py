@@ -713,6 +713,44 @@ def test_ablate_smoke_table(small_run, tmp_path):
         assert 0.0 <= gauc_truth <= 1.0
 
 
+# the nine recipes as (name, [(target, loss, weight), ...])
+RECIPES = [
+    ("dml", [("wpr_d", "squared_error", 1.0), ("ev_d", "logistic", 1.0),
+             ("lv_d", "logistic", 1.0)]),
+    ("wo_dg", [("wpr", "squared_error", 1.0), ("ev", "logistic", 1.0), ("lv", "logistic", 1.0)]),
+    ("wo_wpr", [("playing_rate", "squared_error", 1.0), ("ev_d", "logistic", 1.0),
+                ("lv_d", "logistic", 1.0)]),
+    ("ef_wpr", [("ef_wpr", "squared_error", 1.0), ("ev_d", "logistic", 1.0),
+                ("lv_d", "logistic", 1.0)]),
+    ("ew_wpr", [("ew_wpr", "squared_error", 1.0), ("ev_d", "logistic", 1.0),
+                ("lv_d", "logistic", 1.0)]),
+    ("tr", [("watch_time_s", "squared_error", 0.02)]),
+    ("wlr", [("ev", "weighted_logistic", 0.05)]),
+    ("or", [("wpr", "ordinal_cumulative", 0.1)]),
+    ("d2q", [("ef_wpr", "squared_error", 1.0)]),
+]
+
+
+def test_ablate_variants_are_the_nine_recipes():
+    assert ABLATE_VARIANTS == [(name, [TaskConfig(*task) for task in tasks])
+                               for name, tasks in RECIPES]
+    assert ABLATE_VARIANTS[0] == ("dml", parse_tasks(PipelineConfig.tasks))
+
+
+def test_ablate_labels_only_the_columns_it_reads(small_run, tmp_path, monkeypatch):
+    seen = {}
+
+    def no_fits(table, columns, truth_m, config):
+        seen["columns"] = list(columns)
+        return []
+
+    monkeypatch.setattr(cli, "run_ablation", no_fits)
+    assert run(["ablate", "--input", small_run["data"], "--truth", small_run["truth"],
+                "--out", tmp_path]) == 0
+    assert seen["columns"] == ["wpr", "wpr_d", "ev", "ev_d", "lv", "lv_d", "playing_rate",
+                               "ef_wpr", "ew_wpr"]
+
+
 # settings for the in-process ablations below: one short epoch
 ABLATE_CFG = {"lr_embed": 1.0, "lr_dense": 0.02, "batch_size": 256, "epochs": 1,
               "n_groups": 20}
@@ -901,6 +939,33 @@ def test_ablate_with_an_empty_split_exits_2_before_any_fit(
     assert not fitted.exists()
     assert not (tmp_path / "out" / "ablate.csv").exists()
     assert multiprocessing.active_children() == []
+
+
+# ------------------------------------------------- the ends of the float range
+
+
+def _interactions(path, rows):
+    path.write_text("user_id,video_id,duration_s,watch_time_s\n"
+                    + "".join(f"u{i},v{i % 2},{d},{w}\n" for i, (d, w) in enumerate(rows)))
+    return path
+
+
+def test_watch_times_at_the_float_maximum_label_and_train(tmp_path):
+    data = _interactions(tmp_path / "in.csv", [(30 + 10 * i, "1e308") for i in range(4)])
+    labeled = tmp_path / "labeled.csv"
+    assert run(["label", "--input", data, "--output", labeled, "--ablation-labels"]) == 0
+    _, columns = read_labeled(str(labeled))
+    assert columns["ew_wpr"].tolist() == [1.0] * 4
+    assert run(["train", "--input", labeled, "--model", tmp_path / "m.bin",
+                "--tasks", "ew_wpr:squared_error", "--epochs", "1"]) == 0
+
+
+def test_a_duration_near_zero_labels_a_capped_playing_rate(tmp_path):
+    data = _interactions(tmp_path / "in.csv", [("1e-300", "1e10"), ("60", "30")])
+    labeled = tmp_path / "labeled.csv"
+    assert run(["label", "--input", data, "--output", labeled]) == 0
+    _, columns = read_labeled(str(labeled))
+    assert columns["playing_rate"].tolist() == [1.0, 0.5]
 
 
 # ------------------------------------------------------------- exit codes

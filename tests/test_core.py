@@ -14,6 +14,7 @@ from wtlabel.core import (
     DurationBins,
     InteractionTable,
     PartitionScheme,
+    group_index,
     make_duration_bins,
     make_partition,
     segments,
@@ -21,6 +22,7 @@ from wtlabel.core import (
     validate_interaction,
 )
 from wtlabel.errors import (
+    ConfigInvalid,
     EmptyDataset,
     InvalidRatios,
     MissingField,
@@ -28,8 +30,17 @@ from wtlabel.errors import (
     NonMonotoneCurve,
     NonPositiveDuration,
 )
-from wtlabel.labeling import label_wpr_global
-from wtlabel.learner import WprInverse
+from wtlabel.labeling import (
+    LabelConfig,
+    build_grouped_summaries,
+    label_all_detailed,
+    label_binary,
+    label_equal_width_wpr,
+    label_playing_rate,
+    label_wpr_debiased,
+    label_wpr_global,
+)
+from wtlabel.learner import OptimizerConfig, TaskConfig, WprInverse, fit
 
 
 # ---------------------------------------------------------------- records
@@ -99,6 +110,50 @@ def test_labels_take_only_a_table():
     rec = validate_interaction("u1", "v1", 60.0, 30.0, 0)
     with pytest.raises(TypeError, match="expected an InteractionTable, got list"):
         label_wpr_global([rec], make_partition("equal_frequency", 2))
+
+
+EQ2 = make_partition("equal_frequency", 2)
+# every entry point that takes a table, with the message it gives an empty one
+TABLE_ENTRY_POINTS = {
+    "build_grouped_summaries": (build_grouped_summaries, "cannot summarize an empty dataset"),
+    "label_wpr_global": (lambda t: label_wpr_global(t, EQ2), "cannot label an empty dataset"),
+    "label_wpr_debiased": (lambda t: label_wpr_debiased(
+        t, EQ2, make_duration_bins(np.array([60.0]), 1)), "cannot label an empty dataset"),
+    "label_binary": (lambda t: label_binary(t, 50.0, "global", None),
+                     "cannot label an empty dataset"),
+    "label_playing_rate": (label_playing_rate, "cannot label an empty dataset"),
+    "label_equal_width_wpr": (lambda t: label_equal_width_wpr(t, 4),
+                              "cannot label an empty dataset"),
+    "label_all_detailed": (lambda t: label_all_detailed(t, LabelConfig(EQ2)),
+                           "cannot label an empty dataset"),
+    "fit": (lambda t: fit(t, {}, [TaskConfig("wpr", "squared_error")]), "no training records"),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_ENTRY_POINTS)
+def test_entry_points_reject_an_empty_table_and_a_non_table(name):
+    call, message = TABLE_ENTRY_POINTS[name]
+    empty = InteractionTable([], [], np.array([]), np.array([]))
+    with pytest.raises(EmptyDataset, match=f"^{message}$"):
+        call(empty)
+    rec = validate_interaction("u1", "v1", 60.0, 30.0, 0)
+    with pytest.raises(TypeError, match="^expected an InteractionTable, got list$"):
+        call([rec])
+
+
+# checks that come before the table's: an unknown group kind, a bad
+# setting or option, each raised for an empty table too
+@pytest.mark.parametrize("call, error", [
+    (lambda t: label_binary(t, 50.0, "country", None), "unknown group kind 'country'"),
+    (lambda t: label_wpr_global(t, EQ2, tie_mode="random"), "tie_mode"),
+    (lambda t: label_wpr_debiased(t, EQ2, None, mode="approx"), "summary_mode"),
+    (lambda t: label_equal_width_wpr(t, 0), "n_groups"),
+    (lambda t: fit(t, {}, [], opt=OptimizerConfig(epochs=0)), "epochs"),
+], ids=["label_binary", "label_wpr_global", "label_wpr_debiased", "label_equal_width_wpr",
+        "fit"])
+def test_argument_checks_come_before_the_table_check(call, error):
+    with pytest.raises(ConfigInvalid, match=error):
+        call([])
 
 
 # ------------------------------------------------------------- partitions
@@ -218,9 +273,7 @@ def test_log_quadratic_needs_a_finite_range(curve_range):
 
 def test_group_of_rank_boundary_belongs_to_lower_group():
     p = make_partition("equal_frequency", 4)
-    assert p.group_of_rank(0.25) == 0
-    assert p.group_of_rank(0.2500000001) == 1
-    assert p.group_of_rank(1.0) == 3
+    assert group_index(p.prefix, np.array([0.25, 0.2500000001, 1.0])).tolist() == [0, 1, 3]
     # every caller of the rule: eight distinct watch times rank 1/8 .. 8/8,
     # so 2/8 sits on the first prefix and 3/8 is the next rank above it
     wt = np.arange(1.0, 9.0)
@@ -239,8 +292,7 @@ def test_two_point_masses_two_bins():
     bins = make_duration_bins(durations, 2, min_bin_size=1)
     assert bins.n_bins == 2
     assert np.array_equal(bins.counts, [10, 10])
-    assert bins.bin_of(15.0) == 0
-    assert bins.bin_of(60.0) == 1
+    assert bins.bin_of_many(np.array([15.0, 60.0])).tolist() == [0, 1]
 
 
 def test_constant_durations_collapse_to_one_bin():
@@ -365,8 +417,7 @@ def test_equal_durations_share_a_bin(values, b):
 
 def test_bin_of_many_handles_out_of_range():
     bins = make_duration_bins(np.array([10.0, 20.0, 30.0] * 10), 3, min_bin_size=1)
-    assert bins.bin_of(0.001) == 0
-    assert bins.bin_of(1e9) == bins.n_bins - 1
+    assert bins.bin_of_many(np.array([0.001, 1e9])).tolist() == [0, bins.n_bins - 1]
 
 
 # --------------------------------------------------------------- segments

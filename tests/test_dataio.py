@@ -471,6 +471,61 @@ def test_read_truth_names_the_first_unreadable_row(tmp_path):
         read_truth(str(path))
 
 
+# rows longer than the reader's text chunk, so the reader decodes a row
+# only when it reaches it, and a bad byte past the first block sends it back
+# to the file after a block was yielded
+PAD = "0" * 9000
+READERS = {"interactions": (read_interactions, MissingField),
+           "labeled": (read_labeled, MissingField),
+           "truth": (read_truth, SerializationError)}
+
+
+def _long_rows(path, reader, n, bad, fault=None):
+    """n rows of about 9 kB for reader, with a non-UTF-8 byte ending row bad;
+    fault is ("ragged" or "field", row) for one more fault."""
+    if reader == "truth":
+        header, rows = "row_index,m,f_mean", [[str(i), PAD + "0.5", "1.5"] for i in range(n)]
+    else:
+        header = ",".join(INTERACTION_HEADER) + (",wpr,ev" if reader == "labeled" else "")
+        tail = ["0.5", "1"] if reader == "labeled" else []
+        rows = [[f"u{i}", "v" + PAD, "60", "30", *tail] for i in range(n)]
+    if fault is not None:
+        kind, at = fault
+        if kind == "ragged":
+            del rows[at][-1]
+        else:  # m for truth, duration_s for the others
+            rows[at][1 if reader == "truth" else 2] = "x" if reader == "truth" else "0"
+    lines = [(",".join(row)).encode() + (b"\xff" if i == bad else b"")
+             for i, row in enumerate(rows)]
+    path.write_bytes(b"\n".join([header.encode(), *lines]) + b"\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("block_rows", [2, 3])
+@pytest.mark.parametrize("bad", [2, 3, 5, 7])
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_name_a_bad_byte_after_a_yielded_block(tmp_path, monkeypatch, reader, bad,
+                                                       block_rows):
+    monkeypatch.setattr(dataio, "_READ_ROWS", block_rows)
+    read, error = READERS[reader]
+    with pytest.raises(error, match=rf"row {bad}: text is not UTF-8$"):
+        read(_long_rows(tmp_path / "f.csv", reader, 8, bad))
+
+
+@pytest.mark.parametrize("block_rows", [2, 3])
+@pytest.mark.parametrize("fault", [("ragged", 4), ("field", 4), ("ragged", 6), ("field", 6)])
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_rank_a_bad_byte_among_other_faults(tmp_path, monkeypatch, reader, fault,
+                                                     block_rows):
+    monkeypatch.setattr(dataio, "_READ_ROWS", block_rows)
+    path = _long_rows(tmp_path / "f.csv", reader, 8, 5, fault)
+    got = _outcome(READERS[reader][0], path)
+    if fault[1] < 5:  # a fault before the bad byte is named first
+        assert f"row {fault[1]}: " in got[1] and "UTF-8" not in got[1]
+    else:  # and one after it is never reached
+        assert got == (READERS[reader][1], f"{path} row 5: text is not UTF-8")
+
+
 NON_FINITE = [(col, cell) for col in ("m", "f_mean") for cell in ("nan", "inf", "-inf", "1e400")]
 
 

@@ -345,6 +345,11 @@ def test_playing_rate_examples():
     assert np.array_equal(label_playing_rate(t), [0.5, 1.0, 0.0])
 
 
+def test_playing_rate_past_the_float_maximum_is_capped():
+    t = table_of([1e10, 30.0], durations=[1e-300, 60.0])
+    assert label_playing_rate(t).tolist() == [1.0, 0.5]
+
+
 def test_equal_width_grid():
     t = table_of([0.0, 25.0, 50.0, 75.0, 100.0])
     got = label_equal_width_wpr(t, 4, cap_percentile=100.0)
@@ -364,6 +369,24 @@ def test_equal_width_outlier_capped():
     assert got[-1] == 1.0
     # the cap keeps the grid on the bulk: labels still spread over groups
     assert len(np.unique(got[:-1])) == 4
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(0.0, 1.7e308), min_size=1, max_size=30),
+       st.integers(2, 500), st.floats(1.0, 100.0))
+def test_equal_width_stays_in_its_domain_up_to_the_float_maximum(watch, n_groups, cap):
+    # wt * n_groups overflows here, which must neither warn nor leave [1/N, 1]
+    wt = np.array(watch)
+    got = label_equal_width_wpr(table_of(wt), n_groups, cap)
+    assert np.all((got >= 1 / n_groups) & (got <= 1.0))
+    order = np.argsort(wt, kind="stable")
+    assert np.all(np.diff(got[order]) >= 0)
+
+
+def test_equal_width_of_watch_times_at_the_float_maximum():
+    assert label_equal_width_wpr(table_of([1e308] * 4), 300).tolist() == [1.0] * 4
+    got = label_equal_width_wpr(table_of([1e308, 2.0, 1.0, 0.0]), 4, cap_percentile=100.0)
+    assert got.tolist() == [1.0, 0.25, 0.25, 0.25]
 
 
 # ---------------------------------------------------------------- label_all

@@ -945,6 +945,20 @@ def test_wpr_inverse_missing_bin_borrows_global():
     assert inv.reps[1, 1] == 30.0
 
 
+def test_fit_maps_wpr_d_back_to_watch_times_at_the_float_maximum():
+    # the median of two values near the float maximum must not overflow
+    n = 40
+    watch = np.linspace(1.5e308, 1.7e308, n)
+    table = InteractionTable([f"u{i % 5}" for i in range(n)], [f"v{i % 7}" for i in range(n)],
+                             np.linspace(10.0, 100.0, n), watch)
+    labels = label_all(table, LabelConfig(make_partition("equal_frequency", 4), bins_b=2,
+                                          bins_min_size=1, enabled=("wpr_d",))).columns
+    model, _ = fit(table, labels, [TaskConfig("wpr_d", "squared_error")],
+                   opt=OptimizerConfig(epochs=1), bins_b=2, bins_min_size=1)
+    reps = model.inverses["wpr_d"].reps
+    assert np.all((reps >= 1.5e308) & (reps <= 1.7e308))
+
+
 def test_bin_scoped_inverse_requires_bins():
     with pytest.raises(MissingInverseMap):
         build_wpr_inverse(np.array([0.5, 1.0]), np.array([1.0, 2.0]), None, True, 2)
