@@ -15,7 +15,6 @@ from .core import (
     BINARY_LABELS,
     STANDARD_LABELS,
     DurationBins,
-    Interaction,
     InteractionTable,
     PartitionScheme,
     make_duration_bins,

@@ -552,24 +552,17 @@ def _add_config_flag(parser: argparse.ArgumentParser, key: str, flag: str, help_
         )
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # accepted both before and after the subcommand; the suppressed
-    # defaults keep the subparser from clobbering top-level values
-    default = None if top_level else argparse.SUPPRESS
+def _global_flags(default) -> argparse.ArgumentParser:
+    """A parent parser of the flags accepted both before and after the
+    subcommand. The top level takes None defaults and each subcommand
+    argparse.SUPPRESS, so a subparser does not clobber top-level values."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", default=default, help="flat key=value config file")
-    parser.add_argument(
-        "--seed", type=int, default=default,
-        help="override data seed (and training seed)",
-    )
-    if top_level:
-        parser.add_argument(
-            "--print-config", action="store_true", help="echo the resolved config"
-        )
-    else:
-        parser.add_argument(
-            "--print-config", action="store_const", const=True,
-            default=argparse.SUPPRESS, help="echo the resolved config",
-        )
+    parser.add_argument("--seed", type=int, default=default,
+                        help="override data seed (and training seed)")
+    parser.add_argument("--print-config", action="store_const", const=True, default=default,
+                        help="echo the resolved config")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,11 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Watch-time labeling pipeline: synthesize interaction "
         "data, compute debiased watch-time labels, train a small "
         "multi-task ranker, and evaluate it.",
+        parents=[_global_flags(None)],
     )
-    _add_global_flags(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = [_global_flags(argparse.SUPPRESS)]
 
-    p = sub.add_parser("gen", help="generate a synthetic interaction dataset")
+    p = sub.add_parser("gen", help="generate a synthetic interaction dataset", parents=flags)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--records", type=int, help="total records (multiple of n_users)")
     p.add_argument(
@@ -592,10 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p, "n_users", "--users", "number of users")
     _add_config_flag(p, "n_videos", "--videos", "number of videos")
     _add_config_flag(p, "interactions_per_user", "--per-user", "records per user")
-    _add_global_flags(p, top_level=False)
     p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("label", help="compute label columns for a dataset")
+    p = sub.add_parser("label", help="compute label columns for a dataset", parents=flags)
     p.add_argument("--input", required=True, help="interaction CSV")
     p.add_argument("--output", required=True, help="labeled CSV to write")
     p.add_argument("--no-debias", action="store_true", help="force a single duration bin")
@@ -609,10 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p, "summary_mode", "--summary", "exact or sketch")
     _add_config_flag(p, "eps_sketch", "--eps", "sketch rank error budget")
     _add_config_flag(p, "ablation_labels", "--ablation-labels", "also emit ef_wpr/ew_wpr")
-    _add_global_flags(p, top_level=False)
     p.set_defaults(handler=cmd_label)
 
-    p = sub.add_parser("train", help="train the multi-task model")
+    p = sub.add_parser("train", help="train the multi-task model", parents=flags)
     p.add_argument("--input", required=True, help="labeled CSV")
     p.add_argument("--model", required=True, help="checkpoint path to write")
     p.add_argument("--trace", help="loss trace CSV to write")
@@ -622,10 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p, "train_seed", "--train-seed", "training seed")
     _add_config_flag(p, "split_frac", "--split-frac", "training fraction")
     _add_config_flag(p, "split_seed", "--split-seed", "split hash seed")
-    _add_global_flags(p, top_level=False)
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
+    p = sub.add_parser("eval", help="evaluate a checkpoint", parents=flags)
     p.add_argument("--input", required=True, help="labeled CSV")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--report", required=True, help="report CSV to write")
@@ -636,17 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_flag(p, "split_frac", "--split-frac", "training fraction")
     _add_config_flag(p, "split_seed", "--split-seed", "split hash seed")
-    _add_global_flags(p, top_level=False)
     p.set_defaults(handler=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the labeling/loss ablation matrix")
+    p = sub.add_parser("ablate", help="run the labeling/loss ablation matrix", parents=flags)
     p.add_argument("--input", required=True, help="interaction CSV")
     p.add_argument("--truth", required=True, help="generator truth CSV")
     p.add_argument("--out", required=True, help="output directory")
     _add_config_flag(p, "n_groups", "--groups", "number of rank groups")
     _add_config_flag(p, "epochs", "--epochs", "training epochs")
     _add_config_flag(p, "train_seed", "--train-seed", "training seed")
-    _add_global_flags(p, top_level=False)
     p.set_defaults(handler=cmd_ablate)
 
     return parser

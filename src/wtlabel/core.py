@@ -35,25 +35,14 @@ PARTITION_KINDS = ("equal_frequency", "power_decay", "log_quadratic", "explicit"
 DEFAULT_CURVE_RANGE = (1.0, 3600.0)
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """One validated user-video record."""
-
-    user_id: str
-    video_id: str
-    duration_s: float
-    watch_time_s: float
-    row_index: int
-
-
 def validate_interaction(
     user_id: object,
     video_id: object,
     duration_s: object,
     watch_time_s: object,
     row_index: int,
-) -> Interaction:
-    """Validate raw field values and build an Interaction.
+) -> None:
+    """Check the raw field values of one user-video record.
 
     Raises MissingField for absent or unparsable fields,
     NonPositiveDuration and NegativeWatchTime for out-of-domain values,
@@ -89,7 +78,6 @@ def validate_interaction(
     if not 0 <= wt < math.inf:
         finite = "finite and " if wt >= 0 else ""
         raise NegativeWatchTime(f"row {row_index}: watch_time_s={wt} must be {finite}>= 0")
-    return Interaction(str(user_id), str(video_id), dur, wt, row_index)
 
 
 class InteractionTable:
@@ -382,24 +370,15 @@ def make_duration_bins(dataset, b: int, min_bin_size: int = 20) -> DurationBins:
     ranks = np.ceil(np.arange(1, b + 1) * n / b).astype(np.int64)
     ranks = np.clip(ranks, 1, n)
     boundaries = np.unique(d[ranks - 1])
-    counts = _bin_counts(boundaries, d)
+    counts = np.bincount(group_index(boundaries, d), minlength=len(boundaries)).astype(np.int64)
     while len(boundaries) > 1 and counts.min() < min_bin_size:
-        j = int(np.argmax(counts < min_bin_size))
-        if j < len(boundaries) - 1:
-            # drop the upper bound of bin j: bin j joins bin j+1
-            boundaries = np.delete(boundaries, j)
-            counts[j + 1] += counts[j]
-            counts = np.delete(counts, j)
-        else:
-            boundaries = np.delete(boundaries, j - 1)
-            counts[j - 1] += counts[j]
-            counts = np.delete(counts, j)
+        # drop the upper bound of bin k: bin k joins bin k+1, and a small
+        # last bin is the k+1 of its left neighbour
+        k = min(int(np.argmax(counts < min_bin_size)), len(boundaries) - 2)
+        boundaries = np.delete(boundaries, k)
+        counts[k + 1] += counts[k]
+        counts = np.delete(counts, k)
     return DurationBins(boundaries, counts)
-
-
-def _bin_counts(boundaries: np.ndarray, sorted_durations: np.ndarray) -> np.ndarray:
-    idx = group_index(boundaries, sorted_durations)
-    return np.bincount(idx, minlength=len(boundaries)).astype(np.int64)
 
 
 # The record groups a label is computed in: its scope. The order gives

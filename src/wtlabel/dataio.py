@@ -148,13 +148,13 @@ class Reader:
             raise self.fail(f"{len(self.blob) - self.pos} trailing bytes")
 
 
-def _csv_blocks(path: str) -> Iterator:
-    """The header of a CSV file (None for an empty file), then (columns,
-    fault) for each block of up to _READ_ROWS rows: the block's cells by
-    column, and what is wrong with the row after them, which is not as wide
-    as the header, not UTF-8 or not CSV (None if no row is). A block with a
-    fault is the last, and an unreadable header raises MissingField. The
-    list of columns is emptied when the next block is asked for."""
+def _csv_blocks(path: str, error: type[PipelineError]) -> Iterator:
+    """The header of a CSV file (None for an empty file), then (row0,
+    columns) for each block of up to _READ_ROWS rows: the number of its
+    first row and its cells by column, a list emptied when the next block
+    is asked for. An unreadable header raises MissingField. After the last
+    block, a row that is not as wide as the header, not UTF-8 or not CSV
+    raises error naming it, and a file without rows raises EmptyInput."""
     # done counts the header and the rows yielded, cells the rows since;
     # cells stays empty while width is 0
     header, width, decode, done, cells = None, 0, "strict", 0, []
@@ -183,13 +183,17 @@ def _csv_blocks(path: str) -> Iterator:
                     except (csv.Error, UnicodeEncodeError) as exc:
                         fault = _fault(exc)
                     n = len(cells) // (width or 1)
-                    if n or fault is not None:
-                        done += n
+                    if n:
                         columns = [cells[j::width] for j in range(width)]
                         cells = []
-                        yield columns, fault
+                        yield done - 1, columns
+                        done += n
                         columns.clear()
-                    if fault is not None or n < _READ_ROWS:
+                    if fault is not None:
+                        raise error(f"{path} row {done - 1}: {fault}")
+                    if n < _READ_ROWS:
+                        if done == 1:
+                            raise EmptyInput(f"{path}: no data rows")
                         return
         except UnicodeDecodeError:  # raised for a block of text read ahead of its rows
             decode = "surrogateescape"
@@ -221,7 +225,7 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
     the first raised is the header's, then the first bad interaction row's,
     an unreadable row's, a file without rows', then the label columns' in
     header order."""
-    with contextlib.closing(_csv_blocks(path)) as blocks:
+    with contextlib.closing(_csv_blocks(path, MissingField)) as blocks:
         header = next(blocks)
         if header is None:
             raise EmptyInput(f"{path}: empty file")
@@ -236,33 +240,21 @@ def _read_records(path: str, labeled: bool) -> tuple[InteractionTable, dict[str,
         labels = header[4:]
         users, videos, dur_text, watch_text, durations, watches = [], [], [], [], [], []
         parts: dict[str, list[np.ndarray]] = {name: [] for name in labels}
-        errors: dict[str, PipelineError] = {}  # the first in each label column
-        fault = None
-        for cols, fault in blocks:
-            row0 = len(users)
+        # (column, 0 for a non-number or 1 out of range): the first such cell's error
+        errors: dict[tuple[int, bool], PipelineError] = {}
+        for row0, cols in blocks:
             duration, watch = _interaction_block(path, *cols[:4], row0)
             durations.append(duration)
             watches.append(watch)
             for kept, cells in zip((users, videos, dur_text, watch_text), cols):
                 kept += cells
-            for name, cells in zip(labels, cols[4:]):
-                if isinstance(errors.get(name), MissingField):  # a non-number ranks first
-                    continue
-                try:
-                    values, bad = _label_block(path, name, cells, row0)
-                except MissingField as exc:
-                    errors[name] = exc
-                    continue
+            for j, (name, cells) in enumerate(zip(labels, cols[4:])):
+                values, bad = _label_block(path, name, cells, row0)
                 parts[name].append(values)
                 if bad is not None:
-                    errors.setdefault(name, bad)
-    if fault is not None:
-        raise MissingField(f"{path} row {len(users)}: {fault}")
-    if not users:
-        raise EmptyInput(f"{path}: no data rows")
-    for name in labels:
-        if name in errors:
-            raise errors[name]
+                    errors.setdefault((j, isinstance(bad, LabelOutOfRange)), bad)
+    if errors:
+        raise errors[min(errors)]
     table = InteractionTable(users, videos, _joined(durations), _joined(watches),
                              duration_text=dur_text, watch_text=watch_text)
     columns: dict[str, np.ndarray] = {}
@@ -304,11 +296,11 @@ def _interaction_block(
 
 def _label_block(
     path: str, name: str, cells: list[str], row0: int
-) -> tuple[np.ndarray, Optional[LabelOutOfRange]]:
+) -> tuple[Optional[np.ndarray], Optional[PipelineError]]:
     """A block of a label column from row row0 as floats, NaN for empty
     cells, and the error naming its first other cell outside [0, 1], or
-    outside {0, 1} in a binary column (None if there is none). A cell that
-    is not a number raises MissingField."""
+    outside {0, 1} in a binary column (None if there is none). For a block
+    with a cell that is not a number, None and the MissingField naming it."""
     try:
         values = _floats(cells, empty=True)
     except ValueError:
@@ -317,7 +309,7 @@ def _label_block(
                 float(cell or 0)
             except ValueError:
                 msg = f"{path} row {i}: column {name} is not a number: {cell!r}"
-                raise MissingField(msg) from None
+                return None, MissingField(msg)
         raise
     binary = name in BINARY_LABELS
     bad = np.flatnonzero(~((values == 0) | (values == 1) if binary
@@ -401,20 +393,15 @@ def write_truth(path: str, truth: SyntheticTruth) -> None:
 
 
 def read_truth(path: str) -> SyntheticTruth:
-    with contextlib.closing(_csv_blocks(path)) as blocks:
+    with contextlib.closing(_csv_blocks(path, SerializationError)) as blocks:
         header = next(blocks)
         if header is None or tuple(header) != TRUTH_HEADER:
             raise SerializationError(f"{path}: expected header {','.join(TRUTH_HEADER)}")
-        ms, fs, n, fault = [], [], 0, None
-        for cols, fault in blocks:
-            m, f_mean = _truth_block(path, *cols, n)
+        ms, fs = [], []
+        for row0, cols in blocks:
+            m, f_mean = _truth_block(path, *cols, row0)
             ms.append(m)
             fs.append(f_mean)
-            n += len(m)
-    if fault is not None:
-        raise SerializationError(f"{path} row {n}: {fault}")
-    if not n:
-        raise EmptyInput(f"{path}: no data rows")
     return SyntheticTruth(m=_joined(ms), f_mean=_joined(fs))
 
 

@@ -117,7 +117,6 @@ class GroupedSummaries:
         self, groups: dict[str, _Groups], bins: Optional[DurationBins], mode: str, eps: float
     ):
         self.groups, self.bins, self.mode, self.eps = groups, bins, mode, eps
-        self.kinds = frozenset(groups)
         self._rows: tuple[object, dict[str, np.ndarray]] = (None, {})
 
     def rows(self, table, kind: str) -> np.ndarray:

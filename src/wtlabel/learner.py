@@ -131,6 +131,25 @@ class Model:
         return sum(int(p.size) for p in self.params.values())
 
 
+_LOSS_KINDS = {"ordinal_cumulative": "ordinal", "weighted_logistic": "odds", "logistic": "binary"}
+
+
+def _task_kind(target: str, loss: str) -> tuple[str, bool]:
+    """The kind of a task's scores, set by its loss or else by its label's
+    rule, and whether its inverse map has a row per duration bin."""
+    spec = LABELS.get(target)
+    rank_space = spec is not None and spec.rank_space
+    if loss in _LOSS_KINDS:
+        kind = _LOSS_KINDS[loss]
+    elif rank_space:
+        kind = "quantile"
+    elif spec is not None and spec.rule == "playing_rate":
+        kind = spec.rule
+    else:
+        kind = "seconds"
+    return kind, rank_space and spec.scope == "duration_bin"
+
+
 def resolve_tasks(
     tasks: Sequence[TaskConfig],
     columns: Mapping[str, np.ndarray],
@@ -151,38 +170,16 @@ def resolve_tasks(
         col = np.asarray(columns[t.target], dtype=np.float64)
         if t.loss in ("logistic", "weighted_logistic") and not np.isin(col, (0.0, 1.0)).all():
             raise ConfigInvalid(f"task {name}: {t.loss} needs 0/1 targets in {t.target!r}")
-        spec = LABELS.get(t.target)
-        rank_space = spec is not None and spec.rank_space
         n_out = 1
         if t.loss == "ordinal_cumulative":
-            kind = "ordinal"
             n_groups = len(np.unique(col))
             if n_groups < 2:
                 raise DegenerateLabels(
                     f"task {name}: ordinal target has {n_groups} distinct value(s)"
                 )
             n_out = n_groups - 1
-        elif t.loss == "weighted_logistic":
-            kind = "odds"
-        elif t.loss == "logistic":
-            kind = "binary"
-        elif rank_space:
-            kind = "quantile"
-        elif spec is not None and spec.rule == "playing_rate":
-            kind = spec.rule
-        else:
-            kind = "seconds"
-        out.append(
-            ResolvedTask(
-                name=name,
-                target=t.target,
-                loss=t.loss,
-                weight=float(t.weight),
-                n_out=n_out,
-                kind=kind,
-                per_bin=rank_space and spec.scope == "duration_bin",
-            )
-        )
+        out.append(ResolvedTask(name, t.target, t.loss, float(t.weight), n_out,
+                                *_task_kind(t.target, t.loss)))
     return tuple(out)
 
 
@@ -257,8 +254,7 @@ def forward(
     """Scores per task plus the cache the backward pass needs."""
     rows = (user_rows, video_rows, bin_rows)
     x = np.concatenate([params[k][r] for k, r in zip(EMBEDDINGS, rows)], axis=1)
-    hs = []
-    dacts = []
+    hs, dacts = [], []
     expert_out = np.empty((arch.n_experts, x.shape[0], arch.hidden))  # (E, B, hidden)
     for e in range(arch.n_experts):
         a = x @ params[f"expert{e}_w1"].T
@@ -271,9 +267,7 @@ def forward(
         dacts.append(dh)
         np.matmul(h, params[f"expert{e}_w2"].T, out=expert_out[e])
         expert_out[e] += params[f"expert{e}_b2"]
-    scores = {}
-    gates = {}
-    mixed = {}
+    scores, gates, mixed = {}, {}, {}
     for t in tasks:
         p = x @ params[f"gate_{t.name}_w"].T
         p += params[f"gate_{t.name}_b"]
@@ -302,9 +296,7 @@ def _task_loss(
     b = s.shape[0]
     if task.loss == "squared_error":
         diff = s[:, 0] - targets
-        loss = float(np.mean(diff * diff))
-        ds = (2.0 / b) * diff[:, None]
-        return loss, ds
+        return float(np.mean(diff * diff)), (2.0 / b) * diff[:, None]
     # binary cross-entropy on every output; pos marks the positive
     # targets, for ordinal tasks 1{group > k} on the 0-based group index
     if task.loss == "ordinal_cumulative":
@@ -423,14 +415,18 @@ def build_train_data(
     bins: DurationBins,
 ) -> TrainData:
     targets, weights = _prepare_targets(tasks, columns, table.watch_time_s)
-    # ids outside an index share its last embedding row
-    return TrainData(
-        id_rows(user_index, table.user_id, len(user_index)),
-        id_rows(video_index, table.video_id, len(video_index)),
-        bins.bin_of_many(table.duration_s),
-        targets,
-        weights,
-    )
+    return TrainData(*_embedding_rows(user_index, video_index, bins, table), targets, weights)
+
+
+def _embedding_rows(
+    user_index: Mapping[str, int], video_index: Mapping[str, int], bins: DurationBins,
+    table: InteractionTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each record's user, video and duration-bin embedding row. Ids
+    outside an index share its last row."""
+    return (id_rows(user_index, table.user_id, len(user_index)),
+            id_rows(video_index, table.video_id, len(video_index)),
+            bins.bin_of_many(table.duration_s))
 
 
 # a huge learning rate overflows in an update or the forward pass after it,
@@ -633,29 +629,15 @@ def fit(
     bins = make_duration_bins(table, bins_b, bins_min_size)
     user_index, video_index = id_index(table.user_id), id_index(table.video_id)
     rng = np.random.Generator(np.random.PCG64(opt.seed))
-    params = init_model(
-        arch, resolved, len(user_index), len(video_index), bins.n_bins, rng
-    )
-    model = Model(
-        arch=arch,
-        tasks=resolved,
-        params=params,
-        user_index=user_index,
-        video_index=video_index,
-        bins=bins,
-    )
+    params = init_model(arch, resolved, len(user_index), len(video_index), bins.n_bins, rng)
+    model = Model(arch, resolved, params, user_index, video_index, bins)
     data = build_train_data(table, full_columns, resolved, user_index, video_index, bins)
     trace = train(model, data, opt, rng)
-    bin_rows = data.bin_rows
     for t in resolved:
         if t.kind in ("quantile", "ordinal"):
             model.inverses[t.name] = build_wpr_inverse(
-                np.asarray(full_columns[t.target], dtype=np.float64),
-                table.watch_time_s,
-                bin_rows,
-                t.per_bin,
-                bins.n_bins,
-            )
+                np.asarray(full_columns[t.target], dtype=np.float64), table.watch_time_s,
+                data.bin_rows, t.per_bin, bins.n_bins)
     return model, trace
 
 
@@ -689,10 +671,7 @@ def score_and_predict(
     tasks = {t.name: t for t in model.tasks}
     if task_name is not None and task_name not in tasks:
         raise ConfigInvalid(f"no task named {task_name!r}")
-    user_rows = id_rows(model.user_index, table.user_id, len(model.user_index))
-    video_rows = id_rows(model.video_index, table.video_id, len(model.video_index))
-    bin_rows = model.bins.bin_of_many(table.duration_s)
-    rows = (user_rows, video_rows, bin_rows)
+    rows = _embedding_rows(model.user_index, model.video_index, model.bins, table)
     # a diverged model's huge parameters overflow here, to scores that are
     # inf or nan, or finite but meaningless; the pass records each overflow,
     # and the checks below report both as errors rather than warnings
@@ -716,14 +695,11 @@ def score_and_predict(
             ranking.append(out[t.name] / t.n_out)
         else:
             out[t.name] = s[:, 0]
-            if t.kind == "binary":
-                ranking.append(sigmoid(s[:, 0]))
-            else:
-                ranking.append(s[:, 0])
+            ranking.append(sigmoid(s[:, 0]) if t.kind == "binary" else s[:, 0])
     out["fused"] = np.mean(np.stack(ranking, axis=0), axis=0)
     if task_name is None:
         return out, None
-    return out, _watch_time(model, tasks[task_name], out[task_name], bin_rows, table.duration_s)
+    return out, _watch_time(model, tasks[task_name], out[task_name], rows[2], table.duration_s)
 
 
 def _watch_time(
@@ -762,32 +738,22 @@ def save_model(model: Model, path: str) -> None:
         "tasks": [asdict(t) for t in model.tasks],
         "users": sorted(model.user_index, key=model.user_index.get),
         "videos": sorted(model.video_index, key=model.video_index.get),
-        "inverses": {
-            name: {"per_bin": inv.per_bin} for name, inv in model.inverses.items()
-        },
+        "inverses": {name: {"per_bin": inv.per_bin} for name, inv in model.inverses.items()},
     }
     arrays: list[tuple[str, np.ndarray]] = [("bins_boundaries", model.bins.boundaries),
                                             ("bins_counts", model.bins.counts.astype(np.float64))]
-    for k in sorted(model.params):
-        arrays.append((f"param:{k}", model.params[k]))
-    for name in sorted(model.inverses):
-        inv = model.inverses[name]
-        arrays.append((f"inv:{name}:prefix", inv.prefix))
-        arrays.append((f"inv:{name}:reps", inv.reps))
-    blob = [struct.pack("<4sI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)]
+    arrays += [(f"param:{k}", model.params[k]) for k in sorted(model.params)]
+    for name, inv in sorted(model.inverses.items()):
+        arrays += [(f"inv:{name}:prefix", inv.prefix), (f"inv:{name}:reps", inv.reps)]
     enc = json.dumps(meta, sort_keys=True).encode("utf-8")
-    blob.append(struct.pack("<Q", len(enc)))
-    blob.append(enc)
-    blob.append(struct.pack("<I", len(arrays)))
+    blob = [struct.pack("<4sIQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(enc)), enc,
+            struct.pack("<I", len(arrays))]
     for name, arr in arrays:
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         nb = name.encode("utf-8")
-        blob.append(struct.pack("<H", len(nb)))
-        blob.append(nb)
-        blob.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            blob.append(struct.pack("<Q", dim))
-        blob.append(arr.tobytes())
+        # name length, name, rank, shape, values
+        blob += [struct.pack("<H", len(nb)), nb,
+                 struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape), arr.tobytes()]
     atomic_write_bytes(path, b"".join(blob))
 
 
@@ -835,15 +801,42 @@ def load_model(path: str) -> Model:
             want[f"inv:{name}:reps"] = (bins.n_bins if inv.per_bin else 1, inv.prefix.size)
         if {k.removeprefix("param:"): v.shape for k, v in arrays.items()} != want:
             raise ValueError("array shapes disagree with the metadata")
-        return Model(
-            arch=arch,
-            tasks=tasks,
-            params=params,
-            user_index={u: i for i, u in enumerate(users)},
-            video_index={v: i for i, v in enumerate(videos)},
-            bins=bins,
-            inverses=inverses,
-        )
+        try:
+            check_config(arch)
+        except ConfigInvalid as exc:
+            raise SerializationError(f"{path}: checkpoint architecture: {exc}") from None
+        # each task as resolve_tasks builds it
+        for t in tasks:
+            kind, per_bin = _task_kind(t.target, t.loss)
+            for key, ok, rule in (
+                ("loss", t.loss in LOSSES, f"one of {', '.join(LOSSES)}"),
+                ("kind", t.kind == kind, repr(kind)),
+                ("per_bin", t.per_bin == per_bin, repr(per_bin)),
+                ("n_out", t.n_out >= 1 if kind == "ordinal" else t.n_out == 1,
+                 ">= 1" if kind == "ordinal" else "1"),
+                ("weight", isinstance(t.weight, (int, float)) and 0 < t.weight < math.inf,
+                 "finite and > 0"),
+            ):
+                if not ok:
+                    raise SerializationError(f"{path}: checkpoint task {t.name!r} has {key} "
+                                             f"{getattr(t, key)!r}, expected {rule}")
+        # each inverse map as build_wpr_inverse builds it
+        ordinal = {t.name: t.n_out for t in tasks if t.kind == "ordinal"}
+        for name, inv in inverses.items():
+            p, fault = inv.prefix, None
+            if not (p.size and np.isfinite(p).all() and (np.diff(p) > 0).all()):
+                fault = "prefix must be non-empty, finite and strictly ascending"
+            elif name in ordinal and p.size != ordinal[name] + 1:
+                fault = f"prefix must hold n_out + 1 = {ordinal[name] + 1} values, not {p.size}"
+            elif name not in ordinal and not 0 <= p[0] <= p[-1] <= 1:
+                fault = "prefix must lie in [0, 1]"
+            elif not (np.isfinite(inv.reps).all() and (inv.reps >= 0).all()):
+                fault = "reps must be finite and >= 0"
+            if fault:
+                raise SerializationError(
+                    f"{path}: checkpoint inverse map of task {name!r}: {fault}")
+        return Model(arch, tasks, params, user_index=id_index(users),
+                     video_index=id_index(videos), bins=bins, inverses=inverses)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(
             f"{path}: metadata and arrays do not form a model: {type(exc).__name__}: {exc}"

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import wtlabel
 import wtlabel.cli as cli
+import wtlabel.learner as learner
 from wtlabel.cli import (
     ABLATE_VARIANTS,
     PipelineConfig,
@@ -50,6 +51,7 @@ from wtlabel.learner import (
     ModelArch,
     OptimizerConfig,
     TaskConfig,
+    WprInverse,
     fit,
     load_model,
     predict_watch_time,
@@ -223,6 +225,35 @@ def test_print_config_reports_every_key_and_default(tmp_path, capsys):
         f"wrote 100000 records to {out}/interactions.csv",
         f"wrote ground truth to {out}/truth.csv",
     ]
+
+
+# each subcommand's required flags, which parse_args alone never opens
+REQUIRED_FLAGS = {
+    "gen": ["--out", "o"],
+    "label": ["--input", "i.csv", "--output", "l.csv"],
+    "train": ["--input", "l.csv", "--model", "m.bin"],
+    "eval": ["--input", "l.csv", "--model", "m.bin", "--report", "r.csv"],
+    "ablate": ["--input", "i.csv", "--truth", "t.csv", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED_FLAGS)
+def test_global_flags_resolve_alike_before_and_after_every_subcommand(tmp_path, capsys, command):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("n_groups = 50\n")
+    flags = [["--config", str(cfg)], ["--seed", "9"], ["--print-config"]]
+    results = set()
+    for after in range(8):  # bit i: flags[i] goes after the subcommand
+        before = [f for i, pair in enumerate(flags) if not after >> i & 1 for f in pair]
+        behind = [f for i, pair in enumerate(flags) if after >> i & 1 for f in pair]
+        config = resolve_config(build_parser().parse_args(
+            [*before, command, *REQUIRED_FLAGS[command], *behind]))
+        results.add((config, capsys.readouterr().out))
+    assert len(results) == 1  # one config and printout wherever each flag goes
+    (config, out), = results
+    assert (config.n_groups, config.seed, config.train_seed) == (50, 9, 9)
+    assert out.splitlines() == [f"{key}={getattr(config, key)}"
+                                for key in sorted(PipelineConfig.__dataclass_fields__)]
 
 
 def test_global_flags_accepted_before_subcommand(tmp_path):
@@ -595,13 +626,135 @@ def test_eval_missing_task_column_exits_2(small_run, trained, tmp_path, capsys):
     assert run(["label", "--input", small_run["data"], "--output", ab,
                 "--ablation-labels"]) == 0
     model = str(tmp_path / "ef.bin")
-    assert run(["train", "--input", ab, "--model", model,
-                "--config", trained["cfg"], "--tasks", "ef_wpr:squared_error"]) == 0
+    assert run(["train", "--input", ab, "--model", model, "--config", trained["cfg"],
+                "--tasks", "ef_wpr:squared_error,ev:logistic"]) == 0
+    capsys.readouterr()
     report = str(tmp_path / "r.csv")
     rc = run(["eval", "--input", small_run["labeled"], "--model", model,
               "--report", report])
     assert rc == 2
-    assert "ef_wpr" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {small_run['labeled']}: checkpoint task 'ef_wpr' was trained on column "
+        "'ef_wpr', absent here\n")
+
+
+@pytest.fixture(scope="module")
+def ordinal_trained(small_run, trained, tmp_path_factory):
+    """A checkpoint with a per-bin rank task, a binary task and an ordinal task."""
+    model = str(tmp_path_factory.mktemp("ordinal") / "m.bin")
+    assert run(["train", "--input", small_run["labeled"], "--model", model, "--config",
+                trained["cfg"], "--tasks",
+                "wpr_d:squared_error,ev_d:logistic,wpr:ordinal_cumulative:0.1"]) == 0
+    return model
+
+
+def _task(model, name, **fields):
+    model.tasks = tuple(dataclasses.replace(t, **fields) if t.name == name else t
+                        for t in model.tasks)
+
+
+def _inverse(model, name, prefix=None, reps=None):
+    inv = model.inverses[name]
+    model.inverses[name] = WprInverse(inv.prefix if prefix is None else prefix(inv.prefix),
+                                      inv.reps if reps is None else reps(inv.reps), inv.per_bin)
+
+
+LOSS_LIST = "squared_error, logistic, weighted_logistic, ordinal_cumulative"
+# a change to a loaded checkpoint, after which its arrays are reshaped to
+# the metadata, and the error eval then gives
+CORRUPT_CHECKPOINTS = {
+    "kind_bogus": (lambda m: _task(m, "wpr_d", kind="bogus"),
+                   "task 'wpr_d' has kind 'bogus', expected 'quantile'"),
+    "kind_binary": (lambda m: _task(m, "wpr_d", kind="binary"),
+                    "task 'wpr_d' has kind 'binary', expected 'quantile'"),
+    "kind_of_ordinal": (lambda m: _task(m, "wpr", kind="quantile"),
+                        "task 'wpr' has kind 'quantile', expected 'ordinal'"),
+    "loss_bogus": (lambda m: _task(m, "ev_d", loss="bogus_loss"),
+                   f"task 'ev_d' has loss 'bogus_loss', expected one of {LOSS_LIST}"),
+    "loss_changes_kind": (lambda m: _task(m, "ev_d", loss="weighted_logistic"),
+                          "task 'ev_d' has kind 'binary', expected 'odds'"),
+    "per_bin_yes": (lambda m: _task(m, "wpr_d", per_bin="yes"),
+                    "task 'wpr_d' has per_bin 'yes', expected True"),
+    "per_bin_false": (lambda m: _task(m, "wpr_d", per_bin=False),
+                      "task 'wpr_d' has per_bin False, expected True"),
+    "weight_heavy": (lambda m: _task(m, "ev_d", weight="heavy"),
+                     "task 'ev_d' has weight 'heavy', expected finite and > 0"),
+    "weight_zero": (lambda m: _task(m, "ev_d", weight=0.0),
+                    "task 'ev_d' has weight 0.0, expected finite and > 0"),
+    "n_out_0": (lambda m: _task(m, "ev_d", n_out=0), "task 'ev_d' has n_out 0, expected 1"),
+    "n_out_2": (lambda m: _task(m, "wpr_d", n_out=2), "task 'wpr_d' has n_out 2, expected 1"),
+    "ordinal_n_out_0": (lambda m: (_task(m, "wpr", n_out=0),
+                                   _inverse(m, "wpr", prefix=lambda p: p[:1],
+                                            reps=lambda r: r[:, :1])),
+                        "task 'wpr' has n_out 0, expected >= 1"),
+    "d_embed_0": (lambda m: setattr(m, "arch", dataclasses.replace(m.arch, d_embed=0)),
+                  "architecture: d_embed must be >= 1"),
+    "n_experts_0": (lambda m: setattr(m, "arch", dataclasses.replace(m.arch, n_experts=0)),
+                    "architecture: n_experts must be >= 1"),
+    "prefix_reversed": (lambda m: _inverse(m, "wpr_d", prefix=lambda p: p[::-1].copy()),
+                        "inverse map of task 'wpr_d': prefix must be non-empty, finite and "
+                        "strictly ascending"),
+    "prefix_empty": (lambda m: _inverse(m, "wpr_d", prefix=lambda p: p[:0],
+                                        reps=lambda r: r[:, :0]),
+                     "inverse map of task 'wpr_d': prefix must be non-empty, finite and "
+                     "strictly ascending"),
+    "prefix_nan": (lambda m: _inverse(m, "wpr_d", prefix=lambda p: np.append(p[:-1], np.nan)),
+                   "inverse map of task 'wpr_d': prefix must be non-empty, finite and "
+                   "strictly ascending"),
+    "prefix_above_1": (lambda m: _inverse(m, "wpr_d", prefix=lambda p: p * 2),
+                       "inverse map of task 'wpr_d': prefix must lie in [0, 1]"),
+    "prefix_below_0": (lambda m: _inverse(m, "wpr_d", prefix=lambda p: p - 0.5),
+                       "inverse map of task 'wpr_d': prefix must lie in [0, 1]"),
+    "ordinal_prefix_short": (lambda m: _inverse(m, "wpr", prefix=lambda p: p[:-1],
+                                                reps=lambda r: r[:, :-1]),
+                             "inverse map of task 'wpr': prefix must hold n_out + 1 = {n} "
+                             "values, not {short}"),
+    "reps_nan": (lambda m: _inverse(m, "wpr_d", reps=lambda r: np.where(r > r.min(), r, np.nan)),
+                 "inverse map of task 'wpr_d': reps must be finite and >= 0"),
+    "reps_negative": (lambda m: _inverse(m, "wpr", reps=lambda r: r - r.max() - 1),
+                      "inverse map of task 'wpr': reps must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_CHECKPOINTS)
+def test_eval_of_a_checkpoint_with_a_field_train_never_writes_exits_2(
+        small_run, ordinal_trained, tmp_path, capsys, case):
+    change, message = CORRUPT_CHECKPOINTS[case]
+    model = load_model(ordinal_trained)
+    n = len(model.inverses["wpr"].prefix)
+    change(model)
+    shapes = learner._param_shapes(model.arch, model.tasks, len(model.user_index),
+                                   len(model.video_index), model.bins.n_bins)
+    model.params = {k: model.params[k] if model.params.get(k, np.empty(0)).shape == shape
+                    else np.zeros(shape) for k, shape in shapes.items()}
+    path = str(tmp_path / "corrupt.bin")
+    save_model(model, path)
+    capsys.readouterr()
+    assert run(["eval", "--input", small_run["labeled"], "--model", path,
+                "--report", tmp_path / "r.csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: checkpoint {message.format(n=n, short=n - 1)}\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_checkpoint_of_every_recipe_loads(small_run, tmp_path):
+    # the checks above accept whatever train writes: every loss and kind,
+    # an ordinal task on raw seconds whose prefix leaves [0, 1], and a rank
+    # label of 0
+    table, columns = read_labeled(small_run["labeled"])
+    columns["wpr"] = np.where(columns["wpr"] == columns["wpr"].min(), 0.0, columns["wpr"])
+    tasks = [TaskConfig(*spec) for spec in (
+        ("wpr", "squared_error"), ("wpr_d", "ordinal_cumulative", 0.1), ("ev", "logistic"),
+        ("lv_d", "weighted_logistic", 0.05), ("playing_rate", "squared_error"),
+        ("watch_time_s", "squared_error", 0.02))]
+    tasks.append(TaskConfig("watch_time_s", "ordinal_cumulative", 0.1, name="or_s"))
+    model, _ = fit(table, columns, tasks, ModelArch(4, 2, 4), OptimizerConfig(epochs=1))
+    assert model.inverses["wpr"].prefix[0] == 0.0
+    assert model.inverses["or_s"].prefix[-1] > 1
+    path = str(tmp_path / "m.bin")
+    save_model(model, path)
+    assert [t.kind for t in load_model(path).tasks] == [
+        "quantile", "ordinal", "binary", "odds", "playing_rate", "seconds", "ordinal"]
 
 
 @pytest.mark.parametrize("key", ["lr_embed", "lr_dense"])

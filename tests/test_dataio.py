@@ -68,13 +68,13 @@ def _reference_records(path: str, labeled: bool):
             if len(row) != len(header):
                 raise MissingField(f"{path} row {i}: expected {len(header)} fields, got {len(row)}")
             try:
-                rec = validate_interaction(row[0], row[1], row[2], row[3], i)
+                validate_interaction(row[0], row[1], row[2], row[3], i)
             except PipelineError as exc:
                 raise type(exc)(f"{path} {exc}") from None
-            users.append(rec.user_id)
-            videos.append(rec.video_id)
-            durations.append(rec.duration_s)
-            watches.append(rec.watch_time_s)
+            users.append(row[0])
+            videos.append(row[1])
+            durations.append(float(row[2]))
+            watches.append(float(row[3]))
             dur_text.append(row[2])
             watch_text.append(row[3])
             label_text.extend(row[4:])
