@@ -128,14 +128,15 @@ class InteractionTable:
         index = np.asarray(index)
         if index.dtype == bool:
             index = np.flatnonzero(index)
+        rows = index.tolist()
         return InteractionTable(
-            [self.user_id[i] for i in index],
-            [self.video_id[i] for i in index],
+            gather(self.user_id, rows),
+            gather(self.video_id, rows),
             self.duration_s[index],
             self.watch_time_s[index],
             self.row_index[index],
-            [self.duration_text[i] for i in index] if self.duration_text else None,
-            [self.watch_text[i] for i in index] if self.watch_text else None,
+            gather(self.duration_text, rows) if self.duration_text else None,
+            gather(self.watch_text, rows) if self.watch_text else None,
         )
 
 
@@ -153,6 +154,12 @@ def id_index(ids) -> dict:
     """Each distinct id mapped to its position among them in sorted order.
     Ids are compared exactly as given, a trailing NUL included."""
     return {key: i for i, key in enumerate(sorted(set(ids)))}
+
+
+def gather(values: list, rows: list[int]) -> list:
+    """values[i] for each i of rows. Rows come as Python ints, from one
+    .tolist(): indexing a list by numpy integers costs one conversion each."""
+    return [values[i] for i in rows]
 
 
 def id_rows(index: dict, ids, unseen: int) -> np.ndarray:

@@ -16,7 +16,10 @@ inverse CDF applied to open-interval uniforms built from 53-bit
 integers, so the draw sequence is reproducible from the documented
 order: user vectors, video vectors, video duration noise, per-user
 video selections (partial Fisher-Yates), then per-record response
-noise.
+noise. Each user's selection takes exactly one rng.integers call, in
+user order: integers buffers 32-bit draws within one call, so a single
+batched call would consume the stream differently and change every
+dataset.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import InteractionTable, check_config, sigmoid
+from .core import InteractionTable, check_config, gather, sigmoid
 from .errors import ConfigInvalid
 from .metrics import eligible_user_mean, user_segments
 
@@ -95,17 +98,16 @@ def generate(config: SyntheticConfig) -> tuple[InteractionTable, SyntheticTruth]
     durations = np.round(durations, 3)
 
     ipu = config.interactions_per_user
-    vid_rows = np.empty(config.n_records, dtype=np.int64)
-    pool = np.empty(config.n_videos, dtype=np.int64)
-    base = np.arange(config.n_videos, dtype=np.int64)
     lows = np.arange(ipu, dtype=np.int64)
-    for u in range(config.n_users):
-        pool[:] = base
-        draws = rng.integers(lows, config.n_videos)
-        for j in range(ipu):
-            d = draws[j]
-            pool[j], pool[d] = pool[d], pool[j]
-        vid_rows[u * ipu : (u + 1) * ipu] = pool[:ipu]
+    picks = []
+    for _ in range(config.n_users):
+        # partial Fisher-Yates on the pool 0..n_videos-1, holding only the
+        # positions a swap moved: moved.get(p, p) is the video at position p
+        moved = {}
+        for j, d in enumerate(rng.integers(lows, config.n_videos).tolist()):
+            picks.append(moved.get(d, d))
+            moved[d] = moved.get(j, j)
+    vid_rows = np.array(picks, dtype=np.int64)
     user_rows = np.repeat(np.arange(config.n_users, dtype=np.int64), ipu)
 
     eps = _standard_normal(rng, config.n_records)
@@ -116,8 +118,8 @@ def generate(config: SyntheticConfig) -> tuple[InteractionTable, SyntheticTruth]
 
     width_u = len(str(config.n_users - 1))
     width_v = len(str(config.n_videos - 1))
-    user_ids = [f"u{i:0{width_u}d}" for i in user_rows]
-    video_ids = [f"v{i:0{width_v}d}" for i in vid_rows]
+    user_ids = gather([f"u{i:0{width_u}d}" for i in range(config.n_users)], user_rows.tolist())
+    video_ids = gather([f"v{i:0{width_v}d}" for i in range(config.n_videos)], picks)
     table = InteractionTable(user_ids, video_ids, durations[vid_rows], watch)
     return table, SyntheticTruth(m=m, f_mean=f_mean)
 

@@ -100,6 +100,35 @@ def test_table_subset_by_mask():
     assert list(sub.row_index) == [0, 2]
 
 
+@pytest.mark.parametrize("index", [
+    np.array([True, False, True, True, False]),
+    np.array([4, 0, 2, 2, -1]),
+    np.array([], dtype=np.int64),
+    np.zeros(5, dtype=bool),
+])
+@pytest.mark.parametrize("with_text", [False, True])
+def test_table_subset_matches_a_per_element_gather(index, with_text):
+    duration, watch = np.array([10.0, 20.0, 30.0, 40.0, 50.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    t = InteractionTable(
+        ["a", "b", "c", "d", "e"], ["v", "w", "x", "y", "z"], duration, watch,
+        row_index=np.array([7, 3, 9, 1, 5]),
+        duration_text=[f"{x:.1f}" for x in duration] if with_text else None,
+        watch_text=[f"{x:.2f}" for x in watch] if with_text else None,
+    )
+    sub = t.subset(index)
+    rows = np.flatnonzero(index) if index.dtype == bool else index
+    assert sub.user_id == [t.user_id[i] for i in rows]
+    assert sub.video_id == [t.video_id[i] for i in rows]
+    assert sub.duration_s.tobytes() == duration[rows].tobytes()
+    assert sub.watch_time_s.tobytes() == watch[rows].tobytes()
+    assert sub.row_index.tolist() == [t.row_index[i] for i in rows]
+    if with_text:
+        assert sub.duration_text == [t.duration_text[i] for i in rows]
+        assert sub.watch_text == [t.watch_text[i] for i in rows]
+    else:
+        assert sub.duration_text is None and sub.watch_text is None
+
+
 def test_labels_take_only_a_table():
     with pytest.raises(TypeError, match="expected an InteractionTable, got list"):
         label_wpr_global([("u1", "v1", 60.0, 30.0, 0)], make_partition("equal_frequency", 2))

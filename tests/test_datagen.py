@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from wtlabel.core import make_duration_bins, make_partition
-from wtlabel.datagen import SyntheticConfig, SyntheticTruth, generate, oracle_rank_quality
+from wtlabel.core import make_duration_bins, make_partition, sigmoid
+from wtlabel.datagen import (
+    SyntheticConfig, SyntheticTruth, _standard_normal, generate, oracle_rank_quality,
+)
 from wtlabel.errors import ConfigInvalid, NoEligibleUsers
 from wtlabel.labeling import label_wpr_debiased, label_wpr_global
 
@@ -131,6 +133,71 @@ def test_nan_float_rejected(field):
     config = SyntheticConfig(n_users=3, n_videos=5, interactions_per_user=2)
     with pytest.raises(ConfigInvalid, match=f"^{field} must not be NaN$"):
         generate(dataclasses.replace(config, **{field: math.nan}))
+
+
+def _reference_generate(config):
+    """generate with a reset numpy pool per user and one f-string per record id:
+    the reference that the moved-position shuffle and the id gather match."""
+    config.validate()
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    k = config.latent_dim
+    scale = 1.0 / math.sqrt(k)
+
+    users = _standard_normal(rng, (config.n_users, k))
+    videos = _standard_normal(rng, (config.n_videos, k))
+    eta = _standard_normal(rng, config.n_videos)
+
+    confound = config.confound_sign * videos[:, 0] * scale
+    log_d = config.mu_d + config.s_d * confound + config.sigma_d * eta
+    durations = np.clip(np.exp(log_d), config.d_min, config.d_max)
+    durations = np.round(durations, 3)
+
+    ipu = config.interactions_per_user
+    vid_rows = np.empty(config.n_records, dtype=np.int64)
+    pool = np.empty(config.n_videos, dtype=np.int64)
+    base = np.arange(config.n_videos, dtype=np.int64)
+    lows = np.arange(ipu, dtype=np.int64)
+    for u in range(config.n_users):
+        pool[:] = base
+        draws = rng.integers(lows, config.n_videos)
+        for j in range(ipu):
+            d = draws[j]
+            pool[j], pool[d] = pool[d], pool[j]
+        vid_rows[u * ipu : (u + 1) * ipu] = pool[:ipu]
+    user_rows = np.repeat(np.arange(config.n_users, dtype=np.int64), ipu)
+
+    eps = _standard_normal(rng, config.n_records)
+    m = (users[user_rows] * videos[vid_rows]).sum(axis=1) * scale
+    f_mean = sigmoid(config.alpha * m + config.beta)
+    f = np.clip(sigmoid(config.alpha * m + config.beta + config.sigma_y * eps), 0.0, 1.0)
+    watch = np.round(durations[vid_rows] * f, 3)
+
+    width_u = len(str(config.n_users - 1))
+    width_v = len(str(config.n_videos - 1))
+    user_ids = [f"u{i:0{width_u}d}" for i in user_rows]
+    video_ids = [f"v{i:0{width_v}d}" for i in vid_rows]
+    return user_ids, video_ids, durations[vid_rows], watch, m, f_mean
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_users=7, n_videos=30, interactions_per_user=30),  # a full permutation
+    dict(n_users=1, n_videos=1, interactions_per_user=1),
+    dict(n_users=10, n_videos=100, interactions_per_user=40),
+    dict(n_users=11, n_videos=101, interactions_per_user=60),
+    dict(n_users=11, n_videos=10, interactions_per_user=10),
+    dict(n_users=10, n_videos=101, interactions_per_user=101, seed=9),
+    dict(n_users=12, n_videos=50, interactions_per_user=20, s_d=0.0, sigma_d=0.0),
+    dict(n_users=12, n_videos=50, interactions_per_user=20, confound_sign=-1.0),
+])
+def test_generate_matches_the_numpy_pool_reference(overrides):
+    config = SyntheticConfig(**{"seed": 5, **overrides})
+    table, truth = generate(config)
+    user_ids, video_ids, duration, watch, m, f_mean = _reference_generate(config)
+    assert table.user_id == user_ids
+    assert table.video_id == video_ids
+    for got, want in [(table.duration_s, duration), (table.watch_time_s, watch),
+                      (truth.m, m), (truth.f_mean, f_mean)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- rank oracle

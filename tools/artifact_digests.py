@@ -19,6 +19,11 @@ The runs, on the gen defaults (a) and on 2,000 users x 100 records over
     equal-width, playing-rate and weighted-logistic heads; eval --truth
     of the first on --split eval and all
   on (a): ablate --epochs 1
+  gen alone at the edges of its id widths and shuffle, each into its own
+    directory under OUT/edges: 1 user x 1 video; 11 users x 10 videos,
+    10 x 100 and 11 x 101 (the last at --seed 3), each user's records a full
+    permutation of the videos; --confound off --records 300 over 10
+    users and 100 videos
 """
 
 from __future__ import annotations
@@ -59,6 +64,13 @@ def runs(out: str) -> list[list[str]]:
         ["ablate", "--input", data, "--truth", truth, "--out", os.path.join(a, "ablate"),
          "--epochs", "1"],
     ]
+    edges = {"1x1": ["--users", "1", "--videos", "1", "--per-user", "1"],
+             "11x10": ["--users", "11", "--videos", "10", "--per-user", "10"],
+             "10x100": ["--users", "10", "--videos", "100", "--per-user", "100"],
+             "11x101": ["--users", "11", "--videos", "101", "--per-user", "101", "--seed", "3"],
+             "off": ["--users", "10", "--videos", "100", "--confound", "off", "--records", "300"]}
+    cmds += [["gen", "--out", os.path.join(out, "edges", name), *flags]
+             for name, flags in edges.items()]
     return cmds
 
 
