@@ -16,10 +16,13 @@ is held to the end, so which fault is raised does not depend on the block
 size. CSV writes go a block of rows at a time too, so a writer holds one
 block's text beyond its input: each block's cells are built by column,
 joined with LF line ends and quoted as csv.writer's default does, encoded
-and written. A column of reals is formatted through its distinct values in
-the block, and each run of adjacent binary labels is written as one
-pre-joined cell per row. Inputs are checked whole before the temp file is
-opened.
+and written. Reals are written as format(v, ".3f"), ".6f" or ".9f" writes
+them, correctly rounded with ties to even, by one numpy formatter (_fixed)
+that writes each value's digits into a byte matrix. The truth file's
+blocks are built as bytes from it directly; in the other files a column of
+reals is formatted through its distinct values in the block, and each run
+of adjacent binary labels is written as one pre-joined cell per row.
+Inputs are checked whole before the temp file is opened.
 
 Formats:
   interactions  user_id,video_id,duration_s,watch_time_s
@@ -59,9 +62,9 @@ TRUTH_HEADER = ("row_index", "m", "f_mean")
 # rows per CSV write block. A writer holds one block's cells, row strings,
 # text and bytes beyond its input: on the 200k-record label_wide set,
 # write_labeled's traced peak is 20 MB at this size against 56 MB for the
-# whole file, and 5 MB at 16,384 rows. Reals are deduplicated per block, so
-# smaller blocks format gen's repeated video durations more often: gen's two
-# writers take 221 ms on the whole file, 232 ms here and 240 ms at 16,384.
+# whole file, and 5 MB at 16,384 rows. gen's two writers take 150-165 ms
+# here, 155 ms at 16,384 rows and 180-200 ms on the whole file, whose byte
+# matrices outgrow the caches (best of 11, in process, 2-CPU Xeon).
 _BLOCK_ROWS = 65536
 
 # rows per CSV read block. A reader holds one block's cells beyond what it
@@ -311,17 +314,22 @@ def _label_block(
                 msg = f"{path} row {i}: column {name} is not a number: {cell!r}"
                 return None, MissingField(msg)
         raise
-    binary = name in BINARY_LABELS
-    bad = np.flatnonzero(~((values == 0) | (values == 1) if binary
-                           else (values >= 0) & (values <= 1)))
+    bad, domain = _outside(name, values)
     if bad.size:
         bad = bad[np.asarray(cells, dtype=object)[bad] != ""]
     if not bad.size:
         return values, None
     return values, LabelOutOfRange(
-        f"{path} row {row0 + bad[0]}: column {name} must lie in "
-        f"{'{0, 1}' if binary else '[0, 1]'}, got {cells[bad[0]]!r}"
+        f"{path} row {row0 + bad[0]}: column {name} must lie in {domain}, got {cells[bad[0]]!r}"
     )
+
+
+def _outside(name: str, values: np.ndarray) -> tuple[np.ndarray, str]:
+    """The rows whose value, NaN included, lies outside label column name's
+    domain, and the domain: {0, 1} for a binary label, else [0, 1]."""
+    if name in BINARY_LABELS:
+        return np.flatnonzero((values != 0) & (values != 1)), "{0, 1}"
+    return np.flatnonzero(~((values >= 0) & (values <= 1))), "[0, 1]"
 
 
 def read_interactions(path: str) -> InteractionTable:
@@ -339,35 +347,110 @@ def _text_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if special(c) else c for c in cells]
 
 
+# Veltkamp's splitter: c = _SPLITTER * x, hi = c - (c - x) holds the high
+# 26 bits of a float64 x and x - hi the rest, both exact
+_SPLITTER = float(2**27 + 1)
+# "0000" to "9999", the four ASCII digits of each held in one uint32
+_DIGITS4 = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# 10 to 10^16: an integer below 2^53 has 1 + (how many it reaches) digits
+_TENS = 10 ** np.arange(1, 17)
+
+
+def _fixed(values: np.ndarray, decimals: int) -> np.ndarray:
+    """Each value's format(v, f".{decimals}f") text, for decimals from 0 to
+    15: one row of ASCII bytes per value, right-aligned and NUL on the left.
+
+    |v|·10^decimals is rounded to an integer half to even, exactly: the
+    float product p may be off by its rounding error e, which Dekker's
+    product gives exactly, and rint(p) is right unless p is a half-integer,
+    where the sign of e says which way p + e lies. A value that is not
+    finite, or whose p reaches 2^52, where half-integers are not all
+    floats, is formatted by format itself."""
+    v = np.asarray(values, np.float64)
+    a, scale = np.abs(v), 10.0**decimals
+    # an overflow or underflow here touches only rows that format takes or
+    # whose p is below 1/2, so never a tie
+    with np.errstate(all="ignore"):
+        p = a * scale
+        c, s = _SPLITTER * a, _SPLITTER * scale
+        a_hi, s_hi = c - (c - a), s - (s - scale)
+        a_lo, s_lo = a - a_hi, scale - s_hi
+        e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    slow = ~(p < 2.0**52)
+    p[slow] = 0.0
+    tie = (p - np.floor(p) == 0.5) & (e != 0)
+    r = np.where(tie, p + np.copysign(0.5, e), np.rint(p)).astype(np.int64)
+    # n digits of r are written, at least one before the point
+    n = np.maximum(np.searchsorted(_TENS, r, side="right") + 1, decimals + 1)
+    wide = n.max(initial=decimals + 1)
+    groups = -(-wide // 4)
+    digits = np.empty((len(r), groups), np.uint32)
+    for k in range(groups - 1, -1, -1):  # four digits at a time, from the last
+        r, low = np.divmod(r, 10_000)
+        digits[:, k] = _DIGITS4[low]
+    digits = digits.view(np.uint8)[:, 4 * groups - wide :]
+    point = 1 + wide - decimals  # the point's column; column 0 holds the widest sign
+    out = np.zeros((len(v), point + decimals + (decimals > 0)), np.uint8)
+    out[:, 1:point] = digits[:, : wide - decimals]
+    if decimals:
+        out[:, point] = ord(".")
+        out[:, point + 1 :] = digits[:, wide - decimals :]
+    lead = wide - n  # a row's zeros from column 1 to lead are blanked, its sign goes at lead
+    out[:, 1 : point - 1] *= np.arange(1, point - 1) > lead[:, None]
+    minus = np.flatnonzero(np.signbit(v) & ~slow)
+    out[minus, lead[minus]] = ord("-")
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = [format(x, f".{decimals}f").encode() for x in v[slow].tolist()]
+        pad = max(map(len, text)) - out.shape[1]
+        if pad > 0:
+            out = np.hstack([np.zeros((len(v), pad), np.uint8), out])
+        for i, cell in zip(slow, text):
+            out[i] = 0
+            out[i, out.shape[1] - len(cell) :] = np.frombuffer(cell, np.uint8)
+    return out
+
+
+def _field_rows(fields: Sequence[np.ndarray]) -> bytes:
+    """The rows of right-aligned fields (_fixed's) joined by commas, each
+    LF-terminated."""
+    n = len(fields[0])
+    comma, lf = np.full((n, 1), ord(","), np.uint8), np.full((n, 1), ord("\n"), np.uint8)
+    text = np.hstack([part for field in fields for part in (field, comma)][:-1] + [lf])
+    return text[text != 0].tobytes()
+
+
 def _real_cells(values: np.ndarray, decimals: int) -> list[str]:
     """Each distinct bit pattern (-0.0 apart from 0.0) formatted once, gathered by row."""
     bits, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64), return_inverse=True)
-    text = map(f"{{:.{decimals}f}}".format, bits.view(np.float64).tolist())
-    return np.array(list(text), dtype=object)[inverse].tolist()
+    text = _field_rows([_fixed(bits.view(np.float64), decimals)]).decode("ascii").split("\n")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _write_blocks(
-    path: str, header: Sequence[str], blocks: Iterable[Iterable[Iterable[str]]]
-) -> None:
-    """The header, then each block's rows of cells, LF-terminated UTF-8."""
+def _write_blocks(path: str, header: Sequence[str], blocks: Iterable[bytes]) -> None:
+    """The header, then each block's bytes."""
     with _atomic_file(path) as fh:
         fh.write(f"{','.join(header)}\n".encode("utf-8"))
-        for rows in blocks:
-            fh.write("\n".join([*map(",".join, rows), ""]).encode("utf-8"))
+        for _ in map(fh.write, blocks):  # holds no block while the next is built
+            pass
 
 
-def _column_blocks(
-    n: int, columns: Callable[[slice], list[list[str]]]
-) -> Iterator[Iterator[tuple[str, ...]]]:
-    """The rows of each block of n rows, from the columns of cells that
-    columns(rows) builds for the block's slice (stop at most n)."""
-    return (zip(*columns(slice(lo, min(lo + _BLOCK_ROWS, n)))) for lo in range(0, n, _BLOCK_ROWS))
+def _blocks(n: int, block: Callable[[slice], bytes]) -> Iterator[bytes]:
+    """The bytes of each block of n rows, as block(rows) encodes the block's
+    slice (stop at most n)."""
+    return (block(slice(lo, min(lo + _BLOCK_ROWS, n))) for lo in range(0, n, _BLOCK_ROWS))
 
 
-def _row_blocks(rows: Iterable[Iterable[str]]) -> Iterator[list[Iterable[str]]]:
-    """Rows taken _BLOCK_ROWS at a time."""
+def _encoded(rows: Iterable[Iterable[str]]) -> bytes:
+    """Rows of cells as LF-terminated UTF-8 lines."""
+    return "\n".join([*map(",".join, rows), ""]).encode("utf-8")
+
+
+def _row_blocks(rows: Iterable[Iterable[str]]) -> Iterator[bytes]:
+    """Rows of cells encoded _BLOCK_ROWS at a time."""
     rows = iter(rows)
-    return iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), [])
+    return map(_encoded, iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []))
 
 
 def _interaction_columns(table: InteractionTable, rows: slice) -> list[list[str]]:
@@ -381,15 +464,15 @@ def _interaction_columns(table: InteractionTable, rows: slice) -> list[list[str]
 
 def write_interactions(path: str, table: InteractionTable) -> None:
     _write_blocks(path, INTERACTION_HEADER,
-                  _column_blocks(table.n, lambda rows: _interaction_columns(table, rows)))
+                  _blocks(table.n, lambda rows: _encoded(zip(*_interaction_columns(table, rows)))))
 
 
 def write_truth(path: str, truth: SyntheticTruth) -> None:
-    def columns(rows: slice) -> list[list[str]]:
-        index = list(map(str, range(rows.start, rows.stop)))
-        return [index, _real_cells(truth.m[rows], 9), _real_cells(truth.f_mean[rows], 9)]
+    def block(rows: slice) -> bytes:
+        index = _fixed(np.arange(rows.start, rows.stop, dtype=np.float64), 0)
+        return _field_rows([index, _fixed(truth.m[rows], 9), _fixed(truth.f_mean[rows], 9)])
 
-    _write_blocks(path, TRUTH_HEADER, _column_blocks(len(truth.m), columns))
+    _write_blocks(path, TRUTH_HEADER, _blocks(len(truth.m), block))
 
 
 def read_truth(path: str) -> SyntheticTruth:
@@ -454,12 +537,14 @@ def write_labeled(path: str, table: InteractionTable, columns: Mapping[str, np.n
             raise EmptyInput(f"{path}: column {name} holds {len(values)} values for {table.n} rows")
     header = labeled_header(columns)
     present_binary = lambda name: name in BINARY_LABELS and name in columns  # noqa: E731
-    for name in filter(present_binary, header):  # before the temp file is opened
-        bits = np.asarray(columns[name])
-        bad = np.flatnonzero((bits != 0) & (bits != 1))
-        if bad.size:  # a stray value would spill into its neighbour's bit
-            raise LabelOutOfRange(f"{path} row {bad[0]}: column {name} must lie in {{0, 1}}, "
-                                  f"got {bits[bad[0]].item()!r}")
+    # before the temp file is opened: a stray binary value would spill into
+    # its neighbour's bit, and read_labeled refuses any value outside its domain
+    for name in filter(columns.__contains__, header[len(INTERACTION_HEADER) :]):
+        values = np.asarray(columns[name])
+        bad, domain = _outside(name, values)
+        if bad.size:
+            raise LabelOutOfRange(f"{path} row {bad[0]}: column {name} must lie in {domain}, "
+                                  f"got {values[bad[0]].item()!r}")
     runs = [(binary, list(run)) for binary, run in
             itertools.groupby(header[len(INTERACTION_HEADER) :], present_binary)]
 
@@ -473,7 +558,7 @@ def write_labeled(path: str, table: InteractionTable, columns: Mapping[str, np.n
                         else _real_cells(np.asarray(columns[name])[rows], 6) for name in run)
         return out
 
-    _write_blocks(path, header, _column_blocks(table.n, cells))
+    _write_blocks(path, header, _blocks(table.n, lambda rows: _encoded(zip(*cells(rows)))))
 
 
 def read_labeled(path: str) -> tuple[InteractionTable, dict[str, np.ndarray]]:

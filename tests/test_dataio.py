@@ -443,6 +443,88 @@ def test_write_labeled_rejects_a_column_of_the_wrong_length(tmp_path, columns, n
     assert not path.exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 1.5])
+def test_write_labeled_rejects_a_real_value_outside_0_1(tmp_path, value):
+    # a real label the writer passed on would be refused by read_labeled
+    table = _table(["u1", "u2", "u3"], ["v1", "v2", "v3"], [60.0] * 3, [30.0] * 3, False)
+    columns = {"ev": np.asarray([1.0, 0.0, 1.0]), "wpr": np.asarray([0.5, value, -0.0])}
+    path = tmp_path / "l.csv"
+    want = rf"l\.csv row 1: column wpr must lie in \[0, 1\], got {value!r}$"
+    with pytest.raises(LabelOutOfRange, match=want):
+        write_labeled(str(path), table, columns)
+    assert not list(tmp_path.iterdir())
+
+
+# ------------------------------------------------------------ real formatting
+
+DECIMALS = st.sampled_from([0, 3, 6, 9])
+
+
+def _fixed_text(values, decimals: int) -> list[str]:
+    """dataio._fixed's rows as text, with a check that they are right-aligned."""
+    rows = [bytes(row).lstrip(b"\0") for row in dataio._fixed(np.asarray(values, float), decimals)]
+    assert not any(b"\0" in row for row in rows)
+    return [row.decode("ascii") for row in rows]
+
+
+def _near_limit(decimals: int) -> list[float]:
+    """The floats around 2^52 / 10^decimals, where the formatter hands over to format."""
+    limit = 2.0**52 / 10.0**decimals
+    down, up = np.nextafter(limit, 0.0), np.nextafter(limit, np.inf)
+    return [float(x) for x in (np.nextafter(down, 0.0), down, limit, up, np.nextafter(up, np.inf))]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=20), DECIMALS)
+def test_fixed_matches_format_on_any_bit_pattern(bits, decimals):
+    values = np.asarray(bits, np.uint64).view(np.float64)
+    assert _fixed_text(values, decimals) == [format(v, f".{decimals}f") for v in values.tolist()]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_subnormal=True) | st.floats(-1e-300, 1e-300), max_size=20),
+       DECIMALS)
+def test_fixed_matches_format_on_floats(values, decimals):
+    assert _fixed_text(values, decimals) == [format(v, f".{decimals}f") for v in values]
+
+
+@pytest.mark.parametrize("value, decimals, text", [
+    (2.5, 0, "2"), (3.5, 0, "4"), (-2.5, 0, "-2"),
+    (0.0625, 3, "0.062"), (0.1875, 3, "0.188"),
+    (0.0078125, 6, "0.007812"), (0.0009765625, 9, "0.000976562"),
+])
+def test_fixed_breaks_an_exact_tie_to_even(value, decimals, text):
+    assert _fixed_text([value], decimals) == [text] == [format(value, f".{decimals}f")]
+
+
+@pytest.mark.parametrize("decimals", [0, 3, 6, 9])
+def test_fixed_matches_format_at_its_edges(decimals):
+    values = [*_near_limit(decimals), *(-x for x in _near_limit(decimals)), 1e308, -1e308,
+              0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, -np.nan, np.inf, -np.inf,
+              0.5 / 10**decimals, 1.5 / 10**decimals, 2**52 - 0.5, 2.0**53]
+    assert _fixed_text(values, decimals) == [format(v, f".{decimals}f") for v in values]
+    assert _fixed_text([], decimals) == []
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_writers_match_format_at_the_fallback_edges(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", block_rows)
+    tiny = [5e-324, 2.2250738585072014e-308]  # the least subnormal and normal floats
+    m = [-0.0, *tiny, *_near_limit(9), 1e308, -1e308, -1.5e-9]
+    f_mean = m[::-1]
+    path = tmp_path / "truth.csv"
+    write_truth(str(path), SyntheticTruth(m=np.asarray(m), f_mean=np.asarray(f_mean)))
+    assert path.read_text() == "row_index,m,f_mean\n" + "".join(
+        f"{i},{a:.9f},{b:.9f}\n" for i, (a, b) in enumerate(zip(m, f_mean)))
+    durations = [*tiny, *_near_limit(3), 1e308, 0.0005, 0.0015]
+    watches = [-0.0, *tiny, *_near_limit(3), 1e308, 0.0025]
+    n = len(durations)
+    table = _table([f"u{i}" for i in range(n)], ["v"] * n, durations, watches, False)
+    write_interactions(str(tmp_path / "i.csv"), table)
+    assert (tmp_path / "i.csv").read_text() == ",".join(INTERACTION_HEADER) + "\n" + "".join(
+        f"u{i},v,{d:.3f},{w:.3f}\n" for i, (d, w) in enumerate(zip(durations, watches)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(_pooled(-1e6, 1e6, TRUTH_POOL), _pooled(0.0, 1.0, TRUTH_POOL)),
                 max_size=6), BLOCK_ROWS)
@@ -595,17 +677,18 @@ def test_a_write_failing_in_a_later_block_leaves_the_target_unchanged(
     monkeypatch.setattr(dataio, "_BLOCK_ROWS", 2)
     table, columns = _labeled_input(5)
     truth = SyntheticTruth(m=np.linspace(0, 1, 5), f_mean=np.linspace(1, 2, 5))
-    per_block = 2 if writer == "truth" else sum(n not in BINARY_LABELS for n in columns)
-    real_cells, calls = dataio._real_cells, []
+    # truth formats its row index, m and f_mean; labeled each real column
+    per_block = 3 if writer == "truth" else sum(n not in BINARY_LABELS for n in columns)
+    fixed, calls = dataio._fixed, []
 
     def failing(values, decimals):  # after the first block's columns
         calls.append(len(values))
         if len(calls) > per_block:
             assert len(list(tmp_path.glob(".tmp-*~"))) == 1
             raise RuntimeError("disk gone")
-        return real_cells(values, decimals)
+        return fixed(values, decimals)
 
-    monkeypatch.setattr(dataio, "_real_cells", failing)
+    monkeypatch.setattr(dataio, "_fixed", failing)
     path = tmp_path / "out.csv"
     path.write_bytes(b"before\n")
     with pytest.raises(RuntimeError, match="disk gone"):

@@ -19,11 +19,12 @@ The runs, on the gen defaults (a) and on 2,000 users x 100 records over
     equal-width, playing-rate and weighted-logistic heads; eval --truth
     of the first on --split eval and all
   on (a): ablate --epochs 1
-  gen alone at the edges of its id widths and shuffle, each into its own
+  gen at the edges of its id widths and shuffle, each into its own
     directory under OUT/edges: 1 user x 1 video; 11 users x 10 videos,
     10 x 100 and 11 x 101 (the last at --seed 3), each user's records a full
     permutation of the videos; --confound off --records 300 over 10
-    users and 100 videos
+    users and 100 videos; and label --ablation-labels of each, so the
+    writers' one-row and few-row outputs are digested too
 """
 
 from __future__ import annotations
@@ -69,8 +70,11 @@ def runs(out: str) -> list[list[str]]:
              "10x100": ["--users", "10", "--videos", "100", "--per-user", "100"],
              "11x101": ["--users", "11", "--videos", "101", "--per-user", "101", "--seed", "3"],
              "off": ["--users", "10", "--videos", "100", "--confound", "off", "--records", "300"]}
-    cmds += [["gen", "--out", os.path.join(out, "edges", name), *flags]
-             for name, flags in edges.items()]
+    for name, flags in edges.items():
+        edge = os.path.join(out, "edges", name)
+        cmds += [["gen", "--out", edge, *flags],
+                 ["label", "--input", os.path.join(edge, "interactions.csv"),
+                  "--output", os.path.join(edge, "abl.csv"), "--ablation-labels"]]
     return cmds
 
 
