@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import learner
 from .core import ABLATION_LABELS, LABELS, STANDARD_LABELS, check_config, make_partition
 from .dataio import (
     read_interactions,
@@ -459,9 +460,10 @@ ABLATE_HEADER = ("variant", "gauc_truth", "auc_ev", "gauc_ev", "mae", "rmse", "m
 _ablate_inputs: tuple = ()
 
 
-def _ablate_worker_init(*inputs) -> None:
+def _ablate_worker_init(workers: int, *inputs) -> None:
     global _ablate_inputs
     _ablate_inputs = inputs
+    learner._cpus = learner._lane_cpus() // workers
 
 
 def _ablate_row(variant: int) -> tuple[str, float, float, float, float, float, float]:
@@ -498,7 +500,7 @@ def run_ablation(
         t.loss == "ordinal_cumulative" for t in ABLATE_VARIANTS[i][1]))
     workers = min(len(os.sched_getaffinity(0)), len(ABLATE_VARIANTS))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_ablate_worker_init, initargs=inputs) as pool:
+                             initializer=_ablate_worker_init, initargs=(workers, *inputs)) as pool:
         futures = {i: pool.submit(_ablate_row, i) for i in order}
         try:
             return [futures[i].result() for i in range(len(ABLATE_VARIANTS))]

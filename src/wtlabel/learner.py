@@ -19,15 +19,34 @@ Watch-time back-conversion depends on the task: direct regression is
 clamped at zero, odds exponentiate, rank-space scores are mapped to the
 group whose prefix interval contains them and answer with that group's
 median training watch time (per duration bin for bin-scoped labels).
+
+A step runs in phases of independent jobs: each expert and each task's
+gate, then each task's head and loss; backward, each task's head and
+gate beside each expert, then each embedding table. When the process may
+run on two CPUs or more (os.sched_getaffinity) and numpy's OpenBLAS runs
+each call on one thread (OPENBLAS_NUM_THREADS=1), train,
+score_and_predict and gradient_check run each phase on the calling
+thread and one helper thread; an ablate worker's fits stay on one. A job
+makes the numpy calls one thread would, on the same operands in the same
+order, and the lane that runs it is fixed by cost weights, not timing,
+so no bit depends on the lane count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import glob
 import json
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -243,6 +262,99 @@ def _gelu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, dh
 
 
+def _blas_threads() -> Optional[int]:
+    """The threads the OpenBLAS bundled with numpy runs a call on, or None
+    where numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+# The CPUs one call may use: train, score_and_predict and gradient_check
+# run each phase of a step on two lanes when it is at least 2. The first
+# call sets it to every CPU the process may run on when BLAS runs each
+# call on one thread, and else to 1: a threaded BLAS's workers already
+# take the other CPUs, and a second lane beside them measured slower than
+# one. An ablate worker divides it by the worker count, so its fits stay
+# on one lane.
+_cpus: Optional[int] = None
+
+
+def _lane_cpus() -> int:
+    global _cpus
+    if _cpus is None:
+        _cpus = len(os.sched_getaffinity(0)) if _blas_threads() == 1 else 1
+    return _cpus
+
+
+# a phase: (cost, job) pairs; a lane runner takes one and runs its jobs
+_Jobs = Sequence[tuple[float, Callable[[], None]]]
+_Lanes = Callable[[_Jobs], None]
+
+# The cost of an expert's job over a task's. Alone at the default shapes
+# an expert's forward job (two GEMMs and the GELU) takes 7 times a gate's,
+# and its backward job 2.7 times a task's; a backward cost of 2.0, which
+# puts two tasks beside one expert, gave the shorter two-lane step there,
+# as a task's many short ops slow down most beside the other lane.
+_EXPERT_FORWARD = 7.0
+_EXPERT_BACKWARD = 2.0
+
+
+def _one_lane(jobs: _Jobs) -> None:
+    """Run a phase's jobs in order on the calling thread."""
+    for _, job in jobs:
+        job()
+
+
+def _run_lane(jobs: Sequence[tuple[int, Callable[[], None]]]) -> Optional[tuple[int, Exception]]:
+    """Run (index, job) pairs in order; the first that fails, as its
+    index and error, or None."""
+    for i, job in jobs:
+        try:
+            job()
+        except Exception as exc:
+            return i, exc
+    return None
+
+
+@contextmanager
+def _lanes() -> Iterator[_Lanes]:
+    """A runner of phases for one call. A phase is a list of (cost, job)
+    pairs that may run in any order. With _cpus >= 2 its jobs are split
+    between the calling thread and one helper thread that lives as long
+    as the with block: each job goes to the lane with the smaller summed
+    cost so far, the caller's on a tie, so the split depends on the
+    costs alone. A job runs on the helper in a copy of the caller's
+    context, so numpy's error state reaches it. The runner returns when
+    both lanes are done, and raises the error of the first failing job
+    in phase order."""
+    if _lane_cpus() < 2:
+        yield _one_lane
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="wtlabel-lane") as helper:
+        def run(jobs: _Jobs) -> None:
+            lanes: tuple[list, list] = ([], [])
+            load = [0.0, 0.0]
+            for i, (cost, job) in enumerate(jobs):
+                lane = int(load[1] < load[0])
+                lanes[lane].append((i, job))
+                load[lane] += cost
+            theirs = None
+            if lanes[1]:
+                theirs = helper.submit(contextvars.copy_context().run, _run_lane, lanes[1])
+            failed = [f for f in (_run_lane(lanes[0]), theirs and theirs.result()) if f]
+            if failed:
+                raise min(failed, key=lambda f: f[0])[1]
+        yield run
+
+
 def forward(
     params: Mapping[str, np.ndarray],
     arch: ModelArch,
@@ -250,40 +362,54 @@ def forward(
     user_rows: np.ndarray,
     video_rows: np.ndarray,
     bin_rows: np.ndarray,
+    lanes: _Lanes = _one_lane,
+    then: Optional[Callable[[int, np.ndarray], None]] = None,
 ):
-    """Scores per task plus the cache the backward pass needs."""
+    """Scores per task plus the cache the backward pass needs, in two
+    phases run by lanes: each expert and each task's gate, then each
+    task's mix and head, ending with then(i, scores) of task i if given."""
     rows = (user_rows, video_rows, bin_rows)
     x = np.concatenate([params[k][r] for k, r in zip(EMBEDDINGS, rows)], axis=1)
-    hs, dacts = [], []
+    experts, n_tasks = range(arch.n_experts), len(tasks)
+    hs, dacts = [None] * arch.n_experts, [None] * arch.n_experts
     expert_out = np.empty((arch.n_experts, x.shape[0], arch.hidden))  # (E, B, hidden)
-    for e in range(arch.n_experts):
+    gates, mixed, scores = [None] * n_tasks, [None] * n_tasks, [None] * n_tasks
+
+    def expert(e: int) -> None:
         a = x @ params[f"expert{e}_w1"].T
         a += params[f"expert{e}_b1"]
         # a gaussian-gated unit; its curvature at the origin lets the
         # experts pick up embedding cross terms from the first step,
         # which an odd nonlinearity like tanh cannot do
-        h, dh = _gelu(a)
-        hs.append(h)
-        dacts.append(dh)
-        np.matmul(h, params[f"expert{e}_w2"].T, out=expert_out[e])
+        hs[e], dacts[e] = _gelu(a)
+        np.matmul(hs[e], params[f"expert{e}_w2"].T, out=expert_out[e])
         expert_out[e] += params[f"expert{e}_b2"]
-    scores, gates, mixed = {}, {}, {}
-    for t in tasks:
-        p = x @ params[f"gate_{t.name}_w"].T
-        p += params[f"gate_{t.name}_b"]
+
+    def gate(i: int) -> None:
+        p = x @ params[f"gate_{tasks[i].name}_w"].T
+        p += params[f"gate_{tasks[i].name}_b"]
         top = p[:, 0].copy()
-        for e in range(1, arch.n_experts):  # exact, and faster than a max over the short axis
+        for e in experts[1:]:  # exact, and faster than a max over the short axis
             np.maximum(top, p[:, e], out=top)
         p -= top[:, None]
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        mix = np.einsum("be,ebh->bh", p, expert_out)
-        scores[t.name] = mix @ params[f"head_{t.name}_w"].T
-        scores[t.name] += params[f"head_{t.name}_b"]
-        gates[t.name] = p
-        mixed[t.name] = mix
+        gates[i] = p
+
+    def head(i: int) -> None:
+        mixed[i] = np.einsum("be,ebh->bh", gates[i], expert_out)
+        scores[i] = mixed[i] @ params[f"head_{tasks[i].name}_w"].T
+        scores[i] += params[f"head_{tasks[i].name}_b"]
+        if then is not None:
+            then(i, scores[i])
+
+    lanes([(_EXPERT_FORWARD, partial(expert, e)) for e in experts]
+          + [(1.0, partial(gate, i)) for i in range(n_tasks)])
+    lanes([(1.0, partial(head, i)) for i in range(n_tasks)])
+    names = [t.name for t in tasks]
+    gates, mixed = dict(zip(names, gates)), dict(zip(names, mixed))
     cache = (x, hs, dacts, expert_out, gates, mixed, user_rows, video_rows, bin_rows)
-    return scores, cache
+    return dict(zip(names, scores)), cache
 
 
 def _task_loss(
@@ -330,44 +456,69 @@ def _backward(
     tasks: Sequence[ResolvedTask],
     cache,
     dscores: Mapping[str, np.ndarray],
+    lanes: _Lanes = _one_lane,
 ) -> dict[str, np.ndarray]:
+    """Gradients of every parameter, in two phases run by lanes: each
+    task's head and gate beside each expert, then each embedding table."""
     x, hs, dacts, expert_out, gates, mixed, user_rows, video_rows, bin_rows = cache
-    grads: dict[str, np.ndarray] = {}
-    d_expert_out = np.zeros_like(expert_out)
+    n_tasks = len(tasks)
+    grads: dict[str, np.ndarray] = dict.fromkeys(params)
+    dmixes = [dscores[t.name] @ params[f"head_{t.name}_w"] for t in tasks]
+    # dx sums one term per task, then one per expert, in that order; a
+    # term waits here only until the terms before it are in
     dx = np.zeros_like(x)
-    for t in tasks:
-        ds = dscores[t.name]
-        grads[f"head_{t.name}_w"] = ds.T @ mixed[t.name]
-        grads[f"head_{t.name}_b"] = ds.sum(axis=0)
-        dmix = ds @ params[f"head_{t.name}_w"]
-        p = gates[t.name]
-        dp = np.einsum("bh,ebh->be", dmix, expert_out)
-        for e in range(arch.n_experts):
-            # one expert at a time: broadcasting p.T over the whole
-            # (E, B, H) block reads p with a stride, several times slower
-            d_expert_out[e] += p[:, e, None] * dmix
+    waiting: dict[int, np.ndarray] = {}
+    summed = [0]
+    lock = threading.Lock()
+
+    def add_to_dx(i: int, term: np.ndarray) -> None:
+        with lock:
+            waiting[i] = term
+            while summed[0] in waiting:
+                np.add(dx, waiting.pop(summed[0]), out=dx)
+                summed[0] += 1
+
+    def task(i: int) -> None:
+        name, ds = tasks[i].name, dscores[tasks[i].name]
+        grads[f"head_{name}_w"] = ds.T @ mixed[name]
+        grads[f"head_{name}_b"] = ds.sum(axis=0)
+        p = gates[name]
+        dp = np.einsum("bh,ebh->be", dmixes[i], expert_out)
         # a fresh C-contiguous array: updating the einsum output dp in
         # place changes the bits of the gate-bias sum below
         dlogits = p * (dp - (dp * p).sum(axis=1, keepdims=True))
-        grads[f"gate_{t.name}_w"] = dlogits.T @ x
-        grads[f"gate_{t.name}_b"] = dlogits.sum(axis=0)
-        dx += dlogits @ params[f"gate_{t.name}_w"]
-    for e in range(arch.n_experts):
-        doe = d_expert_out[e]
+        grads[f"gate_{name}_w"] = dlogits.T @ x
+        grads[f"gate_{name}_b"] = dlogits.sum(axis=0)
+        add_to_dx(i, dlogits @ params[f"gate_{name}_w"])
+
+    def expert(e: int) -> None:
+        # the output gradient sums p[:, e] * dmix in task order, each
+        # product made in one scratch that then holds da
+        doe = np.zeros_like(hs[e])
+        da = np.empty_like(doe)
+        for t, dmix in zip(tasks, dmixes):
+            doe += np.multiply(gates[t.name][:, e, None], dmix, out=da)
         grads[f"expert{e}_w2"] = doe.T @ hs[e]
         grads[f"expert{e}_b2"] = doe.sum(axis=0)
-        da = doe @ params[f"expert{e}_w2"]
+        np.matmul(doe, params[f"expert{e}_w2"], out=da)
         da *= dacts[e]
         grads[f"expert{e}_w1"] = da.T @ x
         grads[f"expert{e}_b1"] = da.sum(axis=0)
-        dx += da @ params[f"expert{e}_w1"]
+        add_to_dx(n_tasks + e, da @ params[f"expert{e}_w1"])
+
+    lanes([(1.0, partial(task, i)) for i in range(n_tasks)]
+          + [(_EXPERT_BACKWARD, partial(expert, e)) for e in range(arch.n_experts)])
     # an embedding row sums its records' gradients in record order, as
     # np.add.at does, here by one bincount over flat (row, column) cells
     d = arch.d_embed
-    for j, (name, rows) in enumerate(zip(EMBEDDINGS, (user_rows, video_rows, bin_rows))):
+
+    def embedding(j: int, name: str, rows: np.ndarray) -> None:
         cells = (rows[:, None] * d + np.arange(d)).ravel()
         flat = np.bincount(cells, dx[:, j * d : (j + 1) * d].ravel(), params[name].size)
         grads[name] = flat.reshape(params[name].shape)
+
+    lanes([(1.0, partial(embedding, j, name, rows))
+           for j, (name, rows) in enumerate(zip(EMBEDDINGS, (user_rows, video_rows, bin_rows)))])
     return grads
 
 
@@ -443,41 +594,44 @@ def train(
     task, loss) rows holding each task's unweighted mean loss per epoch."""
     if data.n == 0:
         raise EmptyDataset("no training records")
-    trace: list[tuple[int, str, float]] = []
-    for epoch in range(1, opt.epochs + 1):
-        perm = rng.permutation(data.n)
-        sums = {t.name: 0.0 for t in model.tasks}
-        for start in range(0, data.n, opt.batch_size):
-            take = perm[start : start + opt.batch_size]
-            total, losses, dscores, cache = _batch_loss(
-                model.params, model.arch, model.tasks, data, take
-            )
-            for t in model.tasks:
-                sums[t.name] += losses[t.name] * len(take)
-            if not np.isfinite(total):
-                bad = ", ".join(f"{n}={v}" for n, v in losses.items() if not np.isfinite(v))
-                raise NonFiniteLoss(
-                    f"epoch {epoch}, batch at {start}: loss became {total} "
-                    f"(non-finite task losses: {bad or 'none, their weighted sum overflowed'})"
+    with _lanes() as lanes:
+        trace: list[tuple[int, str, float]] = []
+        for epoch in range(1, opt.epochs + 1):
+            perm = rng.permutation(data.n)
+            sums = {t.name: 0.0 for t in model.tasks}
+            for start in range(0, data.n, opt.batch_size):
+                take = perm[start : start + opt.batch_size]
+                total, losses, dscores, cache = _batch_loss(
+                    model.params, model.arch, model.tasks, data, take, lanes
                 )
-            grads = _backward(model.params, model.arch, model.tasks, cache, dscores)
-            for k, g in grads.items():
-                g *= opt.lr_embed if k.startswith("emb_") else opt.lr_dense
-                model.params[k] -= g
-        for t in model.tasks:
-            trace.append((epoch, t.name, sums[t.name] / data.n))
-    bad = [k for k, p in model.params.items() if not np.isfinite(p).all()]
-    if bad:
-        raise NonFiniteLoss(f"parameter {bad[0]} became non-finite in the last update")
-    overflow = _forward_overflow(
-        model, (data.user_rows[take], data.video_rows[take], data.bin_rows[take])
-    )
-    if overflow is not None:
-        raise NonFiniteLoss(f"the forward pass after the last update overflows in {overflow}")
-    return trace
+                for t in model.tasks:
+                    sums[t.name] += losses[t.name] * len(take)
+                if not np.isfinite(total):
+                    bad = ", ".join(f"{n}={v}" for n, v in losses.items() if not np.isfinite(v))
+                    raise NonFiniteLoss(
+                        f"epoch {epoch}, batch at {start}: loss became {total} "
+                        f"(non-finite task losses: {bad or 'none, their weighted sum overflowed'})"
+                    )
+                grads = _backward(model.params, model.arch, model.tasks, cache, dscores, lanes)
+                for k, g in grads.items():
+                    g *= opt.lr_embed if k.startswith("emb_") else opt.lr_dense
+                    model.params[k] -= g
+            for t in model.tasks:
+                trace.append((epoch, t.name, sums[t.name] / data.n))
+        bad = [k for k, p in model.params.items() if not np.isfinite(p).all()]
+        if bad:
+            raise NonFiniteLoss(f"parameter {bad[0]} became non-finite in the last update")
+        overflow = _forward_overflow(
+            model, (data.user_rows[take], data.video_rows[take], data.bin_rows[take]), lanes
+        )
+        if overflow is not None:
+            raise NonFiniteLoss(f"the forward pass after the last update overflows in {overflow}")
+        return trace
 
 
-def _forward_overflow(model: Model, rows: tuple[np.ndarray, ...]) -> Optional[str]:
+def _forward_overflow(
+    model: Model, rows: tuple[np.ndarray, ...], lanes: _Lanes = _one_lane
+) -> Optional[str]:
     """None if a forward pass over rows runs without overflow, else the
     layer where it overflows and the error ("expert0: overflow encountered
     in multiply"): finite parameters near the float limit give no
@@ -485,7 +639,7 @@ def _forward_overflow(model: Model, rows: tuple[np.ndarray, ...]) -> Optional[st
     one more at a time, then each task's gate and head over all of them."""
     with np.errstate(over="raise", invalid="raise"):
         try:
-            forward(model.params, model.arch, model.tasks, *rows)
+            forward(model.params, model.arch, model.tasks, *rows, lanes)
             return None
         except FloatingPointError as exc:
             layer, error = "one of its layers", exc
@@ -494,7 +648,7 @@ def _forward_overflow(model: Model, rows: tuple[np.ndarray, ...]) -> Optional[st
         probes += [(f"the gate or head of task {t.name!r}", arch, (t,)) for t in model.tasks]
         for name, probe_arch, tasks in probes:
             try:
-                forward(model.params, probe_arch, tasks, *rows)
+                forward(model.params, probe_arch, tasks, *rows, lanes)
             except FloatingPointError as exc:
                 layer, error = name, exc
                 break
@@ -507,22 +661,26 @@ def _batch_loss(
     tasks: Sequence[ResolvedTask],
     data: TrainData,
     take: np.ndarray,
+    lanes: _Lanes = _one_lane,
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray], tuple]:
     """Forward pass over the records take: the weighted total loss, each
     task's unweighted loss, the weighted score gradients, and the cache
-    the backward pass needs."""
-    scores, cache = forward(
-        params, arch, tasks, data.user_rows[take], data.video_rows[take], data.bin_rows[take]
-    )
-    total, losses, dscores = 0.0, {}, {}
-    for t in tasks:
+    the backward pass needs. A task's loss runs in its head's job."""
+    out: list = [None] * len(tasks)
+
+    def loss(i: int, s: np.ndarray) -> None:
+        t = tasks[i]
         w = data.wlr_weights.get(t.name)
-        loss, ds = _task_loss(
-            t, scores[t.name], data.targets[t.name][take], None if w is None else w[take]
-        )
-        total += t.weight * loss
-        losses[t.name] = loss
+        value, ds = _task_loss(t, s, data.targets[t.name][take], None if w is None else w[take])
         ds *= t.weight
+        out[i] = value, ds
+
+    _, cache = forward(params, arch, tasks, data.user_rows[take], data.video_rows[take],
+                       data.bin_rows[take], lanes, loss)
+    total, losses, dscores = 0.0, {}, {}
+    for t, (value, ds) in zip(tasks, out):
+        total += t.weight * value
+        losses[t.name] = value
         dscores[t.name] = ds
     return total, losses, dscores, cache
 
@@ -536,33 +694,34 @@ def gradient_check(
 ) -> float:
     """Largest relative error between analytic and central-difference
     gradients over randomly probed parameter coordinates."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    take = np.arange(min(data.n, 256))
-    _, _, dscores, cache = _batch_loss(model.params, model.arch, model.tasks, data, take)
-    grads = _backward(model.params, model.arch, model.tasks, cache, dscores)
+    with _lanes() as lanes:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        take = np.arange(min(data.n, 256))
+        _, _, dscores, cache = _batch_loss(model.params, model.arch, model.tasks, data, take, lanes)
+        grads = _backward(model.params, model.arch, model.tasks, cache, dscores, lanes)
 
-    names = sorted(model.params)
-    sizes = np.asarray([model.params[k].size for k in names])
-    cum = np.cumsum(sizes)
-    worst = 0.0
-    for _ in range(n_probes):
-        flat = int(rng.integers(0, cum[-1]))
-        which = int(np.searchsorted(cum, flat, side="right"))
-        offset = flat - (cum[which - 1] if which else 0)
-        name = names[which]
-        p = model.params[name]
-        idx = np.unravel_index(offset, p.shape)
-        keep = p[idx]
-        p[idx] = keep + step
-        up = _batch_loss(model.params, model.arch, model.tasks, data, take)[0]
-        p[idx] = keep - step
-        down = _batch_loss(model.params, model.arch, model.tasks, data, take)[0]
-        p[idx] = keep
-        numeric = (up - down) / (2.0 * step)
-        analytic = grads[name][idx]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, rel)
-    return worst
+        names = sorted(model.params)
+        sizes = np.asarray([model.params[k].size for k in names])
+        cum = np.cumsum(sizes)
+        worst = 0.0
+        for _ in range(n_probes):
+            flat = int(rng.integers(0, cum[-1]))
+            which = int(np.searchsorted(cum, flat, side="right"))
+            offset = flat - (cum[which - 1] if which else 0)
+            name = names[which]
+            p = model.params[name]
+            idx = np.unravel_index(offset, p.shape)
+            keep = p[idx]
+            p[idx] = keep + step
+            up = _batch_loss(model.params, model.arch, model.tasks, data, take, lanes)[0]
+            p[idx] = keep - step
+            down = _batch_loss(model.params, model.arch, model.tasks, data, take, lanes)[0]
+            p[idx] = keep
+            numeric = (up - down) / (2.0 * step)
+            analytic = grads[name][idx]
+            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+            worst = max(worst, rel)
+        return worst
 
 
 def _cell_medians(values: np.ndarray, cell: np.ndarray, n_cells: int) -> np.ndarray:
@@ -676,16 +835,19 @@ def score_and_predict(
     # inf or nan, or finite but meaningless; the pass records each overflow,
     # and the checks below report both as errors rather than warnings
     overflows = []
-    with np.errstate(over="call", invalid="call", call=lambda err, flag: overflows.append(err)):
-        scores, _ = forward(model.params, model.arch, model.tasks, *rows)
-    for t in model.tasks:
-        if not np.isfinite(scores[t.name]).all():
-            raise NonFiniteLoss(
-                f"task {t.name!r} scores are not finite: the model diverged in training"
-            )
-    if overflows:
-        raise NonFiniteLoss(f"the forward pass overflows in {_forward_overflow(model, rows)}: "
-                            "the model diverged in training")
+    with _lanes() as lanes:
+        with np.errstate(over="call", invalid="call",
+                         call=lambda err, flag: overflows.append(err)):
+            scores, _ = forward(model.params, model.arch, model.tasks, *rows, lanes)
+        for t in model.tasks:
+            if not np.isfinite(scores[t.name]).all():
+                raise NonFiniteLoss(
+                    f"task {t.name!r} scores are not finite: the model diverged in training"
+                )
+        if overflows:
+            raise NonFiniteLoss(f"the forward pass overflows in "
+                                f"{_forward_overflow(model, rows, lanes)}: "
+                                "the model diverged in training")
     out: dict[str, np.ndarray] = {}
     ranking = []
     for t in model.tasks:

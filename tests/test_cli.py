@@ -866,6 +866,25 @@ def test_ablate_smoke_table(small_run, tmp_path):
         assert 0.0 <= gauc_truth <= 1.0
 
 
+def test_ablate_after_an_in_process_train_matches_a_fresh_process(small_run, tmp_path):
+    # train's lane thread is gone before ablate forks its workers, and each
+    # worker's fits run on one lane
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(SMOKE_TRAIN_CFG + "\nn_groups = 20\n")
+    assert run(["train", "--input", small_run["labeled"], "--model", tmp_path / "m.bin",
+                "--config", cfg]) == 0
+    assert run(["ablate", "--input", small_run["data"], "--truth", small_run["truth"],
+                "--out", tmp_path / "here", "--config", cfg]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(wtlabel.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wtlabel.cli", "ablate", "--input", small_run["data"],
+         "--truth", small_run["truth"], "--out", str(tmp_path / "fresh"), "--config", str(cfg)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert read_bytes(tmp_path / "here" / "ablate.csv") == read_bytes(
+        tmp_path / "fresh" / "ablate.csv")
+
+
 # the nine recipes as (name, [(target, loss, weight), ...])
 RECIPES = [
     ("dml", [("wpr_d", "squared_error", 1.0), ("ev_d", "logistic", 1.0),

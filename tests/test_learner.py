@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wtlabel.learner as learner
 from wtlabel.core import DurationBins, InteractionTable, make_duration_bins, make_partition
 from wtlabel.cli import main as cli_main
 from wtlabel.datagen import SyntheticConfig, generate
@@ -795,6 +798,164 @@ def test_forward_and_backward_match_the_reference_bitwise_at_reference_shapes(ar
     assert grads.keys() == want.keys() == params.keys()
     for k in params:
         assert grads[k].tobytes() == want[k].tobytes(), k
+
+
+# ----------------------------------------------------------------- lanes
+# A step's jobs run on the calling thread and, with learner._cpus >= 2,
+# on one helper thread; every call must give the bits of one lane.
+
+# the four configs of test_train_steps_match_the_reference_bitwise
+STEP_CONFIGS = [
+    ([TaskConfig("wpr_d", "squared_error"), TaskConfig("ev_d", "logistic"),
+      TaskConfig("lv_d", "logistic")], ModelArch(4, 3, 6)),
+    ([TaskConfig("wpr", "ordinal_cumulative", weight=0.1)], ModelArch(4, 3, 6)),
+    ([TaskConfig("ev", "weighted_logistic", weight=0.05)], ModelArch(4, 3, 6)),
+    ([TaskConfig("wpr_d", "squared_error"), TaskConfig("ev_d", "logistic")], ModelArch(4, 1, 6)),
+]
+
+
+@pytest.mark.parametrize("batch_size,epochs", [(1, 1), (7, 1), (96, 2)])
+@pytest.mark.parametrize("tasks,arch", STEP_CONFIGS,
+                         ids=["default_tasks", "ordinal", "weighted_logistic", "one_expert"])
+def test_one_lane_and_two_lanes_give_the_same_bits(monkeypatch, tasks, arch, batch_size, epochs):
+    table, cols = small_labeled(seed=13)
+    if batch_size == 1:  # a step per record: a smaller table keeps the test short
+        table, cols = table.subset(np.arange(table.n) < 200), {
+            k: v[:200] for k, v in cols.items()}
+    opt = OptimizerConfig(lr_embed=0.5, lr_dense=0.05, batch_size=batch_size, epochs=epochs, seed=4)
+    columns = dict(cols, watch_time_s=table.watch_time_s)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(learner, "_cpus", cpus)
+        model, trace = fit(table, cols, tasks, arch, opt, bins_b=4, bins_min_size=20)
+        scores = score_records(model, table)
+        # and one step over the whole table from the trained parameters
+        data = build_train_data(table, columns, model.tasks, model.user_index,
+                                model.video_index, model.bins)
+        with learner._lanes() as lanes:
+            _, _, dscores, cache = learner._batch_loss(
+                model.params, arch, model.tasks, data, np.arange(data.n), lanes)
+            grads = _backward(model.params, arch, model.tasks, cache, dscores, lanes)
+        runs.append((model.params, [(e, n, struct.pack("<d", v)) for e, n, v in trace],
+                     scores, grads))
+    (params1, trace1, scores1, grads1), (params2, trace2, scores2, grads2) = runs
+    assert trace1 == trace2
+    for one, two in (params1, params2), (scores1, scores2), (grads1, grads2):
+        assert list(one) == list(two)
+        for k in one:
+            assert one[k].tobytes() == two[k].tobytes(), k
+
+
+def overflowing_expert1_model() -> Model:
+    """Finite parameters whose expert 1 alone overflows: its first layer
+    is near 1e200, so the GELU's a * a overflows to inf, yet every score
+    stays finite."""
+    tasks = [scalar_task("watch_time_s")]
+    arch = ModelArch(d_embed=2, n_experts=3, hidden=4)
+    rng = np.random.Generator(np.random.PCG64(5))
+    model = zero_model(tasks, arch)
+    model.params.update(init_model(arch, tasks, 3, 3, model.bins.n_bins, rng))
+    model.params["expert1_w1"] *= 1e200
+    return model
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_overflow_on_the_helper_lane_names_its_expert(monkeypatch, cpus):
+    # on two lanes the costs put expert 1 on the helper, beside expert 0 and
+    # expert 2 on the caller
+    monkeypatch.setattr(learner, "_cpus", cpus)
+    model = overflowing_expert1_model()
+    rows = (np.arange(3), np.arange(3), np.zeros(3, dtype=np.int64))
+    with learner._lanes() as lanes:
+        found = learner._forward_overflow(model, rows, lanes)
+    assert found == "expert1: overflow encountered in multiply"
+    # score_and_predict's errstate records the overflow on either lane, and
+    # no RuntimeWarning escapes (the suite turns warnings into errors)
+    table = table_of(np.ones(3), users=["u0", "u1", "u2"], videos=["v0", "v1", "v2"])
+    with pytest.raises(NonFiniteLoss, match=r"^the forward pass overflows in expert1: "
+                       r"overflow encountered in multiply: the model diverged in training$"):
+        score_records(model, table)
+
+
+@pytest.mark.parametrize("weight,epochs,message", [
+    (1e10, 1, r"^parameter emb_user became non-finite in the last update$"),
+    (1.0, 2, r"^epoch 2, batch at 0: loss became inf "),
+    (1.0, 1, r"^the forward pass after the last update overflows in expert0: overflow "),
+])
+def test_huge_learning_rate_raises_the_same_error_on_two_lanes(monkeypatch, weight, epochs,
+                                                                message):
+    # as test_huge_learning_rate_raises_without_a_warning, with both lanes on
+    monkeypatch.setattr(learner, "_cpus", 2)
+    t = table_of(np.linspace(1.0, 50.0, 32), durations=np.full(32, 60.0))
+    opt = OptimizerConfig(lr_embed=1e300, batch_size=32, epochs=epochs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLoss, match=message):
+            fit(t, {}, [TaskConfig("watch_time_s", "squared_error", weight=weight)],
+                ModelArch(2, 2, 4), opt, bins_b=1, bins_min_size=1)
+
+
+def test_two_lanes_keep_the_bits_under_rapid_thread_switches(monkeypatch):
+    # both lanes write gradients and add their terms of dx, in task-then-
+    # expert order; a lost or reordered update would change the bits
+    tasks = [scalar_task("a"), scalar_task("b", kind="binary", loss="logistic"),
+             scalar_task("c", kind="ordinal", loss="ordinal_cumulative", n_out=4)]
+    arch = ModelArch(4, 3, 8)
+    rng = np.random.Generator(np.random.PCG64(8))
+    params = init_model(arch, tasks, 20, 30, 5, rng)
+    rows = [rng.integers(0, params[k].shape[0], size=64) for k in EMBEDDINGS]
+    dscores = {t.name: rng.normal(0.0, 1e-2, (64, t.n_out)) for t in tasks}
+    scores, cache = forward(params, arch, tasks, *rows)
+    want = _backward(params, arch, tasks, cache, dscores)
+    monkeypatch.setattr(learner, "_cpus", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with learner._lanes() as lanes:
+            for _ in range(500):
+                got_scores, got_cache = forward(params, arch, tasks, *rows, lanes)
+                got = _backward(params, arch, tasks, got_cache, dscores, lanes)
+                assert all(got_scores[k].tobytes() == scores[k].tobytes() for k in scores)
+                assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_first_failing_job_raises_in_phase_order(monkeypatch):
+    monkeypatch.setattr(learner, "_cpus", 2)
+    ran = []
+
+    def job(i, fails):
+        def run():
+            ran.append(i)
+            if fails:
+                raise ValueError(f"job {i}")
+        return run
+
+    with learner._lanes() as lanes:
+        # costs put jobs 0 and 2 on the caller, 1 and 3 on the helper
+        with pytest.raises(ValueError, match="^job 1$"):
+            lanes([(1.0, job(0, False)), (1.0, job(1, True)), (1.0, job(2, True)),
+                   (1.0, job(3, False))])
+    # each lane stops at its own first failure
+    assert sorted(ran) == [0, 1, 2]
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    monkeypatch.setattr(learner, "_cpus", 2)
+    start = threading.active_count()
+    table, cols = small_labeled(seed=3, users=12, videos=40, per_user=8)
+    tasks = [TaskConfig("wpr_d", "squared_error"), TaskConfig("ev_d", "logistic")]
+    model, _ = fit(table, cols, tasks, ModelArch(3, 2, 6),
+                   OptimizerConfig(epochs=1, batch_size=32), bins_b=3, bins_min_size=5)
+    assert threading.active_count() == start
+    score_records(model, table)
+    assert threading.active_count() == start
+    with pytest.raises(NonFiniteLoss):
+        fit(table_of(np.linspace(1.0, 50.0, 32)), {}, [TaskConfig("watch_time_s", "squared_error")],
+            ModelArch(2, 2, 4), OptimizerConfig(lr_embed=1e300, batch_size=32, epochs=1),
+            bins_b=1, bins_min_size=1)
+    assert threading.active_count() == start
 
 
 # ------------------------------------------------------- watch-time decode

@@ -25,6 +25,10 @@ The runs, on the gen defaults (a) and on 2,000 users x 100 records over
     permutation of the videos; --confound off --records 300 over 10
     users and 100 videos; and label --ablation-labels of each, so the
     writers' one-row and few-row outputs are digested too
+  on the 11 x 10 edge, with gentle learning rates from a --config file:
+    train --batch-size 7 --epochs 1 with eval --truth, and a train whose
+    config also sets n_experts = 1, so tiny tail batches and one-expert
+    models are digested too
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PLACEHOLDER = "<OUT>"
+# config files, written under OUT before the runs: learning rates at which
+# the tiny batches of the edge sets do not diverge, and one expert
+GENTLE = "lr_embed = 1.0\nlr_dense = 0.02\n"
+CONFIGS = {"gentle.cfg": GENTLE, "one_expert.cfg": GENTLE + "n_experts = 1\n"}
 
 
 def runs(out: str) -> list[list[str]]:
@@ -75,6 +83,14 @@ def runs(out: str) -> list[list[str]]:
         cmds += [["gen", "--out", edge, *flags],
                  ["label", "--input", os.path.join(edge, "interactions.csv"),
                   "--output", os.path.join(edge, "abl.csv"), "--ablation-labels"]]
+    edge = os.path.join(out, "edges", "11x10")
+    abl, model = os.path.join(edge, "abl.csv"), os.path.join(edge, "b7.bin")
+    cmds += [["train", "--config", os.path.join(out, "gentle.cfg"), "--input", abl,
+              "--model", model, "--batch-size", "7", "--epochs", "1"],
+             ["eval", "--input", abl, "--model", model, "--truth", os.path.join(edge, "truth.csv"),
+              "--report", os.path.join(edge, "report_b7.csv")],
+             ["train", "--config", os.path.join(out, "one_expert.cfg"), "--input", abl,
+              "--model", os.path.join(edge, "e1.bin")]]
     return cmds
 
 
@@ -84,6 +100,9 @@ def main(argv: list[str]) -> int:
         return 2
     out = os.path.abspath(argv[0])
     os.makedirs(out)
+    for name, text in CONFIGS.items():
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     env = dict(os.environ, PYTHONPATH=SRC)
     for cmd in runs(out):
         done = subprocess.run([sys.executable, "-m", "wtlabel.cli", *cmd], env=env,
