@@ -142,8 +142,12 @@ def load_config_file(path: str) -> dict[str, object]:
     if not os.path.exists(path):
         raise ConfigInvalid(f"config file not found: {path}")
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:  # a byte that is not UTF-8 was read as a lone surrogate
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigInvalid(f"{path} line {lineno}: text is not UTF-8") from None
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
@@ -181,6 +185,9 @@ def build_partition(config: PipelineConfig):
     kind = config.partition_kind
     ratios = None
     if config.ratios:
+        if kind != "explicit":
+            raise ConfigInvalid(f"ratios is set but partition_kind is {kind!r}; "
+                                "ratios apply only to partition_kind = explicit")
         try:
             ratios = [float(x) for x in config.ratios.split(",")]
         except ValueError:

@@ -17,12 +17,12 @@ size. CSV writes go a block of rows at a time too, so a writer holds one
 block's text beyond its input: each block's cells are built by column,
 joined with LF line ends and quoted as csv.writer's default does, encoded
 and written. Reals are written as format(v, ".3f"), ".6f" or ".9f" writes
-them, correctly rounded with ties to even, by one numpy formatter (_fixed)
-that writes each value's digits into a byte matrix. The truth file's
-blocks are built as bytes from it directly; in the other files a column of
-reals is formatted through its distinct values in the block, and each run
-of adjacent binary labels is written as one pre-joined cell per row.
-Inputs are checked whole before the temp file is opened.
+them by one numpy formatter (_fixed) that writes each value's digits into
+a byte matrix; a value too near a rounding tie is left to format. The
+truth file's blocks are built as bytes from it directly; in the other
+files a column of reals is formatted through its distinct values in the
+block, and each run of adjacent binary labels is one pre-joined cell per
+row. Inputs are checked whole before the temp file is opened.
 
 Formats:
   interactions  user_id,video_id,duration_s,watch_time_s
@@ -347,9 +347,6 @@ def _text_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if special(c) else c for c in cells]
 
 
-# Veltkamp's splitter: c = _SPLITTER * x, hi = c - (c - x) holds the high
-# 26 bits of a float64 x and x - hi the rest, both exact
-_SPLITTER = float(2**27 + 1)
 # "0000" to "9999", the four ASCII digits of each held in one uint32
 _DIGITS4 = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
@@ -361,26 +358,18 @@ def _fixed(values: np.ndarray, decimals: int) -> np.ndarray:
     """Each value's format(v, f".{decimals}f") text, for decimals from 0 to
     15: one row of ASCII bytes per value, right-aligned and NUL on the left.
 
-    |v|·10^decimals is rounded to an integer half to even, exactly: the
-    float product p may be off by its rounding error e, which Dekker's
-    product gives exactly, and rint(p) is right unless p is a half-integer,
-    where the sign of e says which way p + e lies. A value that is not
-    finite, or whose p reaches 2^52, where half-integers are not all
-    floats, is formatted by format itself."""
+    The float product p = |v|·10^decimals lies within half its spacing of
+    the exact one, so unless a half-integer lies within np.spacing(p) of p,
+    np.rint(p) rounds as format does. A value that is not finite, whose p
+    reaches 2^52 or lies that near a half-integer, is left to format."""
     v = np.asarray(values, np.float64)
-    a, scale = np.abs(v), 10.0**decimals
-    # an overflow or underflow here touches only rows that format takes or
-    # whose p is below 1/2, so never a tie
+    # sNaNs raise invalid; over- and underflow touch only rows format takes or with p < 1/2
     with np.errstate(all="ignore"):
-        p = a * scale
-        c, s = _SPLITTER * a, _SPLITTER * scale
-        a_hi, s_hi = c - (c - a), s - (s - scale)
-        a_lo, s_lo = a - a_hi, scale - s_hi
-        e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+        p = np.abs(v) * 10.0**decimals
     slow = ~(p < 2.0**52)
     p[slow] = 0.0
-    tie = (p - np.floor(p) == 0.5) & (e != 0)
-    r = np.where(tie, p + np.copysign(0.5, e), np.rint(p)).astype(np.int64)
+    slow |= np.abs(p - (np.floor(p) + 0.5)) <= np.spacing(p)
+    r = np.rint(p).astype(np.int64)
     # n digits of r are written, at least one before the point
     n = np.maximum(np.searchsorted(_TENS, r, side="right") + 1, decimals + 1)
     wide = n.max(initial=decimals + 1)
@@ -400,21 +389,18 @@ def _fixed(values: np.ndarray, decimals: int) -> np.ndarray:
     out[:, 1 : point - 1] *= np.arange(1, point - 1) > lead[:, None]
     minus = np.flatnonzero(np.signbit(v) & ~slow)
     out[minus, lead[minus]] = ord("-")
-    slow = np.flatnonzero(slow)
-    if slow.size:
-        text = [format(x, f".{decimals}f").encode() for x in v[slow].tolist()]
-        pad = max(map(len, text)) - out.shape[1]
-        if pad > 0:
-            out = np.hstack([np.zeros((len(v), pad), np.uint8), out])
-        for i, cell in zip(slow, text):
-            out[i] = 0
-            out[i, out.shape[1] - len(cell) :] = np.frombuffer(cell, np.uint8)
+    text = [format(x, f".{decimals}f").encode() for x in v[slow].tolist()]
+    pad = max(map(len, text), default=0) - out.shape[1]
+    if pad > 0:
+        out = np.hstack([np.zeros((len(v), pad), np.uint8), out])
+    for i, cell in zip(np.flatnonzero(slow), text):
+        out[i] = 0
+        out[i, out.shape[1] - len(cell) :] = np.frombuffer(cell, np.uint8)
     return out
 
 
 def _field_rows(fields: Sequence[np.ndarray]) -> bytes:
-    """The rows of right-aligned fields (_fixed's) joined by commas, each
-    LF-terminated."""
+    """The rows of right-aligned fields (_fixed's), comma-joined and LF-terminated."""
     n = len(fields[0])
     comma, lf = np.full((n, 1), ord(","), np.uint8), np.full((n, 1), ord("\n"), np.uint8)
     text = np.hstack([part for field in fields for part in (field, comma)][:-1] + [lf])
@@ -428,29 +414,19 @@ def _real_cells(values: np.ndarray, decimals: int) -> list[str]:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _write_blocks(path: str, header: Sequence[str], blocks: Iterable[bytes]) -> None:
-    """The header, then each block's bytes."""
+def _write_blocks(path: str, header: Sequence[str], n: int,
+                  block: Callable[[slice], bytes]) -> None:
+    """The header, then block(rows)'s bytes for each slice of up to
+    _BLOCK_ROWS of the n rows; no block is held while the next is built."""
     with _atomic_file(path) as fh:
         fh.write(f"{','.join(header)}\n".encode("utf-8"))
-        for _ in map(fh.write, blocks):  # holds no block while the next is built
-            pass
-
-
-def _blocks(n: int, block: Callable[[slice], bytes]) -> Iterator[bytes]:
-    """The bytes of each block of n rows, as block(rows) encodes the block's
-    slice (stop at most n)."""
-    return (block(slice(lo, min(lo + _BLOCK_ROWS, n))) for lo in range(0, n, _BLOCK_ROWS))
+        for lo in range(0, n, _BLOCK_ROWS):
+            fh.write(block(slice(lo, min(lo + _BLOCK_ROWS, n))))
 
 
 def _encoded(rows: Iterable[Iterable[str]]) -> bytes:
     """Rows of cells as LF-terminated UTF-8 lines."""
     return "\n".join([*map(",".join, rows), ""]).encode("utf-8")
-
-
-def _row_blocks(rows: Iterable[Iterable[str]]) -> Iterator[bytes]:
-    """Rows of cells encoded _BLOCK_ROWS at a time."""
-    rows = iter(rows)
-    return map(_encoded, iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []))
 
 
 def _interaction_columns(table: InteractionTable, rows: slice) -> list[list[str]]:
@@ -463,8 +439,8 @@ def _interaction_columns(table: InteractionTable, rows: slice) -> list[list[str]
 
 
 def write_interactions(path: str, table: InteractionTable) -> None:
-    _write_blocks(path, INTERACTION_HEADER,
-                  _blocks(table.n, lambda rows: _encoded(zip(*_interaction_columns(table, rows)))))
+    _write_blocks(path, INTERACTION_HEADER, table.n,
+                  lambda rows: _encoded(zip(*_interaction_columns(table, rows))))
 
 
 def write_truth(path: str, truth: SyntheticTruth) -> None:
@@ -472,7 +448,7 @@ def write_truth(path: str, truth: SyntheticTruth) -> None:
         index = _fixed(np.arange(rows.start, rows.stop, dtype=np.float64), 0)
         return _field_rows([index, _fixed(truth.m[rows], 9), _fixed(truth.f_mean[rows], 9)])
 
-    _write_blocks(path, TRUTH_HEADER, _blocks(len(truth.m), block))
+    _write_blocks(path, TRUTH_HEADER, len(truth.m), block)
 
 
 def read_truth(path: str) -> SyntheticTruth:
@@ -558,7 +534,7 @@ def write_labeled(path: str, table: InteractionTable, columns: Mapping[str, np.n
                         else _real_cells(np.asarray(columns[name])[rows], 6) for name in run)
         return out
 
-    _write_blocks(path, header, _blocks(table.n, lambda rows: _encoded(zip(*cells(rows)))))
+    _write_blocks(path, header, table.n, lambda rows: _encoded(zip(*cells(rows))))
 
 
 def read_labeled(path: str) -> tuple[InteractionTable, dict[str, np.ndarray]]:
@@ -570,28 +546,29 @@ def read_labeled(path: str) -> tuple[InteractionTable, dict[str, np.ndarray]]:
     return _read_records(path, labeled=True)
 
 
+def _write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[object]],
+                 decimals: int) -> None:
+    """Rows formatted a block at a time: None and NaN empty, a float with decimals, else str."""
+    def cell(v: object) -> str:
+        if isinstance(v, (float, np.floating)):
+            return "" if np.isnan(v) else f"{v:.{decimals}f}"
+        return "" if v is None else str(v)
+
+    rows = list(rows)
+    _write_blocks(path, header, len(rows), lambda at: _encoded(map(cell, row) for row in rows[at]))
+
+
 def write_trace(path: str, rows: Iterable[tuple[int, str, float]]) -> None:
-    _write_blocks(path, ("epoch", "task", "loss"), _row_blocks(
-        (str(epoch), task, f"{loss:.9f}") for epoch, task, loss in rows))
+    _write_table(path, ("epoch", "task", "loss"), rows, 9)
 
 
-def write_report(
-    path: str, rows: Iterable[tuple[str, float, Optional[int], Optional[int]]]
-) -> None:
-    _write_blocks(path, ("metric", "value", "n_evaluated", "n_skipped"), _row_blocks(
-        (metric, "" if value is None or np.isnan(value) else f"{value:.9f}",
-         "" if n_eval is None else str(n_eval), "" if n_skip is None else str(n_skip))
-        for metric, value, n_eval, n_skip in rows
-    ))
+def write_report(path: str,
+                 rows: Iterable[tuple[str, float, Optional[int], Optional[int]]]) -> None:
+    _write_table(path, ("metric", "value", "n_evaluated", "n_skipped"), rows, 9)
 
 
 def write_variant_table(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    def cell(v: object) -> str:
-        if isinstance(v, float):
-            return "" if np.isnan(v) else f"{v:.6f}"
-        return str(v)
-
-    _write_blocks(path, header, _row_blocks(map(cell, row) for row in rows))
+    _write_table(path, header, rows, 6)
 
 
 # deterministic train/eval split

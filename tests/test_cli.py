@@ -312,6 +312,37 @@ def test_config_error_comes_before_a_missing_input(tmp_path, capsys, config):
     assert err.startswith(f"error: {config.split()[0]} must") and "missing.csv" not in err
 
 
+def test_a_config_file_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\nn_users = 1\xff0\n")
+    assert run(["gen", "--out", tmp_path / "x", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {cfg} line 2: text is not UTF-8\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["label", "ablate"])
+def test_ratios_without_an_explicit_partition_exit_2_before_the_input(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("ratios = 0.7,0.3\n")
+    missing = tmp_path / "missing.csv"
+    argv = {"label": ["--output", tmp_path / "l.csv"],
+            "ablate": ["--truth", tmp_path / "t.csv", "--out", tmp_path / "a"]}[command]
+    assert run([command, "--input", missing, *argv, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ratios" in err and "partition_kind is 'power_decay'" in err
+    assert "missing.csv" not in err and "t.csv" not in err
+
+
+def test_ratios_with_an_explicit_partition_still_label(small_run, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("partition_kind = explicit\nn_groups = 2\nratios = 0.7,0.3\n")
+    out = tmp_path / "l.csv"
+    assert run(["label", "--input", small_run["data"], "--output", out, "--config", cfg]) == 0
+    assert read_labeled(str(out))[0].n == 1000
+    config = PipelineConfig(partition_kind="explicit", n_groups=2, ratios="0.7,0.3")
+    assert np.allclose(build_label_config(config).partition.ratios, [0.7, 0.3])
+
+
 # toy sizes for the fuzz below, given in the config file so that the drawn
 # key overrides them there
 FUZZ_TOY = {"n_users": 12, "n_videos": 30, "interactions_per_user": 10, "n_groups": 8,

@@ -457,7 +457,7 @@ def test_write_labeled_rejects_a_real_value_outside_0_1(tmp_path, value):
 
 # ------------------------------------------------------------ real formatting
 
-DECIMALS = st.sampled_from([0, 3, 6, 9])
+DECIMALS = st.sampled_from([0, 3, 6, 9, 15])
 
 
 def _fixed_text(values, decimals: int) -> list[str]:
@@ -497,13 +497,24 @@ def test_fixed_breaks_an_exact_tie_to_even(value, decimals, text):
     assert _fixed_text([value], decimals) == [text] == [format(value, f".{decimals}f")]
 
 
-@pytest.mark.parametrize("decimals", [0, 3, 6, 9])
+@pytest.mark.parametrize("decimals", [0, 3, 6, 9, 15])
 def test_fixed_matches_format_at_its_edges(decimals):
     values = [*_near_limit(decimals), *(-x for x in _near_limit(decimals)), 1e308, -1e308,
               0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, -np.nan, np.inf, -np.inf,
               0.5 / 10**decimals, 1.5 / 10**decimals, 2**52 - 0.5, 2.0**53]
     assert _fixed_text(values, decimals) == [format(v, f".{decimals}f") for v in values]
     assert _fixed_text([], decimals) == []
+
+
+@pytest.mark.parametrize("decimals", [0, 3, 6, 9, 15])
+def test_fixed_matches_format_at_decimal_midpoints_and_their_neighbours(decimals):
+    # each p here lies within a spacing of a half-integer, so format takes it
+    limit = 2**52 // 10**decimals
+    k = np.concatenate([np.arange(1000), np.random.default_rng(decimals).integers(0, limit, 1000)])
+    mid = (k + 0.5) / 10.0**decimals
+    values = np.concatenate([mid, np.nextafter(mid, 0.0), np.nextafter(mid, np.inf)])
+    values = np.concatenate([values, -values])
+    assert _fixed_text(values, decimals) == [format(v, f".{decimals}f") for v in values.tolist()]
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
@@ -761,7 +772,7 @@ def test_row_writers_write_every_block(tmp_path, monkeypatch, block_rows, n):
         f"{name},{'' if value is None or value != value else f'{value:.9f}'},"
         f"{'' if n_eval is None else n_eval},{'' if n_skip is None else n_skip}\n"
         for name, value, n_eval, n_skip in report)
-    rows = [(f"r{i}", i, 0.25 * i, np.nan) for i in range(n)]
+    rows = [(f"r{i}", i, 0.25 * i, [np.nan, None][i % 2]) for i in range(n)]
     write_variant_table(str(tmp_path / "table.csv"), ("name", "k", "x", "y"), rows)
     assert (tmp_path / "table.csv").read_text() == "name,k,x,y\n" + "".join(
         f"r{i},{i},{0.25 * i:.6f},\n" for i in range(n))

@@ -9,6 +9,13 @@ prints each command's stdout with OUT replaced by a placeholder and one
 outputs byte-identical runs this at its parent and at itself, each
 into a fresh OUT, and diffs the two printouts.
 
+Each command runs with BLAS pinned to one thread (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set to 1), whatever the calling
+shell sets: a checkpoint's bytes depend on OpenBLAS's thread count, so
+two printouts taken from differently set shells could differ with no
+code change. Pinned on two CPUs, train still runs its two lanes and
+ablate's workers one each, so both lane paths are digested.
+
 The runs, on the gen defaults (a) and on 2,000 users x 100 records over
 20,000 videos (b):
   gen, and label exact and sketch with --summaries-out, on both sizes
@@ -44,6 +51,7 @@ PLACEHOLDER = "<OUT>"
 # the tiny batches of the edge sets do not diverge, and one expert
 GENTLE = "lr_embed = 1.0\nlr_dense = 0.02\n"
 CONFIGS = {"gentle.cfg": GENTLE, "one_expert.cfg": GENTLE + "n_experts = 1\n"}
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def runs(out: str) -> list[list[str]]:
@@ -103,7 +111,7 @@ def main(argv: list[str]) -> int:
     for name, text in CONFIGS.items():
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(text)
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, **BLAS_PIN)
     for cmd in runs(out):
         done = subprocess.run([sys.executable, "-m", "wtlabel.cli", *cmd], env=env,
                               capture_output=True, text=True)
